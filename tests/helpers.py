@@ -100,3 +100,41 @@ def naive_genus(n, subgroup_elements):
     num = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusps
     assert num % 12 == 0
     return num // 12, mu, nu2, nu3, cusps
+
+
+def charpoly_mod(mat, p):
+    """Characteristic polynomial of an integer matrix mod a prime p, low
+    degree first, by textbook Hessenberg reduction over F_p."""
+    n = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for j in range(n - 2):
+        r = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if r is None:
+            continue
+        if r != j + 1:
+            h[r], h[j + 1] = h[j + 1], h[r]
+            for row in h:
+                row[r], row[j + 1] = row[j + 1], row[r]
+        inv = pow(h[j + 1][j], -1, p)
+        for i in range(j + 2, n):
+            c = h[i][j] * inv % p
+            if c:
+                h[i] = [(x - c * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + c * row[i]) % p
+    # p_i(x) = (x - h[i-1][i-1]) p_{i-1}(x)
+    #          - sum_m h[m-1][i-1] * prod_{m <= t < i} h[t][t-1] * p_{m-1}(x)
+    polys = [[1]]
+    for i in range(1, n + 1):
+        prev = polys[-1]
+        term = [0] + prev
+        for t, c in enumerate(prev):
+            term[t] = (term[t] - h[i - 1][i - 1] * c) % p
+        beta = 1
+        for m in range(i - 1, 0, -1):
+            beta = beta * h[m][m - 1] % p
+            coef = beta * h[m - 1][i - 1] % p
+            for t, c in enumerate(polys[m - 1]):
+                term[t] = (term[t] - coef * c) % p
+        polys.append(term)
+    return polys[n]
