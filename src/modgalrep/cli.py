@@ -18,7 +18,6 @@ from .congruence import (
     coset_table,
     full_subgroup,
     gamma0_criterion,
-    genus_of_subgroup,
     h_from_eigenform,
     index_gamma,
     predicted_kernel_order,
@@ -31,8 +30,8 @@ from .dirichlet import (
     parse_character,
     trivial_character,
 )
-from .eigen import reduce_space_mod, decompose, minpoly_prime_field
-from .exactalg.arith import primes_up_to, unit_group
+from .eigen import reduce_space_mod, decompose
+from .exactalg.arith import primes_up_to
 from .exactalg.gf import fq_str
 from .modsym import build_space
 from .pipeline import (
@@ -49,16 +48,19 @@ from .pipeline import (
 USAGE_ERROR = 64
 DOMAIN_ERROR = 2
 
-CACHE_FORMAT = "MSYMMAT 1"
+CACHE_FORMAT = "MSYMMAT 2"
 
 
 class MatrixCache:
     """Persistent store of integral operator matrices.
 
     Layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, a text format of
-    one header line, decimal integer rows, and a trailing SHA256 line over
-    the preceding lines.  Writes are atomic (temp file + rename); corrupt
-    entries are deleted and recomputed.
+    one header line "MSYMMAT 2 {rows} {cols} {fingerprint}", decimal integer
+    rows, and a trailing SHA256 line over the preceding lines.  The
+    fingerprint identifies the ambient lattice basis the matrix is written
+    in; an entry under another fingerprint is a miss, and the next store
+    overwrites it.  Writes are atomic (temp file + rename); corrupt entries,
+    and entries of another format version, are deleted and recomputed.
     """
 
     def __init__(self, root):
@@ -68,17 +70,11 @@ class MatrixCache:
         return os.path.join(self.root, "L%d_W%d" % (level, weight),
                             "%s.mat" % label)
 
-    @staticmethod
-    def _payload(rows, cols, mat):
-        lines = ["%s %d %d" % (CACHE_FORMAT, rows, cols)]
-        for row in mat:
-            lines.append(" ".join(str(x) for x in row))
-        return lines
-
-    def store(self, level, weight, label, mat):
+    def store(self, level, weight, label, mat, fingerprint):
         rows = len(mat)
         cols = len(mat[0]) if mat else 0
-        lines = self._payload(rows, cols, mat)
+        lines = ["%s %d %d %s" % (CACHE_FORMAT, rows, cols, fingerprint)]
+        lines.extend(" ".join(str(x) for x in row) for row in mat)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         path = self._path(level, weight, label)
         try:
@@ -91,7 +87,7 @@ class MatrixCache:
         except OSError as exc:
             print("warning: cache write failed: %s" % exc, file=sys.stderr)
 
-    def load(self, level, weight, label):
+    def load(self, level, weight, label, fingerprint):
         path = self._path(level, weight, label)
         try:
             with open(path) as fh:
@@ -109,6 +105,8 @@ class MatrixCache:
             if " ".join(head[:2]) != CACHE_FORMAT:
                 raise ValueError("version mismatch")
             rows, cols = int(head[2]), int(head[3])
+            if head[4] != fingerprint:
+                return None
             mat = [[int(x) for x in line.split()] for line in body[1:]]
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError("shape mismatch")
@@ -345,15 +343,22 @@ def _run_eigensys(args, cache):
             "dim": rspace.dim, "systems": out}
 
 
+def _select_form(level, weight, ell, selector, eps, truncate, cache):
+    """Select the input form up to the bound that realize matches it at,
+    the weight-2 bound at level N' = N*ell (N at weight 2)."""
+    nprime = level if weight == 2 else level * ell
+    bound = sturm_bound(nprime, ell, weight, 2)
+    if truncate:
+        bound = min(bound, truncate)
+    return select_input_form(level, weight, ell, selector, eps=eps,
+                             bound=bound, cache=cache)
+
+
 def _resolve_form(args, cache):
-    selector = _selector_from_args(args)
     eps = parse_character(args.char) if args.char else None
-    bound = sturm_bound(args.level, args.ell, args.weight,
-                        min(args.weight, args.ell + 1))
-    if args.truncate_bound:
-        bound = min(bound, args.truncate_bound)
-    return select_input_form(args.level, args.weight, args.ell, selector,
-                             eps=eps, bound=bound, cache=cache)
+    return _select_form(args.level, args.weight, args.ell,
+                        _selector_from_args(args), eps, args.truncate_bound,
+                        cache)
 
 
 def _run_twist(args, cache):
@@ -377,12 +382,8 @@ def _run_tables(args, cache):
         if row["ell"] > args.max_ell:
             continue
         eps = parse_character(row["eps"]) if "eps" in row else None
-        selector = table_row_selector(row)
-        bound = sturm_bound(row["N"], row["ell"], 12, 13)
-        if args.truncate_bound:
-            bound = min(bound, args.truncate_bound)
-        form = select_input_form(row["N"], 12, row["ell"], selector, eps=eps,
-                                 bound=bound, cache=cache)
+        form = _select_form(row["N"], 12, row["ell"], table_row_selector(row),
+                            eps, args.truncate_bound, cache)
         report = realize(form, row["ell"], truncate=args.truncate_bound,
                          cache=cache)
         ell = row["ell"]

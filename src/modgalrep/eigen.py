@@ -13,7 +13,7 @@ block, and flagged; they never split blocks and never enter match verdicts
 unless explicitly requested.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from .exactalg.arith import primes_up_to, unit_group
 from .exactalg.gf import (
@@ -21,7 +21,6 @@ from .exactalg.gf import (
     fq_field,
     fq_str,
     poly_factor_fq,
-    poly_from_ints,
     poly_roots,
 )
 
@@ -50,11 +49,6 @@ def gf_mat_mul(a, b):
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def gf_identity(field, n):
-    z, o = field.zero(), field.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
 def gf_kernel(mat, ncols):
@@ -178,19 +172,6 @@ def gf_charpoly(mat):
                 term[t] = term[t] - coef * pm[t]
         polys.append(term)
     return polys[n]
-
-
-def gf_poly_eval_matrix(poly, mat):
-    n = len(mat)
-    field = mat[0][0].field
-    out = [[field.zero()] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = poly[-1]
-    for c in reversed(poly[:-1]):
-        out = gf_mat_mul(out, mat)
-        for i in range(n):
-            out[i][i] = out[i][i] + c
-    return out
 
 
 def gf_map_entries(mat, phi):

@@ -23,9 +23,7 @@ from .gf import (
 )
 from .intmat import (
     identity_matrix,
-    IntegerLattice,
     kernel_int,
-    lattice_quotient,
     mat_mul,
     QuotientMap,
     quotient_by_relations,
@@ -39,7 +37,6 @@ __all__ = [
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
     "FqField", "poly_factor_fq", "poly_from_ints", "poly_roots",
-    "identity_matrix", "IntegerLattice", "kernel_int", "lattice_quotient",
-    "mat_mul", "QuotientMap", "quotient_by_relations", "SaturationError",
-    "solve_int", "transpose",
+    "identity_matrix", "kernel_int", "mat_mul", "QuotientMap",
+    "quotient_by_relations", "SaturationError", "solve_int", "transpose",
 ]

@@ -1,21 +1,26 @@
-"""Exact integer linear algebra: kernels, Smith form, lattice quotients.
+"""Exact integer linear algebra: kernels, solves and free quotients.
 
-Matrices are lists of rows of Python ints.  Hot paths mirror the data into
-int64 numpy arrays when a conservative bound shows no overflow is possible,
-and fall back to pure Python big integers otherwise, so results are always
-exact.
+Matrices are lists of rows of Python ints.  Elimination mirrors the data
+into int64 numpy arrays when a conservative bound shows no overflow is
+possible, and falls back to pure Python big integers otherwise, so results
+are always exact.
 
 Kernels are computed with a tracked unimodular row transform, which makes
 the returned basis generate the full integer kernel lattice; in particular
 every kernel here is saturated, which is what keeps reductions mod ell free
 of spurious torsion artifacts.
-"""
 
-from math import gcd
+The free quotient of Z^n by integer relations is coordinatized by such a
+kernel: a saturated basis of the linear forms that vanish on every relation
+maps Z^n onto Z^dim, and the dual basis, from one more unimodular
+transform, gives a preimage of each coordinate vector.  The torsion of the
+quotient comes from sympy's Smith form.
+"""
 
 import numpy as np
 
-from sympy import factorint
+from sympy import Matrix, factorint
+from sympy.matrices.normalforms import invariant_factors
 
 _INT64_SAFE = 1 << 60
 
@@ -61,10 +66,6 @@ def mat_mul(a, b):
         return (an @ bn).tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def identity_matrix(n):
@@ -145,6 +146,65 @@ def _echelon_py(w, ncols_left):
     return piv
 
 
+def _clear_np(w, k):
+    """Row-reduce a k x k unimodular upper-triangular block to I, in place."""
+    for i in range(k - 1, -1, -1):
+        if abs(int(w[i, i])) != 1:
+            raise SaturationError("pivot block is not unimodular")
+        if w[i, i] < 0:
+            w[i] = -w[i]
+        above = np.nonzero(w[:i, i])[0]
+        if above.size:
+            qs = w[above, i]
+            if (int(np.abs(qs).max()) * int(np.abs(w[i]).max())
+                    + int(np.abs(w[above]).max()) >= _INT64_SAFE):
+                raise _Int64Overflow
+            w[above] -= qs[:, None] * w[i][None, :]
+
+
+def _clear_py(w, k):
+    for i in range(k - 1, -1, -1):
+        ri = w[i]
+        if abs(ri[i]) != 1:
+            raise SaturationError("pivot block is not unimodular")
+        if ri[i] < 0:
+            ri = w[i] = [-x for x in ri]
+        for r in range(i):
+            q = w[r][i]
+            if q:
+                w[r] = [x - q * y for x, y in zip(w[r], ri)]
+
+
+def _echelon(rows, ncols_left, clear=False):
+    """Unimodular row echelon over the first ncols_left columns.
+
+    Returns (pivot count, transformed rows as lists of ints).  With clear
+    set, the columns must have full rank and span a saturated lattice; the
+    pivot block, then unimodular, is cleared to the identity.  Runs on int64
+    while a bound shows no overflow, else on Python integers.
+    """
+    w = _to_int64(rows, ncols_left)
+    if w is not None:
+        try:
+            piv = _echelon_np(w, ncols_left)
+            if clear:
+                _clear_np(w, piv)
+            return piv, w.tolist()
+        except _Int64Overflow:
+            pass
+    w = [list(row) for row in rows]
+    piv = _echelon_py(w, ncols_left)
+    if clear:
+        _clear_py(w, piv)
+    return piv, w
+
+
+def _augment(vecs, n):
+    # row i: the i-th entries of the vectors, then the i-th unit vector of Z^n
+    return [[v[i] for v in vecs] + [1 if t == i else 0 for t in range(n)]
+            for i in range(n)]
+
+
 def kernel_int(a, ncols=None):
     """Basis of the integer kernel {x : A x = 0} as a list of vectors.
 
@@ -156,29 +216,31 @@ def kernel_int(a, ncols=None):
             raise ValueError("ncols required for an empty matrix")
         ncols = len(a[0])
     m = len(a)
-    rows = []
-    for i in range(ncols):
-        row = [a[r][i] for r in range(m)]
-        row.extend(1 if t == i else 0 for t in range(ncols))
-        rows.append(row)
-    w = _to_int64(rows, m + ncols)
-    if w is not None:
-        try:
-            piv = _echelon_np(w, m)
-            out_rows = w[piv:, m:].tolist()
-        except _Int64Overflow:
-            w = None
-    if w is None:
-        piv = _echelon_py(rows, m)
-        out_rows = [row[m:] for row in rows[piv:]]
+    piv, rows = _echelon(_augment(a, ncols), m)
     basis = []
-    for row in out_rows:
-        vec = [int(x) for x in row]
+    for row in rows[piv:]:
+        vec = row[m:]
         lead = next((x for x in vec if x), None)
         if lead is not None and lead < 0:
             vec = [-x for x in vec]
         basis.append(vec)
     return basis
+
+
+def _dual_basis(forms, n):
+    """Vectors x_1..x_k of Z^n with forms[j] . x_i = delta_ij.
+
+    The k forms must be independent and span a saturated lattice, as the
+    bases kernel_int returns do.  The unimodular U that puts the n x k
+    matrix F of the forms in echelon form has U F = [H; 0] with H
+    triangular of unit diagonal; clearing H to the identity by row
+    operations leaves the x_i in the first k rows of U.
+    """
+    k = len(forms)
+    piv, rows = _echelon(_augment(forms, n), k, clear=True)
+    if piv != k:
+        raise ValueError("forms are not independent")
+    return [row[k:] for row in rows[:k]]
 
 
 def solve_int(b, y):
@@ -195,17 +257,7 @@ def solve_int(b, y):
         if not is_zero_matrix(y):
             raise SaturationError("nonzero target in a zero-dimensional space")
         return [[0] * k for _ in range(0)]
-    rows = [list(b[i]) + list(y[i]) for i in range(n)]
-    w = _to_int64(rows, s + k)
-    if w is not None:
-        try:
-            piv = _echelon_np(w, s)
-            rows = w.tolist()
-        except _Int64Overflow:
-            rows = [list(b[i]) + list(y[i]) for i in range(n)]
-            piv = _echelon_py(rows, s)
-    else:
-        piv = _echelon_py(rows, s)
+    piv, rows = _echelon([list(b[i]) + list(y[i]) for i in range(n)], s)
     if piv != s:
         raise ValueError("basis matrix does not have full column rank")
     for i in range(s, n):
@@ -225,118 +277,11 @@ def solve_int(b, y):
     return x
 
 
-def _snf_with_row_transform(mat):
-    """Diagonalize an integer matrix by unimodular row and column ops.
-
-    Returns (diag, u, uinv) where u @ mat @ (col ops) is diagonal with the
-    returned diagonal entries (not necessarily in divisibility order), and
-    uinv is the inverse of the row transform u.  Elimination uses xgcd
-    2x2 transforms rather than division/swap chains, which keeps the
-    intermediate entries from exploding.
-    """
-    m = [list(row) for row in mat]
-    t = len(m)
-    s = len(m[0]) if m else 0
-    u = identity_matrix(t)
-    uinv = identity_matrix(t)
-
-    def row_transform(i, j, x, y, a, b):
-        # rows (i, j) <- (x*row_i + y*row_j, -b*row_i + a*row_j); det = 1
-        for mats in (m, u):
-            ri, rj = mats[i], mats[j]
-            for c in range(len(ri)):
-                vi, vj = ri[c], rj[c]
-                ri[c] = x * vi + y * vj
-                rj[c] = a * vj - b * vi
-        # uinv columns (i, j) <- (a*col_i + b*col_j, -y*col_i + x*col_j)
-        for r in range(t):
-            vi, vj = uinv[r][i], uinv[r][j]
-            uinv[r][i] = a * vi + b * vj
-            uinv[r][j] = x * vj - y * vi
-
-    def col_transform(i, j, x, y, a, b):
-        for r in range(t):
-            vi, vj = m[r][i], m[r][j]
-            m[r][i] = x * vi + y * vj
-            m[r][j] = a * vj - b * vi
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(t):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(t):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-
-    def xgcd(a, b):
-        x0, x1, y0, y1 = 1, 0, 0, 1
-        while b:
-            q, r = divmod(a, b)
-            a, b = b, r
-            x0, x1 = x1, x0 - q * x1
-            y0, y1 = y1, y0 - q * y1
-        return a, x0, y0
-
-    diag = []
-    k = 0
-    while k < t and k < s:
-        best = None
-        for i in range(k, t):
-            for j in range(k, s):
-                v = abs(m[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            row_swap(k, bi)
-        if bj != k:
-            col_swap(k, bj)
-        while True:
-            for i in range(k + 1, t):
-                if m[i][k]:
-                    piv, other = m[k][k], m[i][k]
-                    if other % piv == 0:
-                        row_transform(k, i, 1, 0, 1, other // piv)
-                    else:
-                        g, x, y = xgcd(piv, other)
-                        row_transform(k, i, x, y, piv // g, other // g)
-            # column k is clear below the pivot; fix row k
-            piv = m[k][k]
-            if all(m[k][j] % piv == 0 for j in range(k + 1, s)):
-                for j in range(k + 1, s):
-                    q = m[k][j] // piv
-                    if q:
-                        col_transform(k, j, 1, 0, 1, q)
-                break
-            # a 2-column gcd step shrinks the pivot; redo the column after
-            for j in range(k + 1, s):
-                if m[k][j] % piv:
-                    g, x, y = xgcd(piv, m[k][j])
-                    col_transform(k, j, x, y, piv // g, m[k][j] // g)
-                    break
-        d = m[k][k]
-        if d < 0:
-            for c in range(s):
-                m[k][c] = -m[k][c]
-            for c in range(t):
-                u[k][c] = -u[k][c]
-            for r in range(t):
-                uinv[r][k] = -uinv[r][k]
-            d = -d
-        diag.append(d)
-        k += 1
-    return diag, u, uinv
-
-
 def elementary_divisors(diag):
     """Prime-power torsion invariants of a diagonalized quotient, sorted."""
     out = []
     for d in diag:
-        d = abs(d)
+        d = abs(int(d))
         if d > 1:
             for p, e in factorint(d).items():
                 out.append(p ** e)
@@ -371,9 +316,11 @@ def quotient_by_relations(n, relation_rows):
     """Torsion-free quotient of Z^n by sparse relation rows.
 
     relation_rows is an iterable of dicts {generator index: coefficient}.
-    Unit-coefficient pivots are eliminated sparsely first; whatever is left
-    goes through a dense Smith normal form.  Torsion is reported as sorted
-    prime-power elementary divisors and discarded from the projection.
+    Unit-coefficient pivots are eliminated sparsely first.  On the t
+    generators left, the projection is a saturated basis of the linear
+    forms vanishing on the leftover relations (kernel_int), and the lifts
+    are its dual basis.  Torsion is reported as sorted prime-power
+    elementary divisors and discarded from the projection.
     """
     solved = {}       # col -> dict of remaining cols (the substitution)
     solved_order = []
@@ -450,18 +397,19 @@ def quotient_by_relations(n, relation_rows):
     t = len(remaining)
 
     if leftovers:
-        dense = [[0] * len(leftovers) for _ in range(t)]
+        dense = [[0] * t for _ in leftovers]
         for j, row in enumerate(leftovers):
             for c, v in row.items():
-                dense[pos[c]][j] = v
-        diag, u, uinv = _snf_with_row_transform(dense)
-        free_idx = [i for i in range(t) if i >= len(diag) or diag[i] == 0]
-        torsion = elementary_divisors(diag)
-        dim = len(free_idx)
-        proj_remaining = [[u[i][c] for i in free_idx] for c in range(t)]
-        lifts = []
-        for i in free_idx:
-            lifts.append([(remaining[r], uinv[r][i]) for r in range(t) if uinv[r][i]])
+                dense[j][pos[c]] = v
+        forms = kernel_int(dense, t)
+        dim = len(forms)
+        # the echelon rows span the relation lattice, and sympy's Smith form
+        # runs far faster on them than on the raw relations
+        rank, echelon = _echelon(dense, t)
+        torsion = elementary_divisors(invariant_factors(Matrix(echelon[:rank])))
+        proj_remaining = [[f[c] for f in forms] for c in range(t)]
+        lifts = [[(remaining[r], v) for r, v in enumerate(vec) if v]
+                 for vec in _dual_basis(forms, t)]
     else:
         torsion = []
         dim = t
@@ -471,56 +419,12 @@ def quotient_by_relations(n, relation_rows):
     proj_rows = [None] * n
     for c in remaining:
         proj_rows[c] = proj_remaining[pos[c]]
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in proj_remaining]
     for c, sub in solved.items():
         row = [0] * dim
         for c2, v in sub.items():
-            prow = proj_remaining[pos[c2]]
-            for tcol in range(dim):
-                row[tcol] += v * prow[tcol]
+            for j, x in nonzero[pos[c2]]:
+                row[j] += v * x
         proj_rows[c] = row
 
     return QuotientMap(n, dim, torsion, proj_rows, lifts)
-
-
-class IntegerLattice:
-    """Quotient of a lattice by integer relations: rank, torsion, basis."""
-
-    def __init__(self, generators, relations, rank, torsion, basis):
-        self.generators = generators
-        self.relations = relations
-        self.rank = rank
-        self.torsion = torsion
-        self.basis = basis  # rank vectors in generator coordinates
-
-    def __repr__(self):
-        return "IntegerLattice(rank=%d, torsion=%r)" % (self.rank, self.torsion)
-
-
-def lattice_quotient(generators, relations):
-    """Quotient of the row span of `generators` by the rows of `relations`.
-
-    Both arguments are integer matrices (lists of rows).  Relations must lie
-    in the generator span.  The quotient basis spans the torsion-free part;
-    torsion is reported as sorted prime-power elementary divisors.
-    """
-    ngen = len(generators)
-    if ngen == 0:
-        return IntegerLattice(generators, relations, 0, [], [])
-    width = len(generators[0])
-    ident = generators == identity_matrix(ngen)
-    if ident:
-        rel_coords = [list(r) for r in relations]
-    else:
-        gt = transpose(generators)
-        yt = transpose(relations) if relations else [[] for _ in range(width)]
-        sol = solve_int(gt, yt)
-        rel_coords = transpose(sol) if relations else []
-    rows = [{j: v for j, v in enumerate(r) if v} for r in rel_coords]
-    qm = quotient_by_relations(ngen, rows)
-    basis = []
-    for lift in qm.lifts:
-        vec = [0] * ngen
-        for i, c in lift:
-            vec[i] = c
-        basis.append(vec)
-    return IntegerLattice(generators, relations, qm.dim, qm.torsion, basis)

@@ -2,9 +2,13 @@
 
 Symbols are pairs (monomial X^a Y^(k-2-a), coset), where cosets are
 unimodular bottom rows (c:d) mod n up to sign; only even weights are
-supported, so the sign quotient is harmless.  The presentation is reduced
-by the two- and three-term relations over Z, torsion is discarded, and all
-operators are integer matrices on the resulting lattice basis.
+supported, so the sign quotient is harmless.  The ambient lattice is the
+free part of the quotient of Z^symbols by the two- and three-term
+relations; its torsion is recorded and discarded.  The coordinates of a
+symbol are the values of a saturated basis of the integer linear forms
+that vanish on every relation (quotient_by_relations), which keeps them
+small, and all operators are integer matrices on the dual basis.  A
+fingerprint of these coordinates identifies the basis in the disk cache.
 
 Hecke operators use the determinant-p family of integral matrices
 enumerated by the a > b >= 0, d > c >= 0 inequalities; diamond operators
@@ -13,14 +17,17 @@ Subspaces (cuspidal, plus, H-invariant) are integer kernels, hence
 saturated sublattices, and restricted operators are exact integral solves.
 """
 
-from functools import lru_cache
+import hashlib
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 import numpy as np
 
-from .congruence import SubgroupH, coset_table, trivial_subgroup
+from .congruence import coset_table, trivial_subgroup
+from .exactalg.arith import xgcd
 from .exactalg.intmat import (
     _INT64_SAFE,
+    identity_matrix,
     kernel_int,
     mat_mul,
     quotient_by_relations,
@@ -174,6 +181,12 @@ class _Ambient:
         self._boundary = None
         self._cusps = None
 
+    @cached_property
+    def fingerprint(self):
+        """SHA-256 of the projection rows, which fix the lattice basis."""
+        text = "\n".join(" ".join(map(str, row)) for row in self.proj_rows)
+        return hashlib.sha256(text.encode()).hexdigest()
+
     # -- operators on the lattice basis ------------------------------------
 
     def _combine_lift_images(self, images):
@@ -279,7 +292,7 @@ class _Ambient:
                         continue
                     c, d = self.table.reps[x]
                     c1, d1 = lift_unimodular(c, d, n)
-                    g, u, v = _xgcd(d1, c1)
+                    g, u, v = xgcd(d1, c1)
                     assert g == 1
                     a_top, b_top = u, -v
                     if a_exp == k - 2:
@@ -302,18 +315,6 @@ def _acc(row, key, val):
         row[key] = nv
     elif key in row:
         del row[key]
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 class ModularSymbolSpace:
@@ -361,11 +362,13 @@ class ModularSymbolSpace:
             return self._ops[label]
         mat = None
         if self._cache is not None:
-            mat = self._cache.load(self.level, self.weight, label)
+            mat = self._cache.load(self.level, self.weight, label,
+                                   self.ambient.fingerprint)
         if mat is None:
             mat = compute()
             if self._cache is not None:
-                self._cache.store(self.level, self.weight, label, mat)
+                self._cache.store(self.level, self.weight, label, mat,
+                                  self.ambient.fingerprint)
         self._ops[label] = mat
         return mat
 
@@ -388,7 +391,7 @@ class ModularSymbolSpace:
     def diamond_matrix(self, d):
         d %= self.level if self.level > 1 else 1
         if self.level == 1:
-            return identity(self.dim)
+            return identity_matrix(self.dim)
         return self._operator("d%d" % d, lambda: self.ambient.diamond_on_basis(d))
 
     def star_matrix(self):
@@ -468,10 +471,6 @@ def _unit_vector(n, j):
     return v
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 _AMBIENTS = {}
 
 
@@ -493,23 +492,3 @@ def build_space(level, weight, cache=None):
 
 def clear_space_registry():
     _AMBIENTS.clear()
-
-
-def cuspidal_subspace(space):
-    return space.cuspidal_subspace()
-
-
-def hecke_matrix(space, p):
-    return space.hecke_matrix(p)
-
-
-def diamond_matrix(space, d):
-    return space.diamond_matrix(d)
-
-
-def star_plus_subspace(space):
-    return space.star_plus_subspace()
-
-
-def h_invariant_subspace(space, subgroup):
-    return space.h_invariant_subspace(subgroup)

@@ -14,11 +14,9 @@ a truncated bound may be supplied for desk-scale runs, in which case every
 dependent verdict is flagged heuristic.
 """
 
-from math import gcd
+from sympy import factorint
 
 from .congruence import (
-    SubgroupH,
-    full_subgroup,
     genus_of_subgroup,
     h_from_eigenform,
     index_gamma,
@@ -28,13 +26,14 @@ from .congruence import (
 )
 from .dirichlet import conductor, trivial_character
 from .eigen import (
+    _frob_iter,
     decompose,
     match_twist,
     minpoly_prime_field,
     reduce_space_mod,
 )
-from .exactalg.arith import divisors, euler_phi, primes_up_to
-from .exactalg.gf import fq_field, poly_from_ints, poly_gcd
+from .exactalg.arith import divisors, primes_up_to
+from .exactalg.gf import fq_field, poly_from_ints, poly_gcd, poly_monic
 from .modsym import build_space
 
 
@@ -48,14 +47,10 @@ def sl2_index_gamma1(n):
         return 1
     psi = n
     phi = n
-    for p in {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}:
+    for p in factorint(n):
         psi = psi // p * (p + 1)
         phi = phi // p * (p - 1)
     return phi * psi
-
-
-def _is_prime(p):
-    return p > 1 and all(p % q for q in range(2, int(p ** 0.5) + 1))
 
 
 def sturm_bound(level, ell, k, kprime):
@@ -110,11 +105,6 @@ def decompose_level(level, weight, ell, bound, cache=None, subgroup=None):
         rspace = reduce_space_mod(space, ell, primes)
         _DECOMPOSED[key] = decompose(rspace, primes)
     return _DECOMPOSED[key]
-
-
-def clear_pipeline_registry():
-    _PLUS_CUSPIDAL.clear()
-    _DECOMPOSED.clear()
 
 
 def select_input_form(level, weight, ell, selector, eps=None, bound=None,
@@ -181,28 +171,17 @@ def _diamond_matches(sys, eps):
     gens = unit_group(sys.level).generators
     targets = [phi_e(red.value(g)) for g in gens]
     for j in range(sys.field.r):
-        vals = [phi_s(_frob(sys.diamond[g], j)) for g in gens]
+        vals = [phi_s(_frob_iter(sys.diamond[g], j)) for g in gens]
         if vals == targets:
             return True
     return False
-
-
-def _frob(x, j):
-    for _ in range(j):
-        x = x.frobenius()
-    return x
 
 
 def _minpoly_divides(value, coeffs, ell):
     field = fq_field(ell, 1)
     target = poly_from_ints(field, coeffs)
     mp = poly_from_ints(field, minpoly_prime_field(value))
-    return poly_gcd(mp, target) == _monic(mp)
-
-
-def _monic(poly):
-    inv = poly[-1].inverse()
-    return [c * inv for c in poly]
+    return poly_gcd(mp, target) == poly_monic(mp)
 
 
 def _poly_relation_holds(sys, p, coeffs, den):
@@ -370,7 +349,7 @@ def realize(form, ell, truncate=None, cache=None):
             raise AssertionError("index formula mismatch: %d != %d"
                                  % (predicted, len(subgroup)))
     for mpp in divisors(mprime):
-        rigorous = sl2_index_gamma1(mpp) * (ell * ell - 1 + k) // 12
+        rigorous = sturm_bound(mpp, ell, k, 2)
         bound = min(rigorous, truncate) if truncate else rigorous
         heuristic = bound < rigorous
         hproj = subgroup.project(mpp) if mpp > 1 else None
@@ -404,7 +383,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
     n, k = form.level, form.weight
     nprime = n if k == 2 else n * ell
     subgroup = h_from_eigenform(form.eps, k, i, ell)
-    rigorous = sl2_index_gamma1(nprime) * (ell * ell - 1 + k) // 12
+    rigorous = sturm_bound(nprime, ell, k, 2)
     bound = min(rigorous, truncate) if truncate else rigorous
     rows = []
     for hp in intermediate_subgroups(nprime, limit=limit):

@@ -1,0 +1,65 @@
+import os
+from hashlib import sha256
+
+from modgalrep.cli import MatrixCache, run_command
+from modgalrep.pipeline import TABLE_ROWS
+
+MAT = [[1, -2, 3], [40000000000000000000000, 0, -5]]
+
+
+def test_cache_round_trip(tmp_path):
+    cache = MatrixCache(str(tmp_path))
+    assert cache.load(6, 12, "T5", "fp") is None
+    cache.store(6, 12, "T5", MAT, "fp")
+    assert cache.load(6, 12, "T5", "fp") == MAT
+    assert cache.load(6, 12, "T7", "fp") is None
+
+
+def test_cache_deletes_corrupt_entry(tmp_path):
+    cache = MatrixCache(str(tmp_path))
+    cache.store(6, 12, "T5", MAT, "fp")
+    path = cache._path(6, 12, "T5")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("-2", "-3"))
+    assert cache.load(6, 12, "T5", "fp") is None
+    assert not os.path.exists(path)
+
+
+def test_cache_ignores_entry_of_another_presentation(tmp_path):
+    cache = MatrixCache(str(tmp_path))
+    cache.store(6, 12, "T5", MAT, "old")
+    assert cache.load(6, 12, "T5", "new") is None
+    assert cache.load(6, 12, "T5", "old") == MAT
+    cache.store(6, 12, "T5", [[7]], "new")
+    assert cache.load(6, 12, "T5", "new") == [[7]]
+    assert cache.load(6, 12, "T5", "old") is None
+
+
+def test_cache_drops_entry_of_an_older_format(tmp_path):
+    cache = MatrixCache(str(tmp_path))
+    path = cache._path(6, 12, "T5")
+    os.makedirs(os.path.dirname(path))
+    body = "MSYMMAT 1 1 1\n7"
+    with open(path, "w") as fh:
+        fh.write("%s\nSHA256 %s\n" % (body, sha256(body.encode()).hexdigest()))
+    assert cache.load(6, 12, "T5", "fp") is None
+    assert not os.path.exists(path)
+
+
+def test_realize_command_runs():
+    code, doc = run_command(
+        ["--no-cache", "realize", "--level", "1", "--weight", "12", "--ell",
+         "11", "--a", "2=-24", "--truncate-bound", "50"])
+    assert code == 0, doc
+    assert doc["weight2_level"] == 11
+
+
+def test_tables_command_matches_reference_exponents():
+    code, doc = run_command(
+        ["--no-cache", "tables", "--max-ell", "5", "--truncate-bound", "50"])
+    assert code == 0, doc
+    reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 5]
+    assert [row["i"] for row in doc["rows"]] == reference
+    assert "warnings" not in doc

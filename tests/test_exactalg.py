@@ -1,14 +1,13 @@
 import random
 
 import pytest
+from sympy import Matrix
 
 from modgalrep.exactalg import (
     divisors,
     euler_phi,
     fq_field,
-    identity_matrix,
     kernel_int,
-    lattice_quotient,
     mat_mul,
     poly_factor_fq,
     poly_from_ints,
@@ -200,20 +199,25 @@ def test_element_of_order_compatible_powers():
 # ---------------------------------------------------------------------------
 # integer lattices
 
+def dense_quotient(n, rels):
+    return quotient_by_relations(
+        n, [{j: v for j, v in enumerate(r) if v} for r in rels])
+
+
 def test_lattice_quotient_free():
-    lat = lattice_quotient(identity_matrix(2), [])
-    assert lat.rank == 2 and lat.torsion == []
+    qm = dense_quotient(2, [])
+    assert qm.dim == 2 and qm.torsion == []
 
 
 def test_lattice_quotient_torsion_single():
-    lat = lattice_quotient(identity_matrix(1), [[2]])
-    assert lat.rank == 0 and lat.torsion == [2]
+    qm = dense_quotient(1, [[2]])
+    assert qm.dim == 0 and qm.torsion == [2]
 
 
 def test_lattice_quotient_torsion_pair():
     # oracle: Smith form of diag(2, 3) is diag(1, 6); prime-power invariants
-    lat = lattice_quotient(identity_matrix(2), [[2, 0], [0, 3]])
-    assert lat.rank == 0 and lat.torsion == [2, 3]
+    qm = dense_quotient(2, [[2, 0], [0, 3]])
+    assert qm.dim == 0 and qm.torsion == [2, 3]
 
 
 def test_lattice_quotient_rank_permutation_invariant():
@@ -222,13 +226,13 @@ def test_lattice_quotient_rank_permutation_invariant():
         n = rng.randrange(2, 6)
         rels = [[rng.randrange(-4, 5) for _ in range(n)]
                 for _ in range(rng.randrange(0, 5))]
-        base = lattice_quotient(identity_matrix(n), rels)
+        base = dense_quotient(n, rels)
         perm = list(range(n))
         rng.shuffle(perm)
         shuffled = [[row[p] for p in perm] for row in rels]
         rng.shuffle(shuffled)
-        other = lattice_quotient(identity_matrix(n), shuffled)
-        assert base.rank == other.rank
+        other = dense_quotient(n, shuffled)
+        assert base.dim == other.dim
         assert base.torsion == other.torsion
 
 
@@ -240,6 +244,9 @@ def test_quotient_by_relations_projects_relations_to_zero():
                  for _ in range(rng.randrange(1, 4))}
                 for _ in range(rng.randrange(0, 12))]
         qm = quotient_by_relations(n, [dict(r) for r in rows])
+        # oracle: the rank over Q of the relations, from sympy
+        dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+        assert qm.dim == n - (Matrix(dense).rank() if rows else 0)
         for r in rows:
             assert all(x == 0 for x in qm.project_vector(list(r.items())))
         for j, lift in enumerate(qm.lifts):

@@ -218,3 +218,10 @@ def test_bad_prime_hecke_well_defined():
     u11 = space.hecke_matrix(11)
     t2 = space.hecke_matrix(2)
     assert mat_mul(u11, t2) == mat_mul(t2, u11)
+
+
+def test_presentation_coefficients_fit_int64():
+    # the saturated annihilator keeps the projection small; a Smith-form
+    # row transform gave 33,129-bit entries here
+    ambient = build_space(6, 12).ambient
+    assert max(abs(x) for row in ambient.proj_rows for x in row) < 2 ** 60
