@@ -1,7 +1,7 @@
 """Command-line interface, report emission, and the matrix disk cache.
 
-Exit codes: 0 success, 2 domain errors (with a machine-readable error
-document on stdout), 64 usage errors.  All numeric output is exact:
+Exit codes: 0 success, 2 domain errors and 70 internal faults (both with a
+machine-readable error document on stdout), 64 usage errors.  All numeric output is exact:
 integers, residues and polynomial coefficient lists; no floating point.
 """
 
@@ -19,7 +19,6 @@ from .congruence import (
     full_subgroup,
     gamma0_criterion,
     h_from_eigenform,
-    index_gamma,
     predicted_kernel_order,
     trivial_subgroup,
 )
@@ -47,6 +46,7 @@ from .pipeline import (
 
 USAGE_ERROR = 64
 DOMAIN_ERROR = 2
+INTERNAL_ERROR = 70  # EX_SOFTWARE
 
 CACHE_FORMAT = "MSYMMAT 2"
 
@@ -220,11 +220,6 @@ def _subgroup_from_text(level, text):
         level, [int(x) for x in text.split(",")])
 
 
-def _signed(x, ell):
-    x %= ell
-    return x - ell if 2 * x > ell else x
-
-
 def _poly_str(coeffs):
     terms = []
     for i, c in enumerate(coeffs):
@@ -271,7 +266,7 @@ def _run_subgroup(args):
     h = h_from_eigenform(eps, args.weight, args.i, args.ell)
     doc = {
         "level": h.level,
-        "order": index_gamma(h),
+        "order": len(h),
         "elements": list(h.elements),
         "is_gamma0": h.is_full(),
         "gamma0_criterion": gamma0_criterion(args.ell, args.weight, args.i),
@@ -336,7 +331,7 @@ def _run_eigensys(args, cache):
             "multiplicity": s.multiplicity,
             "a": {str(p): fq_str(v) for p, v in sorted(s.a.items())},
             "diamond": {str(d): fq_str(v) for d, v in sorted(s.diamond.items())},
-            "minpoly_a2": s.minpoly_a(2) if 2 in s.a else None,
+            "minpoly_a2": s.a[2].minpoly() if 2 in s.a else None,
             "bad_primes": list(s.bad_primes),
         })
     return {"level": args.level, "weight": args.weight, "ell": args.ell,
@@ -418,8 +413,10 @@ def _run_tables(args, cache):
 
 def run_command(argv):
     """Run one CLI invocation; returns (exit code, document)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run(_build_parser().parse_args(argv))
+
+
+def _run(args):
     cache = None
     if not args.no_cache:
         cache = MatrixCache(args.cache_dir or default_cache_dir())
@@ -438,6 +435,9 @@ def run_command(argv):
         result = handlers[args.command]()
     except (PipelineError, ValueError) as exc:
         return DOMAIN_ERROR, {"error": str(exc), "command": args.command}
+    except Exception as exc:
+        return INTERNAL_ERROR, {"error": "internal fault: %s: %s" % (
+            type(exc).__name__, exc), "command": args.command}
     doc = {"command": args.command, "inputs": {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("command",) and v is not None and v != []}}
@@ -446,14 +446,9 @@ def run_command(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    code, doc = run_command(argv)
-    fmt = "json"
-    if "--format" in argv:
-        fmt = argv[argv.index("--format") + 1]
-    elif any(a.startswith("--format=") for a in argv):
-        fmt = next(a.split("=", 1)[1] for a in argv if a.startswith("--format="))
-    emit_report(doc, fmt)
+    args = _build_parser().parse_args(argv)
+    code, doc = _run(args)
+    emit_report(doc, args.format)
     return code
 
 

@@ -48,10 +48,6 @@ class SubgroupH:
                     frontier.append(y)
         return cls(level, elems)
 
-    @property
-    def contains_minus_one(self):
-        return (-1) % self.level in self.elements
-
     def __len__(self):
         return len(self.elements)
 
@@ -237,11 +233,6 @@ def predicted_kernel_order(m, ell, e):
     if m % ell:
         raise ValueError("ell must divide m")
     return euler_phi(m) * gcd(ell - 1, e) // (ell - 1)
-
-
-def index_gamma(subgroup):
-    """The index of Gamma_1 in Gamma_H at the same level, i.e. #H."""
-    return len(subgroup)
 
 
 def gamma0_criterion(ell, k, i):

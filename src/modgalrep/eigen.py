@@ -1,19 +1,29 @@
 """Mod-ell eigensystems: reduction of integral Hecke matrices, simultaneous
-generalized-eigenspace decomposition over finite extensions of F_ell, and
-the twist-matching predicate with its determinant check.
+generalized-eigenspace decomposition, and the twist-matching predicate with
+its determinant check.
 
-decompose returns one representative per Frobenius orbit of systems; the
-multiplicity of a system times the degree of its value field, summed over
-representatives, accounts for the full dimension of the input space.
-Blocks are refined operator by operator (Hecke at good primes in order,
-then diamonds); the coefficient field is extended only when an irreducible
-factor of degree > 1 turns up.  Values at primes dividing the level or ell
-are recorded when the restricted operator is scalar-plus-nilpotent on the
-block, and flagged; they never split blocks and never enter match verdicts
-unless explicitly requested.
+decompose works in two steps.  It first splits the space over F_ell, on
+numpy arrays of residues: operator by operator (Hecke at good primes in
+order, then diamonds), each block is cut into ker g(T)^e for the
+irreducible factors g^e of the operator's characteristic polynomial.  A
+final block then carries one irreducible factor per operator, so all its
+systems take values in the one field F_{ell^d}, d the lcm of the factor
+degrees.  The second step works in that field: it follows one root of the
+factor of largest degree and reads off or splits out the other values.  A
+block may hold more than one Frobenius orbit: the systems (a, b) and
+(a, b^ell) have the same factors over F_ell.
+
+The result is one representative per Frobenius orbit; the multiplicity of
+a system times the degree of its value field, summed over representatives,
+is the dimension of the input space.  Values at primes dividing the level
+or ell are recorded when the operator has a single eigenvalue on the
+system's generalized eigenspace, and flagged; they never split blocks and
+never enter match verdicts unless explicitly requested.
 """
 
 from math import lcm
+
+import numpy as np
 
 from .exactalg.arith import primes_up_to, unit_group
 from .exactalg.gf import (
@@ -21,16 +31,117 @@ from .exactalg.gf import (
     fq_field,
     fq_str,
     poly_factor_fq,
+    poly_from_ints,
     poly_roots,
 )
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over an FqField (lists of lists of FqElem)
+# linear algebra over F_ell on numpy arrays of residues
 
-def gf_matrix_from_int(field, mat):
-    return [[field.from_int(x) for x in row] for row in mat]
+def _exact_dtype(n, ell):
+    """int64 while a sum of n products of two residues cannot overflow,
+    Python integers beyond that."""
+    return np.int64 if (n + 2) * ell * ell < 2 ** 63 else object
 
+
+def _rref_mod(a, ell):
+    """Reduced row echelon form of a mod ell, and its pivot columns."""
+    a = a % ell
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, ell) % ell
+        rows = np.flatnonzero(a[:, j])
+        rows = rows[rows != r]
+        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:])) % ell
+        pivots.append(j)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)], pivots
+
+
+def _kernel_mod(a, ell):
+    """Basis of the kernel of a mod ell, as the columns of an array."""
+    r, pivots = _rref_mod(a, ell)
+    free = [j for j in range(a.shape[1]) if j not in pivots]
+    ker = np.zeros((a.shape[1], len(free)), dtype=a.dtype)
+    ker[free, range(len(free))] = 1
+    ker[pivots, :] = -r[:, free] % ell
+    return ker
+
+
+def _solve_mod(b, y, ell):
+    """X with b X = y mod ell, for b of full column rank."""
+    s = b.shape[1]
+    r, pivots = _rref_mod(np.hstack([b, y]), ell)
+    if pivots != list(range(s)):
+        raise AssertionError("target outside the span of a basis")
+    return r[:, s:]
+
+
+def charpoly_mod(a, ell):
+    """Characteristic polynomial of a square matrix mod ell, as a list of
+    residues, lowest degree first, by reduction to Hessenberg form."""
+    h = np.array(a, dtype=_exact_dtype(len(a), ell)) % ell
+    n = len(h)
+    for j in range(n - 2):
+        nz = np.flatnonzero(h[j + 1:, j])
+        if not nz.size:
+            continue
+        i = j + 1 + nz[0]
+        h[[i, j + 1]] = h[[j + 1, i]]
+        h[:, [i, j + 1]] = h[:, [j + 1, i]]
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, ell) % ell
+        h[j + 2:] = (h[j + 2:] - np.outer(u, h[j + 1])) % ell
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % ell
+    # p_i = (x - h[i-1,i-1]) p_{i-1}
+    #       - sum_{m<i} h[m,m-1] ... h[i-1,i-2] h[m-1,i-1] p_{m-1}
+    p = np.zeros((n + 1, n + 1), dtype=h.dtype)
+    p[0, 0] = 1
+    for i in range(1, n + 1):
+        row = np.roll(p[i - 1], 1) - h[i - 1, i - 1] * p[i - 1]
+        beta = 1
+        for m in range(i - 1, 0, -1):
+            beta = beta * h[m, m - 1] % ell
+            if not beta:
+                break
+            row = (row - beta * h[m - 1, i - 1] % ell * p[m - 1]) % ell
+        p[i] = row % ell
+    return [int(c) for c in p[n]]
+
+
+def _factor_mod(poly, ell):
+    """Monic irreducible factors over F_ell of an int polynomial, as
+    (coefficient list, multiplicity)."""
+    factors = poly_factor_fq(poly_from_ints(fq_field(ell, 1), poly))
+    return [([c.coeffs[0] for c in g], e) for g, e in factors]
+
+
+def _poly_at(g, x, ell):
+    eye = np.eye(len(x), dtype=x.dtype)
+    acc = np.zeros_like(x)
+    for c in reversed(g):
+        acc = (acc @ x + c * eye) % ell
+    return acc
+
+
+def _power_mod(a, e, ell):
+    """a^(2^t) for the least 2^t >= e, which has the kernel of a^e when e
+    bounds the nilpotency index."""
+    covered = 1
+    while covered < e:
+        a = a @ a % ell
+        covered *= 2
+    return a
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over an FqField (lists of lists of FqElem)
 
 def gf_mat_mul(a, b):
     if not a or not b:
@@ -51,131 +162,69 @@ def gf_mat_mul(a, b):
     return out
 
 
-def gf_kernel(mat, ncols):
-    """Column-vector kernel basis of a matrix over a finite field."""
-    if not mat:
-        raise ValueError("kernel of an empty matrix is ambiguous")
-    field = mat[0][0].field
-    zero, one = field.zero(), field.one()
-    rows = [list(r) for r in mat]
-    pivots = {}
-    rank = 0
+def _gf_rref(rows, ncols):
+    """Reduced row echelon form over a finite field, and its pivot columns
+    among the first ncols."""
+    rows = [list(r) for r in rows]
+    pivots = []
     for j in range(ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if not rows[i][j].is_zero():
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows))
+                    if not rows[i][j].is_zero()), None)
         if sel is None:
             continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = rows[rank][j].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][j].inverse()
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and not rows[i][j].is_zero():
+            if i != r and not rows[i][j].is_zero():
                 c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots[j] = rank
-        rank += 1
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return rows, pivots
+
+
+def gf_kernel(mat, ncols):
+    """Column-vector kernel basis of a nonempty matrix over a finite field."""
+    field = mat[0][0].field
+    rows, pivots = _gf_rref(mat, ncols)
     basis = []
-    free = [j for j in range(ncols) if j not in pivots]
-    for j in free:
-        vec = [zero] * ncols
-        vec[j] = one
-        for pj, pr in pivots.items():
-            vec[pj] = -rows[pr][j]
-        basis.append(vec)
+    for j in range(ncols):
+        if j not in pivots:
+            vec = [field.zero()] * ncols
+            vec[j] = field.one()
+            for r, pj in enumerate(pivots):
+                vec[pj] = -rows[r][j]
+            basis.append(vec)
     return basis
 
 
 def gf_solve(bcols, ycols):
-    """Solve B X = Y where B's columns are independent vectors over a field."""
-    field = None
-    for col in bcols:
-        for x in col:
-            field = x.field
-            break
-        break
-    n = len(bcols[0])
+    """Solve B X = Y where B's columns are independent vectors over a field;
+    returns the coordinates of the ycols in the bcols."""
     s = len(bcols)
-    aug = [[bcols[j][i] for j in range(s)] + [y[i] for y in ycols]
-           for i in range(n)]
-    rank = 0
-    pivots = []
-    for j in range(s):
-        sel = None
-        for i in range(rank, n):
-            if not aug[i][j].is_zero():
-                sel = i
-                break
-        if sel is None:
-            raise ValueError("basis columns are dependent")
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = aug[rank][j].inverse()
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(n):
-            if i != rank and not aug[i][j].is_zero():
-                c = aug[i][j]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(j)
-        rank += 1
-    zero = field.zero()
-    for i in range(rank, n):
-        if any(not aug[i][t].is_zero() for t in range(s, s + len(ycols))):
-            raise ValueError("target outside the span")
-    out = [[aug[i][s + t] for t in range(len(ycols))] for i in range(s)]
-    return out  # s x k, coordinates of ycols in bcols
+    rows, pivots = _gf_rref([list(b) + list(y) for b, y in
+                             zip(zip(*bcols), zip(*ycols))], s + len(ycols))
+    if pivots[:s] != list(range(s)):
+        raise AssertionError("basis columns are dependent")
+    if len(pivots) > s:
+        raise AssertionError("target outside the span")
+    return [row[s:] for row in rows[:s]]
 
 
-def gf_charpoly(mat):
-    """Characteristic polynomial over the field, via Hessenberg reduction."""
-    n = len(mat)
-    field = mat[0][0].field if n else None
-    if n == 0:
-        return []
-    h = [list(r) for r in mat]
-    zero, one = field.zero(), field.one()
-    for j in range(n - 2):
-        sel = None
-        for i in range(j + 1, n):
-            if not h[i][j].is_zero():
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != j + 1:
-            h[sel], h[j + 1] = h[j + 1], h[sel]
-            for r in range(n):
-                h[r][sel], h[r][j + 1] = h[r][j + 1], h[r][sel]
-        inv = h[j + 1][j].inverse()
-        for i in range(j + 2, n):
-            if not h[i][j].is_zero():
-                c = h[i][j] * inv
-                h[i] = [x - c * y for x, y in zip(h[i], h[j + 1])]
-                for r in range(n):
-                    h[r][j + 1] = h[r][j + 1] + c * h[r][i]
-    # charpoly of Hessenberg matrix by the standard recurrence
-    polys = [[one]]  # p_0 = 1
-    for i in range(1, n + 1):
-        # p_i(x) = (x - h[i-1][i-1]) p_{i-1}(x) - sum_m beta * p_m(x)
-        prev = polys[i - 1]
-        term = [zero] + prev
-        a = h[i - 1][i - 1]
-        term = [term[t] - (a * prev[t] if t < len(prev) else zero)
-                for t in range(len(term))]
-        beta = one
-        for m in range(i - 1, 0, -1):
-            beta = beta * h[m][m - 1]
-            coef = beta * h[m - 1][i - 1]
-            pm = polys[m - 1]
-            for t in range(len(pm)):
-                term[t] = term[t] - coef * pm[t]
-        polys.append(term)
-    return polys[n]
+def _apply(field, x, cols):
+    """x times each column, for an F_ell matrix x and columns over field."""
+    coeffs = np.array([[c.coeffs for c in col] for col in cols], dtype=x.dtype)
+    return [[field(row) for row in col]
+            for col in np.matmul(x, coeffs) % field.ell]
 
 
-def gf_map_entries(mat, phi):
-    return [[phi(x) for x in row] for row in mat]
+def _combine(cols, coeffs):
+    out = [c * coeffs[0] for c in cols[0]]
+    for col, k in zip(cols[1:], coeffs[1:]):
+        if not k.is_zero():
+            out = [o + c * k for o, c in zip(out, col)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +320,6 @@ class Eigensystem:
             cur = cur.frobenius()
         return orbit
 
-    def minpoly_a(self, p):
-        return self.a[p].minpoly()
-
     def digest(self):
         parts = []
         for p in sorted(self.a)[:3]:
@@ -286,147 +332,8 @@ class Eigensystem:
             self.multiplicity, self.digest())
 
 
-def minpoly_prime_field(a):
-    """Monic minimal polynomial of a field element over F_ell (int list)."""
-    return a.minpoly()
-
-
-class _Block:
-    __slots__ = ("field", "basis", "values")
-
-    def __init__(self, field, basis, values):
-        self.field = field
-        self.basis = basis      # list of column vectors over field
-        self.values = values    # label -> FqElem
-
-
-def _restrict_to_block(op_int, block):
-    field = block.field
-    op = gf_matrix_from_int(field, op_int)
-    ycols = []
-    for col in block.basis:
-        img = [sum((op[i][t] * col[t] for t in range(len(col))
-                    if not op[i][t].is_zero() and not col[t].is_zero()),
-                   field.zero())
-               for i in range(len(op))]
-        ycols.append(img)
-    sol = gf_solve(block.basis, ycols)
-    s = len(block.basis)
-    return [[sol[i][j] for j in range(s)] for i in range(s)]
-
-
-def _split_block(block, op_int, label):
-    """Refine a block along one operator; returns a list of new blocks."""
-    mat = _restrict_to_block(op_int, block)
-    s = len(mat)
-    charpoly = gf_charpoly(mat)
-    factors = poly_factor_fq(charpoly)
-    out = []
-    for fac, mult in factors:
-        deg = len(fac) - 1
-        if deg == 1:
-            root = -fac[0] * fac[1].inverse()
-            field2 = block.field
-            basis2 = block.basis
-            mat2 = mat
-            values2 = dict(block.values)
-        else:
-            field2 = fq_field(block.field.ell, block.field.r * deg)
-            phi = embed_field(block.field, field2)
-            fac2 = [phi(c) for c in fac]
-            root = _least_root(fac2)
-            basis2 = [[phi(x) for x in col] for col in block.basis]
-            mat2 = gf_map_entries(mat, phi)
-            values2 = {k: phi(v) for k, v in block.values.items()}
-        shifted = [row[:] for row in mat2]
-        for i in range(s):
-            shifted[i][i] = shifted[i][i] - root
-        power = shifted
-        covered = 1
-        while covered < mult:  # ker((M-a)^mult) = ker((M-a)^2^t), 2^t >= mult
-            power = gf_mat_mul(power, power)
-            covered *= 2
-        ker = gf_kernel(power, s)
-        if not ker:
-            continue
-        new_basis = []
-        for kv in ker:
-            col = [field2.zero()] * len(basis2[0])
-            for j, c in enumerate(kv):
-                if not c.is_zero():
-                    for t in range(len(col)):
-                        col[t] = col[t] + c * basis2[j][t]
-            new_basis.append(col)
-        values2[label] = root
-        out.append(_Block(field2, new_basis, values2))
-    return out
-
-
-def _least_root(poly):
-    roots = poly_roots(poly)
-    if not roots:
-        raise ValueError("polynomial has no root in its field")
-    return roots[0]
-
-
-def _subfield_normalize(block, ell):
-    """Rewrite block values inside the smallest field containing them."""
-    degs = [1]
-    for v in block.values.values():
-        degs.append(len(v.minpoly()) - 1)
-    s = lcm(*degs)
-    if s == block.field.r:
-        return block.values, block.field
-    target = fq_field(ell, s)
-    big = block.field
-    phi = embed_field(target, big)
-    # coordinates of the embedded subfield basis inside the big field
-    basis_vecs = []
-    cur = big.one()
-    gen = phi(target.gen()) if s > 1 else big.one()
-    for i in range(s):
-        basis_vecs.append(list(cur.coeffs))
-        cur = cur * gen
-    new_values = {}
-    for k, v in block.values.items():
-        coords = _solve_coords(basis_vecs, list(v.coeffs), big.ell)
-        new_values[k] = target(coords)
-    return new_values, target
-
-
-def _solve_coords(basis_vecs, target, p):
-    # solve sum c_i basis_vecs[i] = target over F_p
-    rows = [[vec[i] for vec in basis_vecs] + [target[i]]
-            for i in range(len(target))]
-    ncols = len(basis_vecs)
-    rank = 0
-    pivots = []
-    for j in range(ncols):
-        sel = next((i for i in range(rank, len(rows)) if rows[i][j] % p), None)
-        if sel is None:
-            pivots.append(None)
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j] % p:
-                c = rows[i][j]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
-        pivots.append(rank)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][-1] % p:
-            raise ValueError("element not in subfield")
-    out = [0] * ncols
-    for j, r in enumerate(pivots):
-        if r is not None:
-            out[j] = rows[r][-1] % p
-    return out
-
-
 def decompose(rspace, primes=None):
-    """Simultaneous generalized-eigenspace decomposition over extensions.
+    """Simultaneous generalized-eigenspace decomposition mod ell.
 
     Returns one Eigensystem per Frobenius orbit, sorted by field degree and
     value encodings; sum of multiplicity * [field : F_ell] over the output
@@ -438,56 +345,130 @@ def decompose(rspace, primes=None):
     n = rspace.dim
     if n == 0:
         return []
-    base = fq_field(ell, 1)
-    ident = [[base.one() if i == j else base.zero() for i in range(n)]
-             for j in range(n)]
-    blocks = [_Block(base, ident, {})]
-    good = [p for p in primes if (rspace.level * ell) % p]
-    bad = [p for p in primes if (rspace.level * ell) % p == 0]
-    labels = [("T%d" % p) for p in good]
-    labels += [("d%d" % d) for d in rspace.diamond_gens]
-    for label in labels:
-        op = rspace.ops[label]
-        blocks = [nb for b in blocks for nb in _split_block(b, op, label)]
+    good = ["T%d" % p for p in primes if (rspace.level * ell) % p]
+    good += ["d%d" % d for d in rspace.diamond_gens]
+    bad = ["T%d" % p for p in primes if (rspace.level * ell) % p == 0]
+    dtype = _exact_dtype(n, ell)
+    ops = {lbl: np.array(rspace.ops[lbl], dtype=dtype).reshape(n, n)
+           for lbl in good + bad}
+    blocks = [(np.eye(n, dtype=dtype), {})]
+    for label in good:
+        blocks = [split for block in blocks
+                  for split in _split_mod(block, label, ops[label], ell)]
     systems = []
-    for idx, b in enumerate(blocks):
-        recorded_bad = []
-        for p in bad:
-            # record a flagged value only when the block sees one eigenvalue
-            mat = _restrict_to_block(rspace.ops["T%d" % p], b)
-            facs = poly_factor_fq(gf_charpoly(mat))
-            if len(facs) == 1 and len(facs[0][0]) == 2:
-                fac = facs[0][0]
-                b.values["T%d" % p] = -fac[0] * fac[1].inverse()
-                recorded_bad.append(p)
-        values, field = _subfield_normalize(b, ell)
-        a = {}
-        diamond = {}
-        for k, v in values.items():
-            if k[0] == "T":
-                a[int(k[1:])] = v
-            else:
-                diamond[int(k[1:])] = v
-        for d in rspace.diamond_gens:
-            diamond.setdefault(d, field.one())
-        sys = Eigensystem(rspace.level, rspace.weight, ell, field, a, diamond,
-                          len(b.basis),
-                          "L%dW%dmod%d/b%d" % (rspace.level, rspace.weight,
-                                               ell, idx),
-                          tuple(sorted(recorded_bad)))
-        systems.append(sys)
+    for basis, factors in blocks:
+        field, found = _finish_block(basis, factors, ops, bad, ell)
+        for values, mult in found:
+            a = {int(k[1:]): v for k, v in values.items() if k[0] == "T"}
+            diamond = {int(k[1:]): v for k, v in values.items() if k[0] == "d"}
+            systems.append(Eigensystem(
+                rspace.level, rspace.weight, ell, field, a, diamond, mult,
+                "L%dW%dmod%d/b%d" % (rspace.level, rspace.weight, ell,
+                                     len(systems)),
+                tuple(sorted(p for p in a if (rspace.level * ell) % p == 0))))
     systems = _dedupe_orbits(systems)
     systems.sort(key=lambda s: (s.field.r, s.value_tuple()))
     return systems
 
 
-def _dedupe_orbits(systems):
-    """Keep one representative per Frobenius orbit (summing multiplicities).
+def _split_mod(block, label, op, ell):
+    """Split a block over F_ell into the generalized eigenspaces of one
+    operator, one for each irreducible factor of its characteristic
+    polynomial on the block."""
+    basis, factors = block
+    x = _solve_mod(basis, op @ basis % ell, ell)
+    split = _factor_mod(charpoly_mod(x, ell), ell)
+    if len(split) == 1:
+        return [(basis, {**factors, label: split[0][0]})]
+    return [(basis @ _kernel_mod(_power_mod(_poly_at(g, x, ell), e, ell), ell)
+             % ell, {**factors, label: g}) for g, e in split]
 
-    Conjugate blocks arise once per orbit already (one root per irreducible
-    factor is followed), so normally this only picks the canonical
-    representative of each block's orbit.
+
+def _finish_block(basis, factors, ops, bad, ell):
+    """The systems of one block, with their values in F_{ell^d}.
+
+    Pieces of the block are subspaces of F_{ell^d}^s, s the block's
+    dimension, in coordinates on its basis.  The operator whose factor has
+    the largest degree goes first, and only one of its roots is followed:
+    every Frobenius orbit in the block has members with that value, and
+    `_dedupe_orbits` keeps one.  A later value is read off a one-dimensional
+    piece, or a piece is split by the roots of the operator's factor.
+    Returns the field and a list of (label -> value, multiplicity).
     """
+    s = basis.shape[1]
+    field = fq_field(ell, lcm(1, *(len(g) - 1 for g in factors.values())))
+    labels = list(factors) + bad
+    coords = _solve_mod(
+        basis, np.hstack([ops[lbl] @ basis % ell for lbl in labels]), ell)
+    mats = {lbl: coords[:, i * s:(i + 1) * s] for i, lbl in enumerate(labels)}
+    lead = max(factors, key=lambda lbl: len(factors[lbl]), default=None)
+    zero, one = field.zero(), field.one()
+    pieces = [([[one if i == j else zero for i in range(s)] for j in range(s)],
+               {})]
+    for label in sorted(factors, key=lambda lbl: lbl != lead):
+        g, roots = factors[label], None
+        split = []
+        for cols, values in pieces:
+            if len(g) == 2:
+                found = [(field.from_int(-g[0]), cols)]
+            elif len(cols) == 1:
+                found = [(_read_value(field, mats[label], cols[0]), cols)]
+            else:
+                roots = roots or poly_roots(poly_from_ints(field, g))
+                found = _eigenspaces(field, mats[label], cols,
+                                     roots[:1] if label == lead else roots)
+            split += [(sub, {**values, label: v}) for v, sub in found]
+        pieces = split
+    for label in bad:
+        facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
+        roots = None
+        for cols, values in pieces:
+            if len(facs) == 1 and len(facs[0][0]) == 2:
+                values[label] = field.from_int(-facs[0][0][0])
+            elif len(cols) == 1:
+                values[label] = _read_value(field, mats[label], cols[0])
+            elif len(cols) < s:
+                if roots is None:
+                    roots = [r for g, _ in facs if field.r % (len(g) - 1) == 0
+                             for r in poly_roots(poly_from_ints(field, g))]
+                found = _eigenspaces(field, mats[label], cols, roots)
+                if len(found) == 1 and len(found[0][1]) == len(cols):
+                    values[label] = found[0][0]
+    return field, [(values, len(cols)) for cols, values in pieces]
+
+
+def _read_value(field, x, col):
+    """The eigenvalue of x on the line that col spans."""
+    image = _apply(field, x, [col])[0]
+    i = next(i for i, c in enumerate(col) if not c.is_zero())
+    return image[i] / col[i]
+
+
+def _eigenspaces(field, x, cols, roots):
+    """Generalized eigenspaces of x inside the span of cols, for those of
+    the candidate eigenvalues that have one: a list of (root, columns)."""
+    m = len(cols)
+    y = gf_solve(cols, _apply(field, x, cols))
+    out = []
+    for root in roots:
+        power = [[v - root if i == j else v for j, v in enumerate(row)]
+                 for i, row in enumerate(y)]
+        covered = 1
+        while covered < m:
+            power = gf_mat_mul(power, power)
+            covered *= 2
+        ker = gf_kernel(power, m)
+        if ker:
+            out.append((root, [_combine(cols, k) for k in ker]))
+        if sum(len(sub) for _, sub in out) == m:
+            break
+    return out
+
+
+def _dedupe_orbits(systems):
+    """Keep the canonical member of each Frobenius orbit: the one with the
+    least value tuple.  A block yields each of its orbits once for every
+    conjugate that shares the followed root, all with one multiplicity."""
     out = []
     seen = set()
     for sys in systems:
@@ -588,7 +569,8 @@ def match_twist(sys_f, sys_g, i, bound, include_bad_primes=False,
             if bad:
                 skipped.append(p)
                 continue
-            raise ValueError("eigensystem values missing at prime %d" % p)
+            raise AssertionError(
+                "eigensystem values missing at prime %d" % p)
         checked.append(p)
     best_fail, best_progress, best_j = None, -1, None
     verdict = False

@@ -105,7 +105,8 @@ def _is_irreducible_zpoly(f, p):
 def _canonical_modulus(ell, r):
     if r == 1:
         return (0, 1)
-    for tail in itertools.product(range(ell), repeat=r):
+    # x divides every candidate with constant term 0, so start at 1
+    for tail in itertools.product(range(1, ell), *[range(ell)] * (r - 1)):
         f = list(tail) + [1]
         if _is_irreducible_zpoly(f, ell):
             return tuple(f)
@@ -499,14 +500,6 @@ def poly_deriv(f):
         return []
     field = f[0].field
     return poly_trim([f[i] * field.from_int(i) for i in range(1, len(f))])
-
-
-def poly_eval(f, x):
-    field = x.field
-    acc = field.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def poly_from_ints(field, coeffs):

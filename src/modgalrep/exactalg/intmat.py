@@ -239,7 +239,7 @@ def _dual_basis(forms, n):
     k = len(forms)
     piv, rows = _echelon(_augment(forms, n), k, clear=True)
     if piv != k:
-        raise ValueError("forms are not independent")
+        raise AssertionError("forms are not independent")
     return [row[k:] for row in rows[:k]]
 
 
@@ -259,7 +259,7 @@ def solve_int(b, y):
         return [[0] * k for _ in range(0)]
     piv, rows = _echelon([list(b[i]) + list(y[i]) for i in range(n)], s)
     if piv != s:
-        raise ValueError("basis matrix does not have full column rank")
+        raise AssertionError("basis matrix does not have full column rank")
     for i in range(s, n):
         if any(rows[i][t] for t in range(s, s + k)):
             raise SaturationError("target not in the span of the basis")

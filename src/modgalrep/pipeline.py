@@ -11,7 +11,9 @@ with the index data and both curve dimensions.
 
 The rigorous prime bound is floor(index(Gamma_1)/12 * (ell^2 - 1 + k));
 a truncated bound may be supplied for desk-scale runs, in which case every
-dependent verdict is flagged heuristic.
+dependent verdict is flagged heuristic.  No match goes beyond the bound the
+input form's values were computed up to; a bound cut there is flagged
+heuristic too, with a warning.
 """
 
 from sympy import factorint
@@ -19,7 +21,6 @@ from sympy import factorint
 from .congruence import (
     genus_of_subgroup,
     h_from_eigenform,
-    index_gamma,
     intermediate_subgroups,
     predicted_kernel_order,
     trivial_subgroup,
@@ -29,7 +30,6 @@ from .eigen import (
     _frob_iter,
     decompose,
     match_twist,
-    minpoly_prime_field,
     reduce_space_mod,
 )
 from .exactalg.arith import divisors, primes_up_to
@@ -59,15 +59,18 @@ def sturm_bound(level, ell, k, kprime):
 
 
 class InputForm:
-    """A resolved weight-k eigensystem datum at level N mod ell."""
+    """A resolved weight-k eigensystem datum at level N mod ell, with the
+    bound its values were computed up to."""
 
-    def __init__(self, level, weight, eps, selector, system, heuristic):
+    def __init__(self, level, weight, eps, selector, system, heuristic,
+                 bound):
         self.level = level
         self.weight = weight
         self.eps = eps
         self.selector = selector
         self.system = system
         self.heuristic = heuristic
+        self.bound = bound
 
     def __repr__(self):
         return "InputForm(level %d, weight %d, mod %d: %s)" % (
@@ -151,7 +154,8 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     if len(candidates) > 1:
         raise PipelineError(
             "ambiguous selector: %d systems match" % len(candidates))
-    return InputForm(level, weight, eps, selector, candidates[0], False)
+    return InputForm(level, weight, eps, selector, candidates[0], False,
+                     bound)
 
 
 def _diamond_matches(sys, eps):
@@ -180,7 +184,7 @@ def _diamond_matches(sys, eps):
 def _minpoly_divides(value, coeffs, ell):
     field = fq_field(ell, 1)
     target = poly_from_ints(field, coeffs)
-    mp = poly_from_ints(field, minpoly_prime_field(value))
+    mp = poly_from_ints(field, value.minpoly())
     return poly_gcd(mp, target) == poly_monic(mp)
 
 
@@ -199,7 +203,8 @@ def _poly_relation_holds(sys, p, coeffs, den):
 class TwistResult:
     """Outcome of the twist search: exponent, companion weight and level."""
 
-    def __init__(self, i, kprime, level_m, system, report, bound, heuristic):
+    def __init__(self, i, kprime, level_m, system, report, bound, heuristic,
+                 warnings):
         self.i = i
         self.kprime = kprime
         self.level_m = level_m
@@ -207,9 +212,10 @@ class TwistResult:
         self.report = report
         self.bound = bound
         self.heuristic = heuristic
+        self.warnings = warnings
 
     def to_dict(self):
-        return {
+        doc = {
             "twist_exponent": self.i,
             "companion_weight": self.kprime,
             "companion_level": self.level_m,
@@ -218,6 +224,22 @@ class TwistResult:
             "heuristic": self.heuristic,
             "match": self.report.to_dict(),
         }
+        if self.warnings:
+            doc["warnings"] = list(self.warnings)
+        return doc
+
+
+def _match_bound(form, rigorous, truncate, warnings):
+    """The bound to match the form at, and whether it is below the rigorous
+    one: the rigorous bound, cut to the truncation and to the form's own
+    bound.  A cut at the form's bound adds a warning."""
+    bound = min(rigorous, truncate) if truncate else rigorous
+    if form.bound < bound:
+        bound = form.bound
+        note = "the input form has values only up to %d" % bound
+        if note not in warnings:
+            warnings.append(note)
+    return bound, bound < rigorous
 
 
 def find_twist(form, ell, truncate=None, cache=None):
@@ -239,16 +261,17 @@ def find_twist(form, ell, truncate=None, cache=None):
                  if (k - kp - 2 * i) % (ell - 1) == 0]
     cond = conductor(form.eps)
     levels = [m for m in divisors(n) if m % cond == 0]
+    warnings = []
     for i, kp in pairs:
-        rigorous = sturm_bound(n, ell, k, kp)
-        bound = min(rigorous, truncate) if truncate else rigorous
-        heuristic = bound < rigorous
+        bound, heuristic = _match_bound(form, sturm_bound(n, ell, k, kp),
+                                        truncate, warnings)
         for m in levels:
             for g in decompose_level(m, kp, ell, bound, cache):
                 report = match_twist(form.system, g, i, bound,
                                      heuristic=heuristic)
                 if report.verdict and report.det_check:
-                    return TwistResult(i, kp, m, g, report, bound, heuristic)
+                    return TwistResult(i, kp, m, g, report, bound, heuristic,
+                                       warnings)
     raise PipelineError(
         "twist search exhausted: representation may be reducible or the "
         "bound too small")
@@ -326,17 +349,11 @@ def realize(form, ell, truncate=None, cache=None):
     ascending divisor levels.
     """
     n, k = form.level, form.weight
-    warnings = []
     nprime = n if k == 2 else n * ell
-    twist = None
-    if k == 2:
-        i = 0
-        twist = find_twist(form, ell, truncate=truncate, cache=cache)
-        mprime = n
-    else:
-        twist = find_twist(form, ell, truncate=truncate, cache=cache)
-        i = twist.i
-        mprime = twist.level_m * ell
+    twist = find_twist(form, ell, truncate=truncate, cache=cache)
+    i = twist.i
+    mprime = n if k == 2 else twist.level_m * ell
+    warnings = list(twist.warnings)
     if twist.heuristic:
         warnings.append("twist search used a truncated bound")
     subgroup = h_from_eigenform(form.eps, k, i, ell)
@@ -349,9 +366,8 @@ def realize(form, ell, truncate=None, cache=None):
             raise AssertionError("index formula mismatch: %d != %d"
                                  % (predicted, len(subgroup)))
     for mpp in divisors(mprime):
-        rigorous = sturm_bound(mpp, ell, k, 2)
-        bound = min(rigorous, truncate) if truncate else rigorous
-        heuristic = bound < rigorous
+        bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k, 2),
+                                        truncate, warnings)
         hproj = subgroup.project(mpp) if mpp > 1 else None
         systems = decompose_level(mpp, 2, ell, bound, cache,
                                   subgroup=hproj)
@@ -362,10 +378,9 @@ def realize(form, ell, truncate=None, cache=None):
                 if heuristic:
                     warnings.append(
                         "weight-2 match used a truncated bound")
-                minpolys = {p: minpoly_prime_field(f2.a[p])
-                            for p in sorted(f2.a)[:4]}
+                minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
                 return RealizationReport(
-                    form, ell, i, subgroup, index_gamma(subgroup), predicted,
+                    form, ell, i, subgroup, len(subgroup), predicted,
                     d1, dh, subgroup.is_full(), f2, mpp, report, minpolys,
                     report.det_check, twist, warnings)
     raise PipelineError(
@@ -383,15 +398,16 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
     n, k = form.level, form.weight
     nprime = n if k == 2 else n * ell
     subgroup = h_from_eigenform(form.eps, k, i, ell)
-    rigorous = sturm_bound(nprime, ell, k, 2)
-    bound = min(rigorous, truncate) if truncate else rigorous
+    warnings = []
+    bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k, 2),
+                                    truncate, warnings)
     rows = []
     for hp in intermediate_subgroups(nprime, limit=limit):
         systems = decompose_level(nprime, 2, ell, bound, cache, subgroup=hp)
         matched = False
         for f2 in systems:
             report = match_twist(form.system, f2, i, bound,
-                                 heuristic=bound < rigorous)
+                                 heuristic=heuristic)
             if report.verdict and report.det_check:
                 matched = True
                 break
@@ -402,8 +418,12 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
             "match": matched,
         })
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
-    return {"level": nprime, "twist_exponent": i, "consistent": ok,
-            "kernel_subgroup": list(subgroup.elements), "rows": rows}
+    doc = {"level": nprime, "twist_exponent": i, "consistent": ok,
+           "kernel_subgroup": list(subgroup.elements), "bound": bound,
+           "heuristic": heuristic, "rows": rows}
+    if warnings:
+        doc["warnings"] = warnings
+    return doc
 
 
 # ---------------------------------------------------------------------------

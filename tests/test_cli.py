@@ -1,3 +1,4 @@
+import json
 import os
 from hashlib import sha256
 
@@ -63,3 +64,32 @@ def test_tables_command_matches_reference_exponents():
     reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 5]
     assert [row["i"] for row in doc["rows"]] == reference
     assert "warnings" not in doc
+
+
+def test_internal_fault_exits_70(monkeypatch):
+    from modgalrep import cli
+    from modgalrep.exactalg import SaturationError
+
+    def broken(*args, **kwargs):
+        raise SaturationError("pivot block is not unimodular")
+
+    monkeypatch.setattr(cli, "build_space", broken)
+    code, doc = run_command(["--no-cache", "msdim", "--level", "5",
+                             "--weight", "2"])
+    assert code == 70
+    assert "SaturationError" in doc["error"] and doc["command"] == "msdim"
+
+
+def test_domain_error_exits_2():
+    code, doc = run_command(
+        ["--no-cache", "realize", "--level", "1", "--weight", "12", "--ell",
+         "3", "--a", "2=-24"])
+    assert code == 2
+    assert "ell" in doc["error"]
+
+
+def test_main_emits_the_requested_format(capsys):
+    from modgalrep.cli import main
+    assert main(["--format", "tsv", "char", "--char", "triv:5"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert json.loads(line)["command"] == "char"

@@ -9,7 +9,6 @@ from modgalrep.congruence import (
     gamma0_criterion,
     genus_of_subgroup,
     h_from_eigenform,
-    index_gamma,
     intermediate_subgroups,
     predicted_kernel_order,
     SubgroupH,

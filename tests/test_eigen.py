@@ -1,11 +1,10 @@
 import pytest
 
 from modgalrep.eigen import (
+    charpoly_mod,
     decompose,
-    gf_charpoly,
-    gf_matrix_from_int,
     match_twist,
-    minpoly_prime_field,
+    ReducedSpace,
     reduce_space_mod,
     twist_eigensystem,
 )
@@ -99,9 +98,9 @@ def test_diamond_values_multiplicative():
 
 def test_minpoly_examples():
     F13 = fq_field(13, 1)
-    assert minpoly_prime_field(F13.from_int(8)) == [5, 1]  # x - 8
+    assert F13.from_int(8).minpoly() == [5, 1]  # x - 8
     F49 = fq_field(7, 2)
-    mp = minpoly_prime_field(F49.gen())
+    mp = F49.gen().minpoly()
     assert len(mp) - 1 == 2 and mp[-1] == 1
 
 
@@ -110,7 +109,7 @@ def test_matched_minpoly_divides_table_polynomial():
     matched = [s for s in systems if s.a[2].encoding() == 2][0]
     F13 = fq_field(13, 1)
     target = poly_from_ints(F13, [3, 3, 1])
-    mp = poly_from_ints(F13, minpoly_prime_field(matched.a[2]))
+    mp = poly_from_ints(F13, matched.a[2].minpoly())
     _, rem = poly_divmod(target, mp)
     assert not rem
 
@@ -181,8 +180,17 @@ def test_bad_prime_values_flagged():
 
 
 def test_charpoly_sanity():
-    F = fq_field(5, 1)
-    mat = gf_matrix_from_int(F, [[1, 1], [0, 2]])
-    cp = gf_charpoly(mat)
     # (x-1)(x-2) = x^2 - 3x + 2 = x^2 + 2x + 2 mod 5
-    assert [c.coeffs[0] for c in cp] == [2, 2, 1]
+    assert charpoly_mod([[1, 1], [0, 2]], 5) == [2, 2, 1]
+
+
+def test_decompose_beyond_int64():
+    # ell^2 * dim exceeds 2^63, so the residues are Python integers
+    ell = 2 ** 61 - 1
+    t2 = [[1, 1], [0, 2]]
+    t3 = [[1, 3], [0, 4]]  # T3 = T2^2
+    rspace = ReducedSpace(1, 2, ell, 2, {"T2": t2, "T3": t3}, ())
+    systems = decompose(rspace, [2, 3])
+    assert [(s.multiplicity, s.value_tuple()) for s in systems] \
+        == [(1, (1, 1)), (1, (2, 4))]
+    assert charpoly_mod(t2, ell) == [2, ell - 3, 1]

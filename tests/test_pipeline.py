@@ -96,6 +96,16 @@ def test_realize_delta_mod11():
     assert rep.index == 10 and rep.predicted_index == 10
 
 
+def test_realize_stops_at_the_input_bound():
+    # selected at the level-1 bound 11; realize must not match past it
+    form = select_input_form(1, 12, 11, {"ap": {2: -24}})
+    assert form.bound == 11
+    rep = realize(form, 11, truncate=50)
+    assert rep.i == 0 and rep.system_level == 11
+    assert rep.report.heuristic and rep.report.bound == 11
+    assert "the input form has values only up to 11" in rep.warnings
+
+
 def test_realize_level3_mod11():
     form = select_input_form(3, 12, 11, {"ap": {2: 78}}, bound=50)
     rep = realize(form, 11, truncate=50)
