@@ -1,8 +1,9 @@
 """Command-line interface, report emission, and the matrix disk cache.
 
 Exit codes: 0 success, 2 domain errors and 70 internal faults (both with a
-machine-readable error document on stdout), 64 usage errors.  All numeric output is exact:
-integers, residues and polynomial coefficient lists; no floating point.
+machine-readable error document on stdout), 64 usage errors.  All numeric
+output is exact: integers, residues and polynomial coefficient lists; no
+floating point.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
 from .congruence import (
     SubgroupH,
@@ -436,6 +438,7 @@ def _run(args):
     except (PipelineError, ValueError) as exc:
         return DOMAIN_ERROR, {"error": str(exc), "command": args.command}
     except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
         return INTERNAL_ERROR, {"error": "internal fault: %s: %s" % (
             type(exc).__name__, exc), "command": args.command}
     doc = {"command": args.command, "inputs": {

@@ -40,7 +40,7 @@ from .exactalg.gf import (
 # linear algebra over F_ell on numpy arrays of residues
 
 def _exact_dtype(n, ell):
-    """int64 while a sum of n products of two residues cannot overflow,
+    """int64 while a sum of n + 2 products of two residues fits in it,
     Python integers beyond that."""
     return np.int64 if (n + 2) * ell * ell < 2 ** 63 else object
 

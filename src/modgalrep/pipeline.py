@@ -419,7 +419,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
         })
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,
-           "kernel_subgroup": list(subgroup.elements), "bound": bound,
+           "kernel_subgroup": list(subgroup.elements),
            "heuristic": heuristic, "rows": rows}
     if warnings:
         doc["warnings"] = warnings

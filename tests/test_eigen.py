@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from sympy import Matrix
 
 from modgalrep.eigen import (
     charpoly_mod,
@@ -182,6 +185,15 @@ def test_bad_prime_values_flagged():
 def test_charpoly_sanity():
     # (x-1)(x-2) = x^2 - 3x + 2 = x^2 + 2x + 2 mod 5
     assert charpoly_mod([[1, 1], [0, 2]], 5) == [2, 2, 1]
+    # against sympy's integer characteristic polynomial, on int64 residues
+    # and (for 2^61 - 1) on Python integers
+    rng = random.Random(1)
+    for ell in (5, 13, 2 ** 61 - 1):
+        for n in (1, 3, 6, 9):
+            mat = [[rng.randrange(ell) if rng.random() < 0.6 else 0
+                    for _ in range(n)] for _ in range(n)]
+            expected = Matrix(mat).charpoly().all_coeffs()[::-1]
+            assert charpoly_mod(mat, ell) == [int(c) % ell for c in expected]
 
 
 def test_decompose_beyond_int64():
