@@ -130,12 +130,12 @@ def _poly_at(g, x, ell):
     return acc
 
 
-def _power_mod(a, e, ell):
+def _square_up(a, e, mul):
     """a^(2^t) for the least 2^t >= e, which has the kernel of a^e when e
     bounds the nilpotency index."""
     covered = 1
     while covered < e:
-        a = a @ a % ell
+        a = mul(a, a)
         covered *= 2
     return a
 
@@ -349,8 +349,7 @@ def decompose(rspace, primes=None):
     good += ["d%d" % d for d in rspace.diamond_gens]
     bad = ["T%d" % p for p in primes if (rspace.level * ell) % p == 0]
     dtype = _exact_dtype(n, ell)
-    ops = {lbl: np.array(rspace.ops[lbl], dtype=dtype).reshape(n, n)
-           for lbl in good + bad}
+    ops = {lbl: np.array(rspace.ops[lbl], dtype=dtype) for lbl in good + bad}
     blocks = [(np.eye(n, dtype=dtype), {})]
     for label in good:
         blocks = [split for block in blocks
@@ -380,8 +379,12 @@ def _split_mod(block, label, op, ell):
     split = _factor_mod(charpoly_mod(x, ell), ell)
     if len(split) == 1:
         return [(basis, {**factors, label: split[0][0]})]
-    return [(basis @ _kernel_mod(_power_mod(_poly_at(g, x, ell), e, ell), ell)
-             % ell, {**factors, label: g}) for g, e in split]
+    out = []
+    for g, e in split:
+        power = _square_up(_poly_at(g, x, ell), e, lambda a, b: a @ b % ell)
+        out.append((basis @ _kernel_mod(power, ell) % ell,
+                    {**factors, label: g}))
+    return out
 
 
 def _finish_block(basis, factors, ops, bad, ell):
@@ -414,7 +417,8 @@ def _finish_block(basis, factors, ops, bad, ell):
             elif len(cols) == 1:
                 found = [(_read_value(field, mats[label], cols[0]), cols)]
             else:
-                roots = roots or poly_roots(poly_from_ints(field, g))
+                if roots is None:
+                    roots = poly_roots(poly_from_ints(field, g))
                 found = _eigenspaces(field, mats[label], cols,
                                      roots[:1] if label == lead else roots)
             split += [(sub, {**values, label: v}) for v, sub in found]
@@ -451,13 +455,9 @@ def _eigenspaces(field, x, cols, roots):
     y = gf_solve(cols, _apply(field, x, cols))
     out = []
     for root in roots:
-        power = [[v - root if i == j else v for j, v in enumerate(row)]
-                 for i, row in enumerate(y)]
-        covered = 1
-        while covered < m:
-            power = gf_mat_mul(power, power)
-            covered *= 2
-        ker = gf_kernel(power, m)
+        shifted = [[v - root if i == j else v for j, v in enumerate(row)]
+                   for i, row in enumerate(y)]
+        ker = gf_kernel(_square_up(shifted, m, gf_mat_mul), m)
         if ker:
             out.append((root, [_combine(cols, k) for k in ker]))
         if sum(len(sub) for _, sub in out) == m:
