@@ -42,13 +42,12 @@ def record(systems):
             hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
-@pytest.mark.parametrize("case", sorted(PINNED))
-def test_pinned_decomposition(case):
-    level, weight, ell = case
+@pytest.mark.parametrize("level, weight, ell", sorted(PINNED))
+def test_pinned_decomposition(level, weight, ell):
     space = build_space(level, weight).cuspidal_subspace().star_plus_subspace()
     systems = decompose(reduce_space_mod(space, ell, PRIMES50), PRIMES50)
     assert sum(s.multiplicity * s.field.r for s in systems) == space.dim
-    assert record(systems) == PINNED[case]
+    assert record(systems) == PINNED[level, weight, ell]
 
 
 def _companion_power(e):
