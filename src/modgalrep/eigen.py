@@ -34,6 +34,7 @@ from .exactalg.gf import (
     poly_from_ints,
     poly_roots,
 )
+from .exactalg.intmat import exact_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ from .exactalg.gf import (
 def _exact_dtype(n, ell):
     """int64 while a sum of n + 2 products of two residues fits in it,
     Python integers beyond that."""
-    return np.int64 if (n + 2) * ell * ell < 2 ** 63 else object
+    return exact_dtype((n + 2) * ell * ell)
 
 
 def _rref_mod(a, ell):

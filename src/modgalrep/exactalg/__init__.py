@@ -22,13 +22,14 @@ from .gf import (
     poly_roots,
 )
 from .intmat import (
+    dual_basis,
+    exact_dtype,
     identity_matrix,
     kernel_int,
     mat_mul,
     QuotientMap,
     quotient_by_relations,
     SaturationError,
-    solve_int,
     transpose,
 )
 
@@ -37,6 +38,6 @@ __all__ = [
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
     "FqField", "poly_factor_fq", "poly_from_ints", "poly_roots",
-    "identity_matrix", "kernel_int", "mat_mul", "QuotientMap",
-    "quotient_by_relations", "SaturationError", "solve_int", "transpose",
+    "dual_basis", "exact_dtype", "identity_matrix", "kernel_int", "mat_mul",
+    "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",
 ]

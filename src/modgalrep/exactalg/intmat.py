@@ -1,20 +1,24 @@
-"""Exact integer linear algebra: kernels, solves and free quotients.
+"""Exact integer linear algebra: products, kernels, dual bases and free
+quotients.
 
-Matrices are lists of rows of Python ints.  Elimination mirrors the data
-into int64 numpy arrays when a conservative bound shows no overflow is
-possible, and falls back to pure Python big integers otherwise, so results
-are always exact.
+Matrices are lists of rows of Python ints.  exact_dtype is the one rule for
+numpy work on them: int64 while a bound computed from the inputs shows that
+no value can overflow, Python integers (dtype object) otherwise, so results
+are always exact.  mat_mul follows it directly; elimination runs on int64
+under a running bound and starts again on Python integers when that bound
+would overflow.
 
 Kernels are computed with a tracked unimodular row transform, which makes
 the returned basis generate the full integer kernel lattice; in particular
 every kernel here is saturated, which is what keeps reductions mod ell free
-of spurious torsion artifacts.
+of spurious torsion artifacts.  A saturated basis B has an integral dual
+basis D with D B = I (dual_basis); coordinates in B are then products with
+D, and there is no solve.
 
 The free quotient of Z^n by integer relations is coordinatized by such a
 kernel: a saturated basis of the linear forms that vanish on every relation
-maps Z^n onto Z^dim, and the dual basis, from one more unimodular
-transform, gives a preimage of each coordinate vector.  The torsion of the
-quotient comes from sympy's Smith form.
+maps Z^n onto Z^dim, and its dual basis gives a preimage of each coordinate
+vector.  The torsion of the quotient comes from sympy's Smith form.
 """
 
 import numpy as np
@@ -26,18 +30,18 @@ _INT64_SAFE = 1 << 60
 
 
 class SaturationError(Exception):
-    """An exact solve failed: target vector not in the integral sublattice."""
+    """A lattice was not saturated, or an exact map left the sublattice."""
 
 
-def _max_abs(rows):
-    m = 0
-    for row in rows:
-        for x in row:
-            if x > m:
-                m = x
-            elif -x > m:
-                m = -x
-    return m
+def max_abs(rows):
+    """Largest absolute value of the entries of a list of rows, 0 if none."""
+    return max((max(map(abs, row), default=0) for row in rows), default=0)
+
+
+def exact_dtype(bound):
+    """int64 while every value is below bound < 2^63 in absolute value,
+    Python integers (dtype object) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def _to_int64(rows, ncols):
@@ -58,14 +62,9 @@ def mat_mul(a, b):
         return []
     if not b:
         return [[] for _ in a]
-    n, k, m = len(a), len(b), len(b[0])
-    bound = _max_abs(a) * _max_abs(b) * k
-    if bound < _INT64_SAFE:
-        an = np.array(a, dtype=np.int64)
-        bn = np.array(b, dtype=np.int64)
-        return (an @ bn).tolist()
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ma, mb = max_abs(a), max_abs(b)
+    dtype = exact_dtype(max(ma, mb, ma * mb * len(b)))
+    return (np.array(a, dtype=dtype) @ np.array(b, dtype=dtype)).tolist()
 
 
 def identity_matrix(n):
@@ -74,10 +73,6 @@ def identity_matrix(n):
 
 def transpose(a):
     return [list(row) for row in zip(*a)] if a else []
-
-
-def is_zero_matrix(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 class _Int64Overflow(Exception):
@@ -227,7 +222,7 @@ def kernel_int(a, ncols=None):
     return basis
 
 
-def _dual_basis(forms, n):
+def dual_basis(forms, n):
     """Vectors x_1..x_k of Z^n with forms[j] . x_i = delta_ij.
 
     The k forms must be independent and span a saturated lattice, as the
@@ -241,40 +236,6 @@ def _dual_basis(forms, n):
     if piv != k:
         raise AssertionError("forms are not independent")
     return [row[k:] for row in rows[:k]]
-
-
-def solve_int(b, y):
-    """Solve B X = Y exactly over the integers.
-
-    B is n x s of full column rank with columns spanning a saturated
-    sublattice; Y is n x k with columns in that sublattice.  Raises
-    SaturationError if a column of Y is not an integral combination.
-    """
-    n = len(b)
-    s = len(b[0]) if b else 0
-    k = len(y[0]) if y else 0
-    if s == 0:
-        if not is_zero_matrix(y):
-            raise SaturationError("nonzero target in a zero-dimensional space")
-        return [[0] * k for _ in range(0)]
-    piv, rows = _echelon([list(b[i]) + list(y[i]) for i in range(n)], s)
-    if piv != s:
-        raise AssertionError("basis matrix does not have full column rank")
-    for i in range(s, n):
-        if any(rows[i][t] for t in range(s, s + k)):
-            raise SaturationError("target not in the span of the basis")
-    x = [[0] * k for _ in range(s)]
-    for i in range(s - 1, -1, -1):
-        pv = rows[i][i]
-        for col in range(k):
-            acc = rows[i][s + col]
-            for j in range(i + 1, s):
-                acc -= rows[i][j] * x[j][col]
-            q, r = divmod(acc, pv)
-            if r:
-                raise SaturationError("non-integral solve: lattice not saturated")
-            x[i][col] = q
-    return x
 
 
 def elementary_divisors(diag):
@@ -409,7 +370,7 @@ def quotient_by_relations(n, relation_rows):
         torsion = elementary_divisors(invariant_factors(Matrix(echelon[:rank])))
         proj_remaining = [[f[c] for f in forms] for c in range(t)]
         lifts = [[(remaining[r], v) for r, v in enumerate(vec) if v]
-                 for vec in _dual_basis(forms, t)]
+                 for vec in dual_basis(forms, t)]
     else:
         torsion = []
         dim = t

@@ -10,11 +10,19 @@ that vanish on every relation (quotient_by_relations), which keeps them
 small, and all operators are integer matrices on the dual basis.  A
 fingerprint of these coordinates identifies the basis in the disk cache.
 
-Hecke operators use the determinant-p family of integral matrices
-enumerated by the a > b >= 0, d > c >= 0 inequalities; diamond operators
-scale the coset; the star involution is (c:d) -> (-c:d) with X -> -X.
+Every ambient operator is a sum over integer matrices g acting on symbols,
+and one numpy kernel (_Ambient._apply) computes them all: T_p sums over
+Merel's determinant-p family (a > b >= 0, d > c >= 0; L. Merel, LNM 1585,
+1994), each g with the table of its action on the monomials; the diamond
+<d> is the one matrix (d, 0, 0, d) with the identity table; the star
+involution is (-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  The
+kernel works on int64 arrays when a bound from its inputs shows no
+overflow and on Python integers otherwise, in the same code.
+
 Subspaces (cuspidal, plus, H-invariant) are integer kernels, hence
-saturated sublattices, and restricted operators are exact integral solves.
+saturated sublattices B, and each keeps its dual basis D (D B = I), which
+is integral because B is saturated.  An operator T restricts to
+X = D (T B), checked against T B = B X.
 """
 
 import hashlib
@@ -26,12 +34,14 @@ import numpy as np
 from .congruence import coset_table, trivial_subgroup
 from .exactalg.arith import xgcd
 from .exactalg.intmat import (
-    _INT64_SAFE,
+    dual_basis,
+    exact_dtype,
     identity_matrix,
     kernel_int,
     mat_mul,
+    max_abs,
     quotient_by_relations,
-    solve_int,
+    SaturationError,
     transpose,
 )
 
@@ -55,33 +65,32 @@ def merel_family(p):
     return tuple(mats)
 
 
-def _binom_table(u, v, k):
-    # t[i][j] = coefficient of X^j Y^(i-j) in (u*X + v*Y)^i, 0 <= i <= k-2
-    t = [[0] * (i + 1) for i in range(k - 1)]
-    t[0][0] = 1
-    for i in range(k - 2):
-        for j in range(i + 1):
-            c = t[i][j]
-            if c:
-                t[i + 1][j] += v * c
-                t[i + 1][j + 1] += u * c
-    return t
+def _monomial_tables(mats, k):
+    """t[g, e, j]: coefficient of X^j Y^(k-2-j) in (aX + bY)^e (cX + dY)^(k-2-e).
 
+    One table for each matrix g = (a, b, c, d) of mats, all computed at once;
+    int64 when no entry can overflow, Python integers otherwise.
+    """
+    g = np.array(mats, dtype=np.int64).reshape(-1, 4)
+    m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
+    g = g.astype(exact_dtype(m ** (k - 2)))
 
-def _action_coeffs(aa, bb, cc, dd, k):
-    # per monomial exponent a, the k-1 coefficients of the transformed monomial
-    p1 = _binom_table(aa, bb, k)
-    p2 = _binom_table(cc, dd, k)
-    out = []
-    for a in range(k - 1):
-        pa, pb = p1[a], p2[k - 2 - a]
-        coeffs = [0] * (k - 1)
-        for u, x in enumerate(pa):
-            if x:
-                for v, y in enumerate(pb):
-                    if y:
-                        coeffs[u + v] += x * y
-        out.append(coeffs)
+    def powers(u, v):
+        # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i
+        pw = np.zeros((len(g), k - 1, k - 1), dtype=g.dtype)
+        pw[:, 0, 0] = 1
+        for i in range(k - 2):
+            pw[:, i + 1] = v[:, None] * pw[:, i]
+            pw[:, i + 1, 1:] += u[:, None] * pw[:, i, :-1]
+        return pw
+
+    p1 = powers(g[:, 0], g[:, 1])
+    p2 = powers(g[:, 2], g[:, 3])
+    out = np.zeros_like(p1)
+    for e in range(k - 1):
+        tail = p2[:, k - 2 - e, :k - 1 - e]
+        for u in range(e + 1):
+            out[:, e, u:u + k - 1 - e] += p1[:, e, u, None] * tail
     return out
 
 
@@ -172,14 +181,32 @@ class _Ambient:
         self.torsion = qm.torsion
         self.proj_rows = qm.proj_rows
         self.lifts = qm.lifts
-        self._proj_np = None
-        self._proj_max = max((abs(x) for row in qm.proj_rows for x in row),
-                             default=0)
-        if self._proj_max < _INT64_SAFE:
-            self._proj_np = np.array(qm.proj_rows, dtype=np.int64) \
-                if self.dim else np.zeros((self.nsym, 0), dtype=np.int64)
         self._boundary = None
         self._cusps = None
+        # what _apply reads: the projection as (k-1, ncos, dim), the coset
+        # index of (c:d) at c * level + d (-1 off the table), the cosets and
+        # exponents of the symbols the lifts use, and the lifts as (support
+        # row, coefficient) pairs, basis column by column
+        self._proj_max = max_abs(qm.proj_rows)
+        self._proj = np.array(qm.proj_rows, dtype=exact_dtype(self._proj_max)
+                              ).reshape(k - 1, ncos, self.dim)
+        self._lookup = np.full(level * level, -1, dtype=np.int64)
+        for (c, d), i in self.table.index_of.items():
+            self._lookup[c * level + d] = i
+        support = sorted({sym for lift in qm.lifts for sym, _ in lift})
+        row_of = {sym: r for r, sym in enumerate(support)}
+        self._sup_exp, sup_cos = np.divmod(
+            np.array(support, dtype=np.int64), ncos)
+        reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
+        self._sup_c, self._sup_d = reps[sup_cos, 0], reps[sup_cos, 1]
+        self._lift_sum = max((sum(abs(c) for _, c in lift)
+                              for lift in qm.lifts), default=0)
+        self._lift_row = np.array([row_of[sym] for lift in qm.lifts
+                                   for sym, _ in lift], dtype=np.int64)
+        self._lift_coef = np.array(
+            [c for lift in qm.lifts for _, c in lift],
+            dtype=exact_dtype(self._lift_sum))
+        self._lift_ptr = np.cumsum([0] + [len(lift) for lift in qm.lifts])
 
     @cached_property
     def fingerprint(self):
@@ -189,94 +216,85 @@ class _Ambient:
 
     # -- operators on the lattice basis ------------------------------------
 
-    def _combine_lift_images(self, images):
-        cols = []
-        for lift in self.lifts:
-            acc = [0] * self.dim
-            for sym, coeff in lift:
-                img = images[sym]
-                for t in range(self.dim):
-                    acc[t] += coeff * img[t]
-            cols.append(acc)
-        return transpose(cols)  # dim x dim, columns indexed by basis
+    def _apply(self, mats, tables):
+        """Matrix of the operator sum_g g on the lattice basis.
 
-    def _support(self):
-        return sorted({sym for lift in self.lifts for sym, _ in lift})
+        Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
+        (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
+        the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j).
+        Entries are int64 when a bound from the inputs shows no overflow,
+        Python integers otherwise.
+        """
+        n, k1, dim = self.level, self.weight - 1, self.dim
+        nsupp = len(self._sup_exp)
+        g = np.array(mats, dtype=np.int64).reshape(-1, 4)
+        # the target coset x of each support symbol s under each g, as the
+        # key x * nsupp + s, negative off the table; these g x support
+        # arrays set the peak memory, so each goes as soon as it is used
+        c1 = np.multiply.outer(g[:, 0], self._sup_c)
+        c1 += np.multiply.outer(g[:, 2], self._sup_d)
+        c1 %= n
+        c1 *= n
+        d1 = np.multiply.outer(g[:, 1], self._sup_c)
+        d1 += np.multiply.outer(g[:, 3], self._sup_d)
+        d1 %= n
+        c1 += d1
+        del d1
+        key = self._lookup[c1]
+        del c1
+        key *= nsupp
+        key += np.arange(nsupp)
+        key = key.ravel()
+        order = np.argsort(key)
+        key = key[order]
+        start = np.searchsorted(key, 0)
+        key, order = key[start:], order[start:]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        # W[x, s, j]: the table rows g * (k-1) + (exponent of s), summed
+        # over the g of each key; g_sum bounds sum_j |W[x, s, j]|
+        s = order % nsupp
+        order //= nsupp
+        order *= k1
+        order += self._sup_exp[s]
+        del s
+        g_sum = int(np.abs(tables).sum(axis=2).max(axis=1, initial=0)
+                    .sum(dtype=object))
+        rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
+        w = np.add.reduceat(rows[order], first, axis=0)
+        del order
+        # images of the support symbols, one target coset at a time, then
+        # of the basis through the lifts
+        dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
+        w = w.astype(dtype, copy=False)
+        xs, ss = np.divmod(key[first], nsupp)
+        images = np.zeros((nsupp, dim), dtype=dtype)
+        bounds = np.append(np.flatnonzero(np.diff(xs, prepend=-1)), len(xs))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            images[ss[lo:hi]] += w[lo:hi] @ self._proj[:, xs[lo]]
+        out = np.zeros((dim, dim), dtype=dtype)
+        ptr = self._lift_ptr
+        for col in range(dim):
+            lo, hi = ptr[col], ptr[col + 1]
+            out[col] = self._lift_coef[lo:hi] @ images[self._lift_row[lo:hi]]
+        return out.T.tolist()
 
     def hecke_on_basis(self, p):
-        n, k = self.level, self.weight
+        """T_p on the lattice basis, a sum over Merel's determinant-p family."""
+        if p < 1:
+            raise ValueError("T_p needs p >= 1, got %d" % p)
         mats = merel_family(p)
-        if (k == 2 and self._proj_np is not None
-                and (len(mats) + 1) * self._proj_max * 4 < _INT64_SAFE):
-            return self._hecke_weight2_np(mats)
-        ncos = len(self.table)
-        prepared = []
-        for aa, bb, cc, dd in mats:
-            prepared.append((aa, bb, cc, dd, _action_coeffs(aa, bb, cc, dd, k)))
-        images = {}
-        for sym in self._support():
-            a_exp, x = divmod(sym, ncos)
-            c, d = self.table.reps[x]
-            acc = [0] * self.dim
-            for aa, bb, cc, dd, coeff_tab in prepared:
-                c1 = (c * aa + d * cc) % n
-                d1 = (c * bb + d * dd) % n
-                xi = self.table.index_of.get((c1, d1))
-                if xi is None:
-                    continue
-                for j, coeff in enumerate(coeff_tab[a_exp]):
-                    if coeff:
-                        row = self.proj_rows[j * ncos + xi]
-                        for t in range(self.dim):
-                            acc[t] += coeff * row[t]
-            images[sym] = acc
-        return self._combine_lift_images(images)
-
-    def _hecke_weight2_np(self, mats):
-        n = self.level
-        ncos = len(self.table)
-        cs = np.array([c for c, _ in self.table.reps], dtype=np.int64)
-        ds = np.array([d for _, d in self.table.reps], dtype=np.int64)
-        lookup = -np.ones((n, n), dtype=np.int64)
-        for (c, d), i in self.table.index_of.items():
-            lookup[c, d] = i
-        out = np.zeros((ncos, self.dim), dtype=np.int64)
-        for aa, bb, cc, dd in mats:
-            c1 = (cs * aa + ds * cc) % n
-            d1 = (cs * bb + ds * dd) % n
-            idx = lookup[c1, d1]
-            valid = np.nonzero(idx >= 0)[0]
-            if valid.size:
-                out[valid] += self._proj_np[idx[valid]]
-        images = {x: [int(v) for v in out[x]] for x in range(ncos)}
-        return self._combine_lift_images(images)
+        return self._apply(mats, _monomial_tables(mats, self.weight))
 
     def diamond_on_basis(self, d):
-        n = self.level
+        n, k = self.level, self.weight
         if gcd(d, n) != 1:
             raise ValueError("%d is not a unit modulo %d" % (d, n))
-        ncos = len(self.table)
-        images = {}
-        for sym in self._support():
-            a_exp, x = divmod(sym, ncos)
-            c, dd = self.table.reps[x]
-            xi = self.table.index_of[(c * d % n, dd * d % n)]
-            images[sym] = self.proj_rows[a_exp * ncos + xi]
-        return self._combine_lift_images(images)
+        return self._apply([(d, 0, 0, d)],
+                           np.eye(k - 1, dtype=np.int64)[None])
 
     def star_on_basis(self):
-        n, k = self.level, self.weight
-        ncos = len(self.table)
-        images = {}
-        for sym in self._support():
-            a_exp, x = divmod(sym, ncos)
-            c, d = self.table.reps[x]
-            xi = self.table.index_of[((-c) % n, d)]
-            row = self.proj_rows[a_exp * ncos + xi]
-            if a_exp % 2:
-                row = [-v for v in row]
-            images[sym] = row
-        return self._combine_lift_images(images)
+        mats = [(-1, 0, 0, 1)]
+        return self._apply(mats, _monomial_tables(mats, self.weight))
 
     def boundary_matrix(self):
         """Boundary map to the cusp module, on the lattice basis."""
@@ -380,9 +398,22 @@ class ModularSymbolSpace:
             self._ops[label] = self._restrict(parent_mat)
         return self._ops[label]
 
+    @cached_property
+    def _dual(self):
+        # D with D B = I, B the basis as columns; B is saturated, so D is
+        # integral
+        return dual_basis(self.basis, self.parent.dim)
+
     def _restrict(self, parent_mat):
+        """X with T B = B X, computed as X = D (T B)."""
+        if not self.basis:
+            return []
         b = transpose(self.basis)  # parent.dim x s
-        return solve_int(b, mat_mul(parent_mat, b))
+        tb = mat_mul(parent_mat, b)
+        x = mat_mul(self._dual, tb)
+        if mat_mul(b, x) != tb:
+            raise SaturationError("operator does not preserve the subspace")
+        return x
 
     def hecke_matrix(self, p):
         """Integer matrix of T_p on this space's lattice basis."""

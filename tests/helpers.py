@@ -102,6 +102,16 @@ def naive_genus(n, subgroup_elements):
     return num // 12, mu, nu2, nu3, cusps
 
 
+def ramanujan_tau(n_max):
+    """tau(0..n_max) from the q-expansion of q prod (1 - q^n)^24."""
+    c = [1] + [0] * n_max  # prod (1 - q^n)^24 up to q^n_max
+    for n in range(1, n_max + 1):
+        for _ in range(24):
+            for i in range(n_max, n - 1, -1):
+                c[i] -= c[i - n]
+    return [0] + c[:n_max]
+
+
 def charpoly_mod(mat, p):
     """Characteristic polynomial of an integer matrix mod a prime p, low
     degree first, by textbook Hessenberg reduction over F_p."""

@@ -49,6 +49,14 @@ def test_cache_drops_entry_of_an_older_format(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_hecke_command_rejects_p_below_one():
+    for p in ("0", "-3"):
+        code, doc = run_command(["--no-cache", "hecke", "--level", "11",
+                                 "--weight", "2", "--p", p])
+        assert code == 2, doc
+        assert "matrix" not in doc
+
+
 def test_realize_command_runs():
     code, doc = run_command(
         ["--no-cache", "realize", "--level", "1", "--weight", "12", "--ell",

@@ -1,19 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 from sympy import Matrix
 
 from modgalrep.exactalg import (
     divisors,
+    dual_basis,
     euler_phi,
+    exact_dtype,
     fq_field,
     kernel_int,
     mat_mul,
     poly_factor_fq,
     poly_from_ints,
     quotient_by_relations,
-    SaturationError,
-    solve_int,
+    transpose,
     unit_group,
 )
 from modgalrep.exactalg.gf import (
@@ -271,37 +273,42 @@ def test_kernel_is_saturated_and_complete():
         for v in ker:
             assert all(sum(a[i][j] * v[j] for j in range(n)) == 0
                        for i in range(m))
-        # saturation spot check: 2*v in span => v in span
+        # saturation spot check: an integral dual basis exists, and reads
+        # the coordinates of 2 * ker[0] off as (2, 0, ..., 0)
         if ker:
-            comb = [sum(2 * v[j] for v in ker[:1]) for j in range(n)]
-            # solve within the kernel basis: must succeed with even coords
-            sol = solve_int([[v[j] for v in ker] for j in range(n)],
-                            [[c] for c in comb])
-            assert sol[0][0] == 2
+            dual = dual_basis(ker, n)
+            comb = [[2 * ker[0][j]] for j in range(n)]
+            assert mat_mul(dual, comb) == [[2]] + [[0]] * (len(ker) - 1)
 
 
 def test_kernel_of_scaled_row_is_primitive():
     assert kernel_int([[2, 2]]) == [[1, -1]]
 
 
-def test_solve_int_roundtrip():
+def test_dual_basis_roundtrip():
     rng = random.Random(13)
     done = 0
     while done < 40:
-        n = rng.randrange(1, 7)
-        s = rng.randrange(1, n + 1)
-        b = [[rng.randrange(-4, 5) for _ in range(s)] for _ in range(n)]
-        if kernel_int(b, s):
+        n = rng.randrange(2, 8)
+        a = [[rng.randrange(-4, 5) for _ in range(n)]
+             for _ in range(rng.randrange(1, n))]
+        ker = kernel_int(a, n)
+        if not ker:
             continue
+        b = transpose(ker)  # n x s, a saturated basis as columns
+        s = len(ker)
+        d = dual_basis(ker, n)
+        assert mat_mul(d, b) == [[int(i == j) for j in range(s)]
+                                 for i in range(s)]
         x0 = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(s)]
-        y = mat_mul(b, x0)
-        assert solve_int(b, y) == x0
+        assert mat_mul(d, mat_mul(b, x0)) == x0
         done += 1
 
 
-def test_solve_int_raises_outside_lattice():
-    with pytest.raises(SaturationError):
-        solve_int([[2], [0]], [[1], [0]])
+def test_exact_dtype_switches_at_two_to_the_63():
+    assert exact_dtype(0) is np.int64
+    assert exact_dtype(2 ** 63 - 1) is np.int64
+    assert exact_dtype(2 ** 63) is object
 
 
 def test_divisors():

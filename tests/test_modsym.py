@@ -9,7 +9,12 @@ from modgalrep.congruence import (
     trivial_subgroup,
 )
 from modgalrep.dirichlet import trivial_character
-from modgalrep.exactalg import kernel_int, mat_mul
+from modgalrep.exactalg import (
+    kernel_int,
+    mat_mul,
+    primes_up_to,
+    SaturationError,
+)
 from modgalrep.modsym import (
     build_space,
     clear_space_registry,
@@ -17,7 +22,7 @@ from modgalrep.modsym import (
     ModularSymbolSpace,
 )
 
-from helpers import dim_cusp_forms
+from helpers import dim_cusp_forms, ramanujan_tau
 
 
 def plus_cuspidal(n, k):
@@ -41,6 +46,17 @@ def test_merel_family_inequalities():
 
 def test_merel_family_size_p2():
     assert len(merel_family(2)) == 4
+
+
+def test_restrict_raises_outside_subspace():
+    full = build_space(11, 2)
+    # the line through the first basis vector is saturated, and T_2 moves it
+    line = ModularSymbolSpace(full.ambient, parent=full,
+                              basis=[[1] + [0] * (full.dim - 1)])
+    with pytest.raises(SaturationError):
+        line.hecke_matrix(2)
+    empty = ModularSymbolSpace(full.ambient, parent=full, basis=[])
+    assert empty.hecke_matrix(2) == []
 
 
 def test_odd_weight_rejected():
@@ -82,6 +98,10 @@ def test_hecke_eigenvalue_level1_weight12():
     assert plus.hecke_matrix(3) == [[252]]
     cusp = build_space(1, 12).cuspidal_subspace()
     assert sum(cusp.hecke_matrix(2)[i][i] for i in range(2)) == -48
+    # every p <= 50, on both sides of the int64/Python-integer switch
+    tau = ramanujan_tau(50)
+    for p in primes_up_to(50):
+        assert plus.hecke_matrix(p) == [[tau[p]]], p
 
 
 def test_hecke_eigenvalue_level11_weight2():
