@@ -65,29 +65,30 @@ def merel_family(p):
     return tuple(mats)
 
 
-def _monomial_tables(mats, k):
+def _monomial_tables(mats, k, rows):
     """t[g, e, j]: coefficient of X^j Y^(k-2-j) in (aX + bY)^e (cX + dY)^(k-2-e).
 
-    One table for each matrix g = (a, b, c, d) of mats, all computed at once;
-    int64 when no entry can overflow, Python integers otherwise.
+    One table for each matrix g = (a, b, c, d) of mats, all computed at once,
+    for the exponents e < rows; int64 when no entry can overflow, Python
+    integers otherwise.
     """
     g = np.array(mats, dtype=np.int64).reshape(-1, 4)
     m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
     g = g.astype(exact_dtype(m ** (k - 2)))
 
-    def powers(u, v):
-        # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i
-        pw = np.zeros((len(g), k - 1, k - 1), dtype=g.dtype)
-        pw[:, 0, 0] = 1
-        for i in range(k - 2):
+    def powers(u, v, n):
+        # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i, i < n
+        pw = np.zeros((len(g), n, k - 1), dtype=g.dtype)
+        pw[:, :1, 0] = 1
+        for i in range(n - 1):
             pw[:, i + 1] = v[:, None] * pw[:, i]
             pw[:, i + 1, 1:] += u[:, None] * pw[:, i, :-1]
         return pw
 
-    p1 = powers(g[:, 0], g[:, 1])
-    p2 = powers(g[:, 2], g[:, 3])
+    p1 = powers(g[:, 0], g[:, 1], rows)
+    p2 = powers(g[:, 2], g[:, 3], k - 1)
     out = np.zeros_like(p1)
-    for e in range(k - 1):
+    for e in range(rows):
         tail = p2[:, k - 2 - e, :k - 1 - e]
         for u in range(e + 1):
             out[:, e, u:u + k - 1 - e] += p1[:, e, u, None] * tail
@@ -199,6 +200,7 @@ class _Ambient:
             np.array(support, dtype=np.int64), ncos)
         reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
         self._sup_c, self._sup_d = reps[sup_cos, 0], reps[sup_cos, 1]
+        self._exponents = int(self._sup_exp.max(initial=-1)) + 1
         self._lift_sum = max((sum(abs(c) for _, c in lift)
                               for lift in qm.lifts), default=0)
         self._lift_row = np.array([row_of[sym] for lift in qm.lifts
@@ -221,7 +223,8 @@ class _Ambient:
 
         Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
         (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
-        the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j).
+        the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j),
+        for the exponents e < self._exponents that the lifts use.
         Entries are int64 when a bound from the inputs shows no overflow,
         Python integers otherwise.
         """
@@ -250,11 +253,11 @@ class _Ambient:
         start = np.searchsorted(key, 0)
         key, order = key[start:], order[start:]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        # W[x, s, j]: the table rows g * (k-1) + (exponent of s), summed
-        # over the g of each key; g_sum bounds sum_j |W[x, s, j]|
+        # W[x, s, j]: the table rows g * self._exponents + (exponent of s),
+        # summed over the g of each key; g_sum bounds sum_j |W[x, s, j]|
         s = order % nsupp
         order //= nsupp
-        order *= k1
+        order *= self._exponents
         order += self._sup_exp[s]
         del s
         g_sum = int(np.abs(tables).sum(axis=2).max(axis=1, initial=0)
@@ -283,18 +286,20 @@ class _Ambient:
         if p < 1:
             raise ValueError("T_p needs p >= 1, got %d" % p)
         mats = merel_family(p)
-        return self._apply(mats, _monomial_tables(mats, self.weight))
+        return self._apply(mats, _monomial_tables(mats, self.weight,
+                                                  self._exponents))
 
     def diamond_on_basis(self, d):
         n, k = self.level, self.weight
         if gcd(d, n) != 1:
             raise ValueError("%d is not a unit modulo %d" % (d, n))
-        return self._apply([(d, 0, 0, d)],
-                           np.eye(k - 1, dtype=np.int64)[None])
+        return self._apply([(d, 0, 0, d)], np.eye(
+            self._exponents, k - 1, dtype=np.int64)[None])
 
     def star_on_basis(self):
         mats = [(-1, 0, 0, 1)]
-        return self._apply(mats, _monomial_tables(mats, self.weight))
+        return self._apply(mats, _monomial_tables(mats, self.weight,
+                                                  self._exponents))
 
     def boundary_matrix(self):
         """Boundary map to the cusp module, on the lattice basis."""
