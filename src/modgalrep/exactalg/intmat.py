@@ -4,9 +4,10 @@ quotients.
 Matrices are lists of rows of Python ints.  exact_dtype is the one rule for
 numpy work on them: int64 while a bound computed from the inputs shows that
 no value can overflow, Python integers (dtype object) otherwise, so results
-are always exact.  mat_mul follows it directly; elimination runs on int64
-under a running bound and starts again on Python integers when that bound
-would overflow.
+are always exact.  mat_mul applies it once to its inputs; elimination
+applies it to the entries it starts from and then before every row update,
+to a bound on the entries that update makes, and turns its array into
+Python integers in place the first time int64 cannot hold them.
 
 Kernels are computed with a tracked unimodular row transform, which makes
 the returned basis generate the full integer kernel lattice; in particular
@@ -26,8 +27,6 @@ import numpy as np
 from sympy import Matrix, factorint
 from sympy.matrices.normalforms import invariant_factors
 
-_INT64_SAFE = 1 << 60
-
 
 class SaturationError(Exception):
     """A lattice was not saturated, or an exact map left the sublattice."""
@@ -42,18 +41,6 @@ def exact_dtype(bound):
     """int64 while every value is below bound < 2^63 in absolute value,
     Python integers (dtype object) otherwise."""
     return np.int64 if bound < 2 ** 63 else object
-
-
-def _to_int64(rows, ncols):
-    if not rows:
-        return np.zeros((0, ncols), dtype=np.int64)
-    try:
-        arr = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return None
-    if arr.size and int(np.abs(arr).max()) >= _INT64_SAFE:
-        return None
-    return arr
 
 
 def mat_mul(a, b):
@@ -75,12 +62,31 @@ def transpose(a):
     return [list(row) for row in zip(*a)] if a else []
 
 
-class _Int64Overflow(Exception):
-    pass
+def _subtract_multiples(w, targets, qs, src):
+    """w[targets] -= qs * w[src], with w turned into Python integers first
+    if a bound on the results rules out int64; returns w."""
+    if w.dtype != object:
+        bound = (int(np.abs(qs).max()) * int(np.abs(w[src]).max())
+                 + int(np.abs(w[targets]).max()))
+        w = w.astype(exact_dtype(bound), copy=False)
+    w[targets] -= qs[:, None] * w[src][None, :]
+    return w
 
 
-def _echelon_np(w, ncols_left):
-    """Unimodular row echelon over the first ncols_left columns, in place."""
+def _echelon(rows, ncols_left, clear=False):
+    """Unimodular row echelon over the first ncols_left columns.
+
+    Returns (pivot count, transformed rows as lists of ints).  With clear
+    set, the columns must have full rank and span a saturated lattice; the
+    pivot block, then unimodular, is cleared to the identity.  The rows go
+    into one numpy array, of int64 when exact_dtype allows their entries.
+    Before each row update a bound on the updated entries goes through
+    exact_dtype again; once int64 cannot hold them, the array turns into
+    Python integers and the work carries on from the same pivot.
+    """
+    if not rows:
+        return 0, []
+    w = np.array(rows, dtype=exact_dtype(max_abs(rows)))
     nrows = w.shape[0]
     piv = 0
     for j in range(ncols_left):
@@ -99,99 +105,18 @@ def _echelon_np(w, ncols_left):
                 break
             sel = int(nz[int(np.argmin(np.abs(col[nz])))])
             r = piv + sel
-            pv = int(w[r, j])
             others = nz[nz != sel] + piv
-            qs = w[others, j] // pv
-            qmax = int(np.abs(qs).max()) if qs.size else 0
-            rowmax = int(np.abs(w[r]).max())
-            curmax = int(np.abs(w[others]).max()) if others.size else 0
-            if qmax * rowmax + curmax >= _INT64_SAFE:
-                raise _Int64Overflow
-            w[others] -= qs[:, None] * w[r][None, :]
-    return piv
-
-
-def _echelon_py(w, ncols_left):
-    nrows = len(w)
-    piv = 0
-    for j in range(ncols_left):
-        if piv >= nrows:
-            break
-        while True:
-            nz = [i for i in range(piv, nrows) if w[i][j]]
-            if not nz:
-                break
-            if len(nz) == 1:
-                r = nz[0]
-                if r != piv:
-                    w[piv], w[r] = w[r], w[piv]
-                piv += 1
-                break
-            r = min(nz, key=lambda i: abs(w[i][j]))
-            pv = w[r][j]
-            rr = w[r]
-            for i in nz:
-                if i == r:
-                    continue
-                q = w[i][j] // pv
-                if q:
-                    wi = w[i]
-                    for t in range(len(wi)):
-                        wi[t] -= q * rr[t]
-    return piv
-
-
-def _clear_np(w, k):
-    """Row-reduce a k x k unimodular upper-triangular block to I, in place."""
-    for i in range(k - 1, -1, -1):
-        if abs(int(w[i, i])) != 1:
-            raise SaturationError("pivot block is not unimodular")
-        if w[i, i] < 0:
-            w[i] = -w[i]
-        above = np.nonzero(w[:i, i])[0]
-        if above.size:
-            qs = w[above, i]
-            if (int(np.abs(qs).max()) * int(np.abs(w[i]).max())
-                    + int(np.abs(w[above]).max()) >= _INT64_SAFE):
-                raise _Int64Overflow
-            w[above] -= qs[:, None] * w[i][None, :]
-
-
-def _clear_py(w, k):
-    for i in range(k - 1, -1, -1):
-        ri = w[i]
-        if abs(ri[i]) != 1:
-            raise SaturationError("pivot block is not unimodular")
-        if ri[i] < 0:
-            ri = w[i] = [-x for x in ri]
-        for r in range(i):
-            q = w[r][i]
-            if q:
-                w[r] = [x - q * y for x, y in zip(w[r], ri)]
-
-
-def _echelon(rows, ncols_left, clear=False):
-    """Unimodular row echelon over the first ncols_left columns.
-
-    Returns (pivot count, transformed rows as lists of ints).  With clear
-    set, the columns must have full rank and span a saturated lattice; the
-    pivot block, then unimodular, is cleared to the identity.  Runs on int64
-    while a bound shows no overflow, else on Python integers.
-    """
-    w = _to_int64(rows, ncols_left)
-    if w is not None:
-        try:
-            piv = _echelon_np(w, ncols_left)
-            if clear:
-                _clear_np(w, piv)
-            return piv, w.tolist()
-        except _Int64Overflow:
-            pass
-    w = [list(row) for row in rows]
-    piv = _echelon_py(w, ncols_left)
+            w = _subtract_multiples(w, others, w[others, j] // int(w[r, j]), r)
     if clear:
-        _clear_py(w, piv)
-    return piv, w
+        for i in range(piv - 1, -1, -1):
+            if abs(int(w[i, i])) != 1:
+                raise SaturationError("pivot block is not unimodular")
+            if w[i, i] < 0:
+                w[i] = -w[i]
+            above = np.nonzero(w[:i, i])[0]
+            if above.size:
+                w = _subtract_multiples(w, above, w[above, i], i)
+    return piv, w.tolist()
 
 
 def _augment(vecs, n):
@@ -256,8 +181,7 @@ class QuotientMap:
     after discarding torsion; lifts give one preimage per basis vector.
     """
 
-    def __init__(self, n, dim, torsion, proj_rows, lifts):
-        self.n = n
+    def __init__(self, dim, torsion, proj_rows, lifts):
         self.dim = dim
         self.torsion = torsion
         self.proj_rows = proj_rows  # n rows, each of length dim
@@ -285,7 +209,6 @@ def quotient_by_relations(n, relation_rows):
     """
     solved = {}       # col -> dict of remaining cols (the substitution)
     solved_order = []
-    leftovers = []
 
     def substitute(row):
         while True:
@@ -304,22 +227,8 @@ def quotient_by_relations(n, relation_rows):
                         elif c2 in row:
                             del row[c2]
 
-    for raw in relation_rows:
-        row = {c: v for c, v in raw.items() if v}
-        substitute(row)
-        if not row:
-            continue
-        units = [c for c, v in row.items() if v in (1, -1)]
-        if not units:
-            leftovers.append(row)
-            continue
-        target = max(units)
-        sign = row.pop(target)
-        solved[target] = {c: -v * sign for c, v in row.items()}
-        solved_order.append(target)
-
-    # re-substitute leftovers until no new unit pivot appears
-    pending = leftovers
+    # substitute until a pass finds no new unit pivot
+    pending = [{c: v for c, v in raw.items() if v} for raw in relation_rows]
     while True:
         progressed = False
         waiting = []
@@ -388,4 +297,4 @@ def quotient_by_relations(n, relation_rows):
                 row[j] += v * x
         proj_rows[c] = row
 
-    return QuotientMap(n, dim, torsion, proj_rows, lifts)
+    return QuotientMap(dim, torsion, proj_rows, lifts)

@@ -18,6 +18,7 @@ from modgalrep.exactalg import (
     transpose,
     unit_group,
 )
+from modgalrep.exactalg import intmat
 from modgalrep.exactalg.gf import (
     element_of_order,
     embed_field,
@@ -309,6 +310,83 @@ def test_exact_dtype_switches_at_two_to_the_63():
     assert exact_dtype(0) is np.int64
     assert exact_dtype(2 ** 63 - 1) is np.int64
     assert exact_dtype(2 ** 63) is object
+
+
+def _record_dtypes(monkeypatch):
+    """The dtypes intmat's exact_dtype returns, in call order."""
+    picked = []
+
+    def spy(bound):
+        picked.append(exact_dtype(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(intmat, "exact_dtype", spy)
+    return picked
+
+
+def _check_kernel(a, n):
+    ker = kernel_int(a, n)
+    for v in ker:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+    assert len(ker) == n - Matrix(a).rank()
+    return ker
+
+
+def _check_dual(ker, d):
+    s = len(ker)
+    assert mat_mul(d, transpose(ker)) == [[int(i == j) for j in range(s)]
+                                          for i in range(s)]
+
+
+def test_elimination_widens_int64_partway(monkeypatch):
+    # entries below 2^63 start on int64; the updates outgrow it and the same
+    # elimination carries on over Python integers
+    picked = _record_dtypes(monkeypatch)
+    rng = random.Random(58)
+    updates_before_widening = []
+    for bits in (58, 58, 58, 60, 62):
+        n = 6
+        a = [[rng.randrange(-2 ** bits, 2 ** bits) for _ in range(n)]
+             for _ in range(3)]
+        picked.clear()
+        ker = _check_kernel(a, n)
+        assert picked[0] is np.int64 and picked[-1] is object
+        updates_before_widening.append(len(picked) - 2)
+        _check_dual(ker, dual_basis(ker, n))
+    assert max(updates_before_widening) > 0
+
+
+def test_elimination_starts_on_python_integers(monkeypatch):
+    picked = _record_dtypes(monkeypatch)
+    rng = random.Random(63)
+    for bits in (63, 64, 80):
+        n = rng.randrange(3, 7)
+        a = [[rng.randrange(-2 ** bits, 2 ** bits) for _ in range(n)]
+             for _ in range(rng.randrange(1, n))]
+        a[0][0] = 2 ** bits
+        picked.clear()
+        ker = _check_kernel(a, n)
+        assert picked == [object]
+        _check_dual(ker, dual_basis(ker, n))
+
+
+def test_dual_basis_widens_while_clearing(monkeypatch):
+    # the echelon of these forms stays on int64; clearing its pivot block
+    # to the identity does not
+    picked = _record_dtypes(monkeypatch)
+    for seed in range(3):
+        rng = random.Random(seed)
+        n = 6
+        a = [[rng.randrange(-2 ** 16, 2 ** 16) for _ in range(n)]
+             for _ in range(3)]
+        ker = _check_kernel(a, n)
+        picked.clear()
+        intmat._echelon(intmat._augment(ker, n), len(ker))
+        assert object not in picked
+        picked.clear()
+        d = dual_basis(ker, n)
+        assert picked[0] is np.int64 and picked[-1] is object
+        _check_dual(ker, d)
 
 
 def test_divisors():
