@@ -9,7 +9,7 @@ elliptic point, cusp and genus counts, and for the index formulas.
 
 from math import gcd
 
-from .dirichlet import induce, place_above, trivial_character
+from .dirichlet import induce, place_above
 from .exactalg.arith import euler_phi, unit_group
 
 

@@ -7,7 +7,7 @@ Integer factorization and primality testing are delegated to sympy.
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from sympy import factorint, isprime
+from sympy import factorint
 
 
 def xgcd(a, b):

@@ -18,8 +18,6 @@ from functools import lru_cache
 
 from sympy import factorint, isprime
 
-from .arith import xgcd
-
 
 # ---------------------------------------------------------------------------
 # polynomials over the prime field, as int lists (used for modulus search)

@@ -177,13 +177,11 @@ class _Ambient:
                          (-1) ** (k - 2 - a + j) * comb(a, j))
                 rows.append(row)
         qm = quotient_by_relations(self.nsym, rows)
-        self.qm = qm
         self.dim = qm.dim
         self.torsion = qm.torsion
         self.proj_rows = qm.proj_rows
         self.lifts = qm.lifts
         self._boundary = None
-        self._cusps = None
         # what _apply reads: the projection as (k-1, ncos, dim), the coset
         # index of (c:d) at c * level + d (-1 off the table), the cosets and
         # exponents of the symbols the lifts use, and the lifts as (support
@@ -328,7 +326,6 @@ class _Ambient:
             for (r, ccol), v in entries.items():
                 mat[r][ccol] = v
             self._boundary = mat
-            self._cusps = cusps
         return self._boundary
 
 
@@ -344,7 +341,7 @@ class ModularSymbolSpace:
     """A saturated Hecke-stable sublattice of a Manin symbol quotient."""
 
     def __init__(self, ambient, parent=None, basis=None, cuspidal=False,
-                 plus=False, h_subgroup=None, cache=None):
+                 plus=False, h_subgroup=None):
         self.ambient = ambient
         self.parent = parent
         self.basis = basis  # list of vectors in parent coordinates
@@ -352,7 +349,7 @@ class ModularSymbolSpace:
         self.is_plus = plus
         self.h_subgroup = h_subgroup
         self._ops = {}
-        self._cache = cache if parent is None else None
+        self._cache = None
 
     @property
     def level(self):
@@ -514,15 +511,14 @@ def build_space(level, weight, cache=None):
     """The full weight-k modular symbol space for Gamma_1(level).
 
     Ambient presentations are shared process-wide, so repeated calls are
-    cheap and operator matrices are computed once per (level, weight).
+    cheap and operator matrices are computed once per (level, weight).  The
+    space uses the given cache, None for none, until the next call.
     """
     key = (level, weight)
     if key not in _AMBIENTS:
-        _AMBIENTS[key] = ModularSymbolSpace(_Ambient(level, weight),
-                                            cache=cache)
+        _AMBIENTS[key] = ModularSymbolSpace(_Ambient(level, weight))
     space = _AMBIENTS[key]
-    if cache is not None:
-        space.set_cache(cache)
+    space.set_cache(cache)
     return space
 
 

@@ -82,13 +82,13 @@ _DECOMPOSED = {}
 
 
 def plus_cuspidal_space(level, weight, cache=None):
-    """Plus-cuspidal modular symbol space, memoized per process."""
+    """Plus-cuspidal modular symbol space, memoized per process; it uses
+    the given cache, None for none, until the next call."""
     key = (level, weight)
     if key not in _PLUS_CUSPIDAL:
         space = build_space(level, weight, cache=cache)
         _PLUS_CUSPIDAL[key] = space.cuspidal_subspace().star_plus_subspace()
-    elif cache is not None:
-        _PLUS_CUSPIDAL[key].set_cache(cache)
+    _PLUS_CUSPIDAL[key].set_cache(cache)
     return _PLUS_CUSPIDAL[key]
 
 

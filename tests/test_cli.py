@@ -101,3 +101,27 @@ def test_main_emits_the_requested_format(capsys):
     assert main(["--format", "tsv", "char", "--char", "triv:5"]) == 0
     line = capsys.readouterr().out.strip()
     assert json.loads(line)["command"] == "char"
+
+
+def test_no_cache_run_writes_nothing_after_a_cached_run(tmp_path):
+    from modgalrep.modsym import clear_space_registry
+    clear_space_registry()
+    root = str(tmp_path)
+
+    def written():
+        return sorted(os.path.relpath(os.path.join(d, f), root)
+                      for d, _, files in os.walk(root) for f in files)
+
+    for args in (["hecke", "--level", "17", "--weight", "2", "--p", "2"],
+                 ["hecke", "--level", "17", "--weight", "2", "--p", "2",
+                  "--full"]):
+        code, doc = run_command(["--cache-dir", root] + args)
+        assert code == 0, doc
+    before = written()
+    assert before
+    for args in (["hecke", "--level", "17", "--weight", "2", "--p", "3"],
+                 ["hecke", "--level", "17", "--weight", "2", "--p", "5",
+                  "--full"]):
+        code, doc = run_command(["--no-cache"] + args)
+        assert code == 0, doc
+    assert written() == before
