@@ -112,6 +112,26 @@ def ramanujan_tau(n_max):
     return [0] + c[:n_max]
 
 
+def merel_family(p):
+    """Merel's integral matrices of determinant p with a > b >= 0,
+    d > c >= 0 (L. Merel, LNM 1585, 1994); their sum gives T_p on Manin
+    symbols of any level."""
+    mats = []
+    for a in range(1, p + 1):
+        for d in range((p + a - 1) // a, p + 2 - a):
+            bc = a * d - p
+            if bc == 0:
+                for b in range(a):
+                    mats.append((a, b, 0, d))
+                for c in range(1, d):
+                    mats.append((a, 0, c, d))
+            else:
+                for b in range((bc - 1) // (d - 1) + 1, a):
+                    if bc % b == 0:
+                        mats.append((a, b, bc // b, d))
+    return tuple(mats)
+
+
 def charpoly_mod(mat, p):
     """Characteristic polynomial of an integer matrix mod a prime p, low
     degree first, by textbook Hessenberg reduction over F_p."""

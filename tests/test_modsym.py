@@ -1,3 +1,6 @@
+import sys
+
+import numpy as np
 import pytest
 
 from modgalrep.congruence import (
@@ -9,7 +12,9 @@ from modgalrep.congruence import (
     trivial_subgroup,
 )
 from modgalrep.dirichlet import trivial_character
+from modgalrep import modsym
 from modgalrep.exactalg import (
+    exact_dtype,
     kernel_int,
     mat_mul,
     primes_up_to,
@@ -18,11 +23,10 @@ from modgalrep.exactalg import (
 from modgalrep.modsym import (
     build_space,
     clear_space_registry,
-    merel_family,
     ModularSymbolSpace,
 )
 
-from helpers import dim_cusp_forms, ramanujan_tau
+from helpers import dim_cusp_forms, merel_family, ramanujan_tau
 
 
 def plus_cuspidal(n, k):
@@ -46,6 +50,31 @@ def test_merel_family_inequalities():
 
 def test_merel_family_size_p2():
     assert len(merel_family(2)) == 4
+
+
+def test_hecke_matches_merel_family(monkeypatch):
+    """T_p equals the operator of Merel's family, entry for entry, for every
+    prime p <= 100, with p | N and p^2 | N among the levels.  A spy on
+    exact_dtype shows that the monomial tables and the operator kernel each
+    ran on int64 and on Python integers."""
+    picked = set()
+
+    def spy(bound):
+        dtype = exact_dtype(bound)
+        picked.add((sys._getframe(1).f_code.co_name, dtype))
+        return dtype
+
+    monkeypatch.setattr(modsym, "exact_dtype", spy)
+    for n, k in [(11, 2), (1, 12), (3, 12), (6, 12), (35, 2), (40, 2),
+                 (12, 8), (9, 4), (25, 2)]:
+        ambient = build_space(n, k).ambient
+        for p in primes_up_to(100):
+            mats = merel_family(p)
+            tables = modsym._monomial_tables(mats, k, ambient._exponents)
+            assert ambient.hecke_on_basis(p) == ambient._apply(mats, tables), \
+                (n, k, p)
+    for name in ("_monomial_tables", "_apply"):
+        assert {d for f, d in picked if f == name} == {np.int64, object}
 
 
 def test_restrict_raises_outside_subspace():
