@@ -1,11 +1,10 @@
-"""Dirichlet characters: products, induction, conductor, kernel, reduction
-at a place above ell, and Teichmuller lifting.
+"""Dirichlet characters: products, induction, conductor, kernel and
+reduction at a place above ell.
 
 Characters never touch complex numbers.  A character mod n is stored as an
 exponent vector against a fixed root of unity zeta_m: its value on the j-th
 canonical generator of (Z/nZ)* is zeta_m^(e_j).  Reduction mod a place
-turns zeta_m into a concrete element of a finite field; lifting goes back
-by discrete logarithm against the same chosen root.
+turns zeta_m into a concrete element of a finite field.
 """
 
 from math import gcd, lcm
@@ -130,25 +129,6 @@ def kernel(chi):
                   if chi.exponent_at(x) == 0)
 
 
-def all_characters(n):
-    """Every character mod n, against zeta of the group exponent."""
-    group = unit_group(n)
-    m = group.exponent
-    out = []
-
-    def rec(prefix):
-        j = len(prefix)
-        if j == len(group.orders):
-            out.append(DirichletCharacter(n, m, tuple(prefix)))
-            return
-        step = m // group.orders[j]
-        for e in range(0, m, step):
-            rec(prefix + [e])
-
-    rec([])
-    return out
-
-
 class PlaceAboveEll:
     """A reduction map from roots of unity to a finite field of char ell.
 
@@ -259,35 +239,6 @@ def reduce_mod(chi, place):
     """Reduction of a character at a place above ell."""
     values = tuple(place.reduce_value(chi.zeta_order, e) for e in chi.exponents)
     return ResidualCharacter(chi.modulus, place.field, values)
-
-
-def teichmuller_lift(rchar, place=None):
-    """The character with root-of-unity values reducing back to rchar.
-
-    The lift has values of order prime to ell (dividing the residue field's
-    unit group order), reduces to rchar under the place, and has the same
-    kernel.  If no place is given, the canonical one for the value orders
-    of rchar is used; its field must then agree with rchar's field.
-    """
-    orders = [v.multiplicative_order() for v in rchar.values]
-    m = lcm(*orders) if orders else 1
-    if place is None:
-        place = place_above(rchar.field.ell, m)
-    if place.field != rchar.field:
-        raise ValueError("place field %r does not match character field %r"
-                         % (place.field, rchar.field))
-    root = place.root_image(m)
-    exps = []
-    for v in rchar.values:
-        cur = rchar.field.one()
-        for e in range(m):
-            if cur == v:
-                exps.append(e)
-                break
-            cur = cur * root
-        else:
-            raise ValueError("value is not a power of the chosen root")
-    return DirichletCharacter(rchar.modulus, m, tuple(exps))
 
 
 def parse_character(text):

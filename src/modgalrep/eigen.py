@@ -483,16 +483,6 @@ def _dedupe_orbits(systems):
     return out
 
 
-def twist_eigensystem(sys, j):
-    """Twist: a_p -> p^j a_p, diamonds unchanged."""
-    ell = sys.ell
-    a = {p: sys.field.from_int(_chi_power(p, j, ell)) * v
-         for p, v in sys.a.items()}
-    return Eigensystem(sys.level, sys.weight, sys.ell, sys.field, a,
-                       dict(sys.diamond), sys.multiplicity,
-                       sys.provenance + "*chi^%d" % j, sys.bad_primes)
-
-
 def _chi_power(p, j, ell):
     if p % ell:
         return pow(p, j % (ell - 1), ell)

@@ -3,7 +3,6 @@
 from .arith import (
     divisors,
     euler_phi,
-    inverse_mod,
     multiplicative_order,
     primes_up_to,
     unit_group,
@@ -34,7 +33,7 @@ from .intmat import (
 )
 
 __all__ = [
-    "divisors", "euler_phi", "inverse_mod", "multiplicative_order",
+    "divisors", "euler_phi", "multiplicative_order",
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
     "FqField", "poly_factor_fq", "poly_from_ints", "poly_roots",

@@ -23,14 +23,6 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-def inverse_mod(a, n):
-    """Inverse of a modulo n; raises ValueError if gcd(a, n) != 1."""
-    g, x, _ = xgcd(a, n)
-    if g != 1:
-        raise ValueError("%d is not invertible modulo %d" % (a, n))
-    return x % n
-
-
 def euler_phi(n):
     """Euler's totient of n >= 1."""
     if n < 1:

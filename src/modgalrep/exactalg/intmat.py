@@ -177,8 +177,8 @@ def elementary_divisors(diag):
 class QuotientMap:
     """Free quotient of Z^n by a set of integer relation rows.
 
-    project maps a generator index (or an n-vector) to its class in Z^dim,
-    after discarding torsion; lifts give one preimage per basis vector.
+    proj_rows[i] is the class of the i-th generator in Z^dim, after
+    discarding torsion; lifts give one preimage per basis vector.
     """
 
     def __init__(self, dim, torsion, proj_rows, lifts):
@@ -186,15 +186,6 @@ class QuotientMap:
         self.torsion = torsion
         self.proj_rows = proj_rows  # n rows, each of length dim
         self.lifts = lifts          # dim sparse vectors [(index, coeff), ...]
-
-    def project_vector(self, vec):
-        out = [0] * self.dim
-        for i, c in vec:
-            if c:
-                row = self.proj_rows[i]
-                for t in range(self.dim):
-                    out[t] += c * row[t]
-        return out
 
 
 def quotient_by_relations(n, relation_rows):

@@ -11,11 +11,12 @@ small, and all operators are integer matrices on the dual basis.  A
 fingerprint of these coordinates identifies the basis in the disk cache.
 
 Every ambient operator is a sum over integer matrices g acting on symbols,
-and one numpy kernel (_Ambient._apply) computes them all: T_p sums over
-Merel's determinant-p family (a > b >= 0, d > c >= 0; L. Merel, LNM 1585,
-1994), each g with the table of its action on the monomials; the diamond
-<d> is the one matrix (d, 0, 0, d) with the identity table; the star
-involution is (-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  The
+and one numpy kernel (_Ambient._apply) computes them all: T_p, p prime,
+sums over Cremona's Heilbronn matrices of determinant p (J. Cremona,
+Algorithms for Modular Elliptic Curves, 2nd ed., 1997), each g with the
+table of its action on the monomials; the diamond <d> is the one matrix
+(d, 0, 0, d) with the identity table; the star involution is
+(-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  The
 kernel works on int64 arrays when a bound from its inputs shows no
 overflow and on Python integers otherwise, in the same code.
 
@@ -26,10 +27,11 @@ X = D (T B), checked against T B = B X.
 """
 
 import hashlib
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, gcd
 
 import numpy as np
+from sympy import isprime
 
 from .congruence import coset_table, trivial_subgroup
 from .exactalg.arith import xgcd
@@ -46,23 +48,31 @@ from .exactalg.intmat import (
 )
 
 
-@lru_cache(maxsize=None)
-def merel_family(p):
-    """Integral matrices of determinant p with a > b >= 0, d > c >= 0."""
-    mats = []
-    for a in range(1, p + 1):
-        for d in range((p + a - 1) // a, p + 2 - a):
-            bc = a * d - p
-            if bc == 0:
-                for b in range(a):
-                    mats.append((a, b, 0, d))
-                for c in range(1, d):
-                    mats.append((a, 0, c, d))
-            else:
-                for b in range((bc - 1) // (d - 1) + 1, a):
-                    if bc % b == 0:
-                        mats.append((a, b, bc // b, d))
-    return tuple(mats)
+def heilbronn_cremona(p):
+    """Cremona's Heilbronn matrices of determinant p, as rows (a, b, c, d).
+
+    Their sum gives T_p on Manin symbols of any level.  Besides (1, 0, 0, p),
+    each r with |r| <= p/2 contributes the matrices met along the continued
+    fraction of -p/r with nearest-integer quotients, halves rounded away
+    from zero; all r are expanded at once.
+    """
+    if p == 2:
+        return np.array([(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1),
+                         (1, 0, 1, 2)], dtype=np.int64)
+    r = np.arange(-(p // 2), p // 2 + 1, dtype=np.int64)
+    a, b = np.full_like(r, -p), r
+    x1, x2, y1, y2 = -a, -r, np.zeros_like(r), np.ones_like(r)
+    out = [np.array([(1, 0, 0, p)], dtype=np.int64)]
+    while True:
+        out.append(np.stack([x1, x2, y1, y2], axis=1))
+        live = b != 0
+        if not live.any():
+            return np.concatenate(out)
+        a, b, x1, x2, y1, y2 = (v[live] for v in (a, b, x1, x2, y1, y2))
+        q = (2 * np.abs(a) + np.abs(b)) // (2 * np.abs(b)) * np.sign(a * b)
+        a, b = -b, a - b * q
+        x1, x2 = x2, q * x2 - x1
+        y1, y2 = y2, q * y2 - y1
 
 
 def _monomial_tables(mats, k, rows):
@@ -182,13 +192,14 @@ class _Ambient:
         self.proj_rows = qm.proj_rows
         self.lifts = qm.lifts
         self._boundary = None
-        # what _apply reads: the projection as (k-1, ncos, dim), the coset
+        # what _apply reads: the projection as (ncos, k-1, dim), the coset
         # index of (c:d) at c * level + d (-1 off the table), the cosets and
         # exponents of the symbols the lifts use, and the lifts as (support
         # row, coefficient) pairs, basis column by column
         self._proj_max = max_abs(qm.proj_rows)
-        self._proj = np.array(qm.proj_rows, dtype=exact_dtype(self._proj_max)
-                              ).reshape(k - 1, ncos, self.dim)
+        self._proj = np.ascontiguousarray(np.array(
+            qm.proj_rows, dtype=exact_dtype(self._proj_max)
+        ).reshape(k - 1, ncos, self.dim).transpose(1, 0, 2))
         self._lookup = np.full(level * level, -1, dtype=np.int64)
         for (c, d), i in self.table.index_of.items():
             self._lookup[c * level + d] = i
@@ -227,11 +238,11 @@ class _Ambient:
         Python integers otherwise.
         """
         n, k1, dim = self.level, self.weight - 1, self.dim
-        nsupp = len(self._sup_exp)
+        ncos, nsupp = len(self.table), len(self._sup_exp)
         g = np.array(mats, dtype=np.int64).reshape(-1, 4)
         # the target coset x of each support symbol s under each g, as the
-        # key x * nsupp + s, negative off the table; these g x support
-        # arrays set the peak memory, so each goes as soon as it is used
+        # key s * ncos + x, -1 off the table; these g x support arrays set
+        # the peak memory, so each goes as soon as it is used
         c1 = np.multiply.outer(g[:, 0], self._sup_c)
         c1 += np.multiply.outer(g[:, 2], self._sup_d)
         c1 %= n
@@ -243,16 +254,18 @@ class _Ambient:
         del d1
         key = self._lookup[c1]
         del c1
-        key *= nsupp
-        key += np.arange(nsupp)
+        off = key < 0
+        key += np.arange(0, nsupp * ncos, ncos)
+        key[off] = -1
+        del off
         key = key.ravel()
         order = np.argsort(key)
         key = key[order]
         start = np.searchsorted(key, 0)
         key, order = key[start:], order[start:]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        # W[x, s, j]: the table rows g * self._exponents + (exponent of s),
-        # summed over the g of each key; g_sum bounds sum_j |W[x, s, j]|
+        # W[s, x, j]: the table rows g * self._exponents + (exponent of s),
+        # summed over the g of each key; g_sum bounds sum_j |W[s, x, j]|
         s = order % nsupp
         order //= nsupp
         order *= self._exponents
@@ -263,15 +276,18 @@ class _Ambient:
         rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
         w = np.add.reduceat(rows[order], first, axis=0)
         del order
-        # images of the support symbols, one target coset at a time, then
-        # of the basis through the lifts
+        # the image of each support symbol s is one contraction of W[s] with
+        # the projection rows of its target cosets; then the images of the
+        # basis through the lifts, which are sparse
         dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
         w = w.astype(dtype, copy=False)
-        xs, ss = np.divmod(key[first], nsupp)
+        proj = self._proj.astype(dtype, copy=False)
+        ss, xs = np.divmod(key[first], ncos)
         images = np.zeros((nsupp, dim), dtype=dtype)
-        bounds = np.append(np.flatnonzero(np.diff(xs, prepend=-1)), len(xs))
+        bounds = np.append(np.flatnonzero(np.diff(ss, prepend=-1)), len(ss))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            images[ss[lo:hi]] += w[lo:hi] @ self._proj[:, xs[lo]]
+            images[ss[lo]] = (w[lo:hi].ravel()
+                              @ proj[xs[lo:hi]].reshape(-1, dim))
         out = np.zeros((dim, dim), dtype=dtype)
         ptr = self._lift_ptr
         for col in range(dim):
@@ -280,10 +296,10 @@ class _Ambient:
         return out.T.tolist()
 
     def hecke_on_basis(self, p):
-        """T_p on the lattice basis, a sum over Merel's determinant-p family."""
-        if p < 1:
-            raise ValueError("T_p needs p >= 1, got %d" % p)
-        mats = merel_family(p)
+        """T_p on the lattice basis, a sum over Cremona's Heilbronn matrices."""
+        if not isprime(p):
+            raise ValueError("T_p needs a prime p, got %d" % p)
+        mats = heilbronn_cremona(p)
         return self._apply(mats, _monomial_tables(mats, self.weight,
                                                   self._exponents))
 

@@ -5,7 +5,11 @@ formulas, brute-force enumeration.  The point is that none of it shares
 code paths with the package internals it checks.
 """
 
-from math import comb, gcd
+from math import comb, gcd, lcm
+
+from modgalrep.dirichlet import DirichletCharacter, place_above
+from modgalrep.eigen import Eigensystem
+from modgalrep.exactalg import unit_group
 
 
 def naive_is_irreducible(coeffs, p):
@@ -168,3 +172,68 @@ def charpoly_mod(mat, p):
                 term[t] = (term[t] - coef * c) % p
         polys.append(term)
     return polys[n]
+
+
+def project_vector(qm, vec):
+    """The class in Z^dim of the sparse vector [(index, coeff), ...] under
+    the quotient map qm, from its projection rows."""
+    out = [0] * qm.dim
+    for i, c in vec:
+        for t in range(qm.dim):
+            out[t] += c * qm.proj_rows[i][t]
+    return out
+
+
+def all_characters(n):
+    """Every character mod n, against zeta of the group exponent."""
+    group = unit_group(n)
+    m = group.exponent
+    out = []
+
+    def rec(prefix):
+        j = len(prefix)
+        if j == len(group.orders):
+            out.append(DirichletCharacter(n, m, tuple(prefix)))
+            return
+        step = m // group.orders[j]
+        for e in range(0, m, step):
+            rec(prefix + [e])
+
+    rec([])
+    return out
+
+
+def teichmuller_lift(rchar, place=None):
+    """The character with root-of-unity values reducing back to rchar.
+
+    The lift has values of order prime to ell (dividing the residue field's
+    unit group order), reduces to rchar under the place, and has the same
+    kernel.  If no place is given, the canonical one for the value orders
+    of rchar is used.  Exponents are found by exhaustive search.
+    """
+    orders = [v.multiplicative_order() for v in rchar.values]
+    m = lcm(*orders) if orders else 1
+    if place is None:
+        place = place_above(rchar.field.ell, m)
+    assert place.field == rchar.field
+    root = place.root_image(m)
+    exps = []
+    for v in rchar.values:
+        cur = rchar.field.one()
+        for e in range(m):
+            if cur == v:
+                exps.append(e)
+                break
+            cur = cur * root
+        else:
+            raise AssertionError("value is not a power of the chosen root")
+    return DirichletCharacter(rchar.modulus, m, tuple(exps))
+
+
+def twist_eigensystem(sys, j):
+    """The twist by chi_ell^j, j >= 0: a_p -> p^j a_p, diamonds unchanged."""
+    a = {p: sys.field.from_int(pow(p, j, sys.ell)) * v
+         for p, v in sys.a.items()}
+    return Eigensystem(sys.level, sys.weight, sys.ell, sys.field, a,
+                       dict(sys.diamond), sys.multiplicity,
+                       sys.provenance + "*chi^%d" % j, sys.bad_primes)

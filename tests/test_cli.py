@@ -57,6 +57,27 @@ def test_hecke_command_rejects_p_below_one():
         assert "matrix" not in doc
 
 
+def test_hecke_command_rejects_p_not_prime():
+    for p in ("1", "4"):
+        code, doc = run_command(["--no-cache", "hecke", "--level", "11",
+                                 "--weight", "2", "--p", p])
+        assert code == 2, doc
+        assert "matrix" not in doc
+
+
+def test_realize_untruncated_level3_weight12_ell5():
+    # the rigorous bound here is 576: every T_p with p <= 576 at (3, 12)
+    code, doc = run_command(
+        ["--no-cache", "realize", "--level", "3", "--weight", "12", "--ell",
+         "5", "--a", "2=78", "--a", "3=-243"])
+    assert code == 0, doc
+    assert (doc["twist_exponent"], doc["d1"], doc["dH"]) == (1, 1, 1)
+    assert doc["weight2_level"] == 15
+    assert doc["twist_search"]["heuristic"] is False
+    assert doc["match"]["bound"] == 576
+    assert "heuristic" not in doc["match"]
+
+
 def test_realize_command_runs():
     code, doc = run_command(
         ["--no-cache", "realize", "--level", "1", "--weight", "12", "--ell",

@@ -3,7 +3,6 @@ from math import gcd
 import pytest
 
 from modgalrep.dirichlet import (
-    all_characters,
     character_literal,
     conductor,
     DirichletCharacter,
@@ -13,10 +12,11 @@ from modgalrep.dirichlet import (
     parse_character,
     place_above,
     reduce_mod,
-    teichmuller_lift,
     trivial_character,
 )
 from modgalrep.exactalg import euler_phi, unit_group
+
+from helpers import all_characters, teichmuller_lift
 
 
 def test_make_character_trivial():

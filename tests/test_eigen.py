@@ -9,11 +9,12 @@ from modgalrep.eigen import (
     match_twist,
     ReducedSpace,
     reduce_space_mod,
-    twist_eigensystem,
 )
 from modgalrep.exactalg import fq_field, poly_from_ints, unit_group
 from modgalrep.exactalg.gf import poly_divmod
 from modgalrep.modsym import build_space
+
+from helpers import twist_eigensystem
 
 PRIMES50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

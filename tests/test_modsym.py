@@ -23,6 +23,7 @@ from modgalrep.exactalg import (
 from modgalrep.modsym import (
     build_space,
     clear_space_registry,
+    heilbronn_cremona,
     ModularSymbolSpace,
 )
 
@@ -50,6 +51,16 @@ def test_merel_family_inequalities():
 
 def test_merel_family_size_p2():
     assert len(merel_family(2)) == 4
+
+
+def test_heilbronn_cremona_matrices():
+    assert heilbronn_cremona(2).tolist() == [[1, 0, 0, 2], [2, 0, 0, 1],
+                                             [2, 1, 0, 1], [1, 0, 1, 2]]
+    assert len(heilbronn_cremona(47)) == 170
+    assert len(heilbronn_cremona(571)) == 2906
+    for p in primes_up_to(600):
+        a, b, c, d = heilbronn_cremona(p).T
+        assert (a * d - b * c == p).all(), p
 
 
 def test_hecke_matches_merel_family(monkeypatch):
