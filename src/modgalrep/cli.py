@@ -162,7 +162,7 @@ def _build_parser():
     p = sub.add_parser("hecke", help="an integral Hecke matrix")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, required=True, help="a prime")
     p.add_argument("--full", action="store_true",
                    help="full space instead of plus-cuspidal")
 

@@ -281,6 +281,8 @@ class _Ambient:
         # basis through the lifts, which are sparse
         dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
         w = w.astype(dtype, copy=False)
+        # on Python integers, one conversion of the projection serves every
+        # product below
         proj = self._proj.astype(dtype, copy=False)
         ss, xs = np.divmod(key[first], ncos)
         images = np.zeros((nsupp, dim), dtype=dtype)
@@ -297,8 +299,6 @@ class _Ambient:
 
     def hecke_on_basis(self, p):
         """T_p on the lattice basis, a sum over Cremona's Heilbronn matrices."""
-        if not isprime(p):
-            raise ValueError("T_p needs a prime p, got %d" % p)
         mats = heilbronn_cremona(p)
         return self._apply(mats, _monomial_tables(mats, self.weight,
                                                   self._exponents))
@@ -434,7 +434,11 @@ class ModularSymbolSpace:
         return x
 
     def hecke_matrix(self, p):
-        """Integer matrix of T_p on this space's lattice basis."""
+        """Integer matrix of T_p, p prime, on this space's lattice basis."""
+        # checked before the cache, which may hold T_n for composite n from
+        # builds that computed it
+        if not isprime(p):
+            raise ValueError("T_p needs a prime p, got %d" % p)
         return self._operator("T%d" % p, lambda: self.ambient.hecke_on_basis(p))
 
     def diamond_matrix(self, d):

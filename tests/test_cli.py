@@ -57,12 +57,19 @@ def test_hecke_command_rejects_p_below_one():
         assert "matrix" not in doc
 
 
-def test_hecke_command_rejects_p_not_prime():
+def test_hecke_command_rejects_p_not_prime(tmp_path):
     for p in ("1", "4"):
         code, doc = run_command(["--no-cache", "hecke", "--level", "11",
                                  "--weight", "2", "--p", p])
         assert code == 2, doc
         assert "matrix" not in doc
+    # nor is a T_4 that an older build left in the cache served
+    from modgalrep.modsym import build_space
+    cache = MatrixCache(str(tmp_path))
+    cache.store(11, 2, "T4", [[2]], build_space(11, 2).ambient.fingerprint)
+    code, doc = run_command(["--cache-dir", str(tmp_path), "hecke", "--level",
+                             "11", "--weight", "2", "--p", "4", "--full"])
+    assert code == 2, doc
 
 
 def test_realize_untruncated_level3_weight12_ell5():
