@@ -61,7 +61,8 @@ def heilbronn_cremona(p):
                          (1, 0, 1, 2)], dtype=np.int64)
     r = np.arange(-(p // 2), p // 2 + 1, dtype=np.int64)
     a, b = np.full_like(r, -p), r
-    x1, x2, y1, y2 = -a, -r, np.zeros_like(r), np.ones_like(r)
+    x1, x2 = np.full_like(r, p), -r
+    y1, y2 = np.zeros_like(r), np.ones_like(r)
     out = [np.array([(1, 0, 0, p)], dtype=np.int64)]
     while True:
         out.append(np.stack([x1, x2, y1, y2], axis=1))
