@@ -9,7 +9,7 @@ from math import comb, gcd, lcm
 
 from modgalrep.dirichlet import DirichletCharacter, place_above
 from modgalrep.eigen import Eigensystem
-from modgalrep.exactalg import unit_group
+from modgalrep.exactalg import dual_basis, mat_mul, transpose, unit_group
 
 
 def naive_is_irreducible(coeffs, p):
@@ -134,6 +134,23 @@ def merel_family(p):
                     if bc % b == 0:
                         mats.append((a, b, bc // b, d))
     return tuple(mats)
+
+
+def restrict_level_by_level(space, ambient_mat):
+    """An ambient operator restricted to a subspace one step at a time:
+    X = D (T B) from each parent to its child, D the dual basis of the
+    child's basis B in the parent's coordinates."""
+    chain = []
+    while space.parent is not None:
+        chain.append(space)
+        space = space.parent
+    mat = ambient_mat
+    for sub in reversed(chain):
+        if not sub.basis:
+            return []
+        mat = mat_mul(dual_basis(sub.basis, sub.parent.dim),
+                      mat_mul(mat, transpose(sub.basis)))
+    return mat
 
 
 def charpoly_mod(mat, p):

@@ -19,6 +19,7 @@ from modgalrep.exactalg import (
     mat_mul,
     primes_up_to,
     SaturationError,
+    unit_group,
 )
 from modgalrep.modsym import (
     build_space,
@@ -27,7 +28,12 @@ from modgalrep.modsym import (
     ModularSymbolSpace,
 )
 
-from helpers import dim_cusp_forms, merel_family, ramanujan_tau
+from helpers import (
+    dim_cusp_forms,
+    merel_family,
+    ramanujan_tau,
+    restrict_level_by_level,
+)
 
 
 def plus_cuspidal(n, k):
@@ -86,6 +92,33 @@ def test_hecke_matches_merel_family(monkeypatch):
                 (n, k, p)
     for name in ("_monomial_tables", "_apply"):
         assert {d for f, d in picked if f == name} == {np.int64, object}
+
+
+def _restricted_spaces():
+    for n, k in [(11, 2), (1, 12), (6, 12), (12, 8), (35, 2), (40, 2)]:
+        yield plus_cuspidal(n, k)
+    # H = {1, 9} has one generator; H = <6, 11> of order 6 has two, so its
+    # space is a grandchild of the plus space
+    for n, gens in [(40, [9]), (35, [6, 11])]:
+        subgroup = SubgroupH.from_generators(n, gens)
+        assert len(subgroup.generators()) == len(gens)
+        yield plus_cuspidal(n, 2).h_invariant_subspace(subgroup)
+
+
+def test_restriction_matches_level_by_level_oracle():
+    """Every operator of a subspace equals the ambient operator restricted
+    one parent at a time, entry for entry."""
+    for space in _restricted_spaces():
+        ambient = space.ambient
+        for p in primes_up_to(13):
+            assert space.hecke_matrix(p) == restrict_level_by_level(
+                space, ambient.hecke_on_basis(p)), (space, p)
+        if space.level > 2:
+            for d in unit_group(space.level).generators:
+                assert space.diamond_matrix(d) == restrict_level_by_level(
+                    space, ambient.diamond_on_basis(d)), (space, d)
+        assert space.star_matrix() == restrict_level_by_level(
+            space, ambient.star_on_basis()), space
 
 
 def test_restrict_raises_outside_subspace():
