@@ -20,10 +20,13 @@ table of its action on the monomials; the diamond <d> is the one matrix
 kernel works on int64 arrays when a bound from its inputs shows no
 overflow and on Python integers otherwise, in the same code.
 
-Subspaces (cuspidal, plus, H-invariant) are integer kernels, hence
-saturated sublattices B, and each keeps its dual basis D (D B = I), which
-is integral because B is saturated.  An operator T restricts to
-X = D (T B), checked against T B = B X.
+Subspaces (cuspidal, plus, H-invariant) are integer kernels in their
+parent's coordinates, hence saturated sublattices.  Each composes its basis
+into ambient coordinates once, B = B_parent B_local, with the dual basis
+D = D_local D_parent, so D B = I; a composite of saturated bases is
+saturated, so D is integral.  An ambient operator T restricts to any
+subspace in one step, X = D (T B), checked exactly against T B = B X, and
+a space between the two computes the operator only when asked for it.
 """
 
 import hashlib
@@ -361,6 +364,7 @@ class ModularSymbolSpace:
                  plus=False, h_subgroup=None):
         self.ambient = ambient
         self.parent = parent
+        self.root = self if parent is None else parent.root
         self.basis = basis  # list of vectors in parent coordinates
         self.is_cuspidal = cuspidal
         self.is_plus = plus
@@ -387,52 +391,61 @@ class ModularSymbolSpace:
         return self.ambient.torsion
 
     def set_cache(self, cache):
-        if self.parent is None:
-            self._cache = cache
-        else:
-            self.parent.set_cache(cache)
+        self.root._cache = cache
 
     # -- operator matrices --------------------------------------------------
 
-    def _ambient_op(self, label, compute):
+    def _operator(self, label, compute_ambient):
         if label in self._ops:
             return self._ops[label]
-        mat = None
-        if self._cache is not None:
-            mat = self._cache.load(self.level, self.weight, label,
-                                   self.ambient.fingerprint)
-        if mat is None:
-            mat = compute()
+        if self.parent is not None:
+            mat = self._restrict(self.root._operator(label, compute_ambient))
+        else:
+            mat = None
             if self._cache is not None:
-                self._cache.store(self.level, self.weight, label, mat,
-                                  self.ambient.fingerprint)
+                mat = self._cache.load(self.level, self.weight, label,
+                                       self.ambient.fingerprint)
+            if mat is None:
+                mat = compute_ambient()
+                if self._cache is not None:
+                    self._cache.store(self.level, self.weight, label, mat,
+                                      self.ambient.fingerprint)
         self._ops[label] = mat
         return mat
 
-    def _operator(self, label, compute_ambient):
-        if self.parent is None:
-            return self._ambient_op(label, compute_ambient)
-        if label not in self._ops:
-            parent_mat = self.parent._operator(label, compute_ambient)
-            self._ops[label] = self._restrict(parent_mat)
-        return self._ops[label]
-
     @cached_property
-    def _dual(self):
-        # D with D B = I, B the basis as columns; B is saturated, so D is
-        # integral
-        return dual_basis(self.basis, self.parent.dim)
+    def _bases(self):
+        """(B, max |B|, D, max |D|): the basis as columns and its dual basis
+        in ambient coordinates, D B = I.  B = B_parent B_local is saturated,
+        as a composite of saturated bases, so D = D_local D_parent is
+        integral."""
+        b, d = transpose(self.basis), dual_basis(self.basis, self.parent.dim)
+        if self.parent.parent is not None:
+            pb, _, pd, _ = self.parent._bases
+            b, d = mat_mul(pb.tolist(), b), mat_mul(d, pd.tolist())
+        n = self.ambient.dim
+        return _array(b, n, self.dim) + _array(d, self.dim, n)
 
-    def _restrict(self, parent_mat):
-        """X with T B = B X, computed as X = D (T B)."""
+    def _restrict(self, t):
+        """X with T B = B X for an ambient operator T, computed as
+        X = D (T B) through the composed bases.  One bound on the entries of
+        T B, X and B X sets the dtype of all three products."""
         if not self.basis:
             return []
-        b = transpose(self.basis)  # parent.dim x s
-        tb = mat_mul(parent_mat, b)
-        x = mat_mul(self._dual, tb)
-        if mat_mul(b, x) != tb:
+        b, mb, d, md = self._bases
+        n, s = b.shape
+        try:
+            t = np.array(t, dtype=np.int64)
+        except OverflowError:
+            t = np.array(t, dtype=object)
+        mt = _max_entry(t)
+        dtype = exact_dtype(max(mb, md, mt * mb * mb * md * n * n * s))
+        b = b.astype(dtype, copy=False)
+        tb = t.astype(dtype, copy=False) @ b
+        x = d.astype(dtype, copy=False) @ tb
+        if (b @ x != tb).any():
             raise SaturationError("operator does not preserve the subspace")
-        return x
+        return x.tolist()
 
     def hecke_matrix(self, p):
         """Integer matrix of T_p, p prime, on this space's lattice basis."""
@@ -464,22 +477,13 @@ class ModularSymbolSpace:
         basis = kernel_int(mat, self.dim)
         return self._child(basis, **flags)
 
-    def to_ambient(self):
-        """Basis matrix of this space in ambient coordinates (columns)."""
-        if self.parent is None:
-            return None
-        b = transpose(self.basis)
-        up = self.parent.to_ambient()
-        return b if up is None else mat_mul(up, b)
-
     def cuspidal_subspace(self):
         """Kernel of the boundary map, a saturated Hecke-stable sublattice."""
         if self.is_cuspidal:
             raise ValueError("space is already cuspidal")
         bnd = self.ambient.boundary_matrix()
-        up = self.to_ambient()
-        if up is not None:
-            bnd = mat_mul(bnd, up)
+        if self.parent is not None:
+            bnd = mat_mul(bnd, self._bases[0].tolist())
         return self._kernel_space(bnd, cuspidal=True)
 
     def star_plus_subspace(self):
@@ -517,6 +521,17 @@ class ModularSymbolSpace:
         return "ModularSymbolSpace(level %d, weight %d, dim %d%s)" % (
             self.level, self.weight, self.dim,
             ", " + " ".join(tags) if tags else "")
+
+
+def _max_entry(a):
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def _array(rows, nrows, ncols):
+    """An integer matrix (list of rows) as an array of the dtype exact_dtype
+    picks for its entries, and its largest entry."""
+    m = max_abs(rows)
+    return np.array(rows, dtype=exact_dtype(m)).reshape(nrows, ncols), m
 
 
 def _unit_vector(n, j):

@@ -119,6 +119,15 @@ def test_restriction_matches_level_by_level_oracle():
                     space, ambient.diamond_on_basis(d)), (space, d)
         assert space.star_matrix() == restrict_level_by_level(
             space, ambient.star_on_basis()), space
+        b, _, d, _ = space._bases
+        assert (d @ b == np.eye(space.dim, dtype=np.int64)).all(), space
+
+
+def test_restriction_skips_intermediate_spaces():
+    plus = plus_cuspidal(11, 2)
+    plus.hecke_matrix(2)
+    assert "T2" not in plus.parent._ops
+    assert "T2" in plus.root._ops
 
 
 def test_restrict_raises_outside_subspace():
@@ -129,6 +138,15 @@ def test_restrict_raises_outside_subspace():
     with pytest.raises(SaturationError):
         line.hecke_matrix(2)
     empty = ModularSymbolSpace(full.ambient, parent=full, basis=[])
+    assert empty.hecke_matrix(2) == []
+    # the same inside a cuspidal space, a grandchild of the ambient; T_2 is
+    # -2 on all of S_2(Gamma_1(11)), but not on S_2(Gamma_1(23))
+    cusp = build_space(23, 2).cuspidal_subspace()
+    line = ModularSymbolSpace(cusp.ambient, parent=cusp,
+                              basis=[[1] + [0] * (cusp.dim - 1)])
+    with pytest.raises(SaturationError):
+        line.hecke_matrix(2)
+    empty = ModularSymbolSpace(cusp.ambient, parent=cusp, basis=[])
     assert empty.hecke_matrix(2) == []
 
 
