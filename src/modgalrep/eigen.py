@@ -247,7 +247,7 @@ class ReducedSpace:
             self.level, self.weight, self.ell, self.dim)
 
 
-def reduce_space_mod(space, ell, primes, with_diamonds=True):
+def reduce_space_mod(space, ell, primes):
     """Reduce the integral Hecke and diamond matrices of a space mod ell.
 
     Entries are reduced to least non-negative residues; the integral
@@ -259,7 +259,7 @@ def reduce_space_mod(space, ell, primes, with_diamonds=True):
         mat = space.hecke_matrix(p)
         ops["T%d" % p] = [[x % ell for x in row] for row in mat]
     gens = ()
-    if with_diamonds and space.level > 2:
+    if space.level > 2:
         gens = unit_group(space.level).generators
         for d in gens:
             mat = space.diamond_matrix(d)
