@@ -95,9 +95,9 @@ def test_realize_command_runs():
 
 def test_tables_command_matches_reference_exponents():
     code, doc = run_command(
-        ["--no-cache", "tables", "--max-ell", "5", "--truncate-bound", "50"])
+        ["--no-cache", "tables", "--max-ell", "7", "--truncate-bound", "50"])
     assert code == 0, doc
-    reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 5]
+    reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 7]
     assert [row["i"] for row in doc["rows"]] == reference
     assert "warnings" not in doc
 
