@@ -438,7 +438,8 @@ class ModularSymbolSpace:
             t = np.array(t, dtype=np.int64)
         except OverflowError:
             t = np.array(t, dtype=object)
-        mt = _max_entry(t)
+        # not np.abs, which wraps at -2^63
+        mt = max(int(t.max(initial=0)), -int(t.min(initial=0)))
         dtype = exact_dtype(max(mb, md, mt * mb * mb * md * n * n * s))
         b = b.astype(dtype, copy=False)
         tb = t.astype(dtype, copy=False) @ b
@@ -521,10 +522,6 @@ class ModularSymbolSpace:
         return "ModularSymbolSpace(level %d, weight %d, dim %d%s)" % (
             self.level, self.weight, self.dim,
             ", " + " ".join(tags) if tags else "")
-
-
-def _max_entry(a):
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _array(rows, nrows, ncols):
