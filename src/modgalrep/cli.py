@@ -1,4 +1,4 @@
-"""Command-line interface, report emission, and the matrix disk cache.
+"""Command-line interface and report emission.
 
 Exit codes: 0 success, 2 domain errors and 70 internal faults (both with a
 machine-readable error document on stdout), 64 usage errors.  All numeric
@@ -7,11 +7,9 @@ floating point.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import traceback
 
 from .congruence import (
@@ -34,7 +32,7 @@ from .dirichlet import (
 from .eigen import reduce_space_mod, decompose
 from .exactalg.arith import primes_up_to
 from .exactalg.gf import fq_str
-from .modsym import build_space
+from .modsym import MatrixCache, build_space
 from .pipeline import (
     PipelineError,
     TABLE_ROWS,
@@ -49,76 +47,6 @@ from .pipeline import (
 USAGE_ERROR = 64
 DOMAIN_ERROR = 2
 INTERNAL_ERROR = 70  # EX_SOFTWARE
-
-CACHE_FORMAT = "MSYMMAT 2"
-
-
-class MatrixCache:
-    """Persistent store of integral operator matrices.
-
-    Layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, a text format of
-    one header line "MSYMMAT 2 {rows} {cols} {fingerprint}", decimal integer
-    rows, and a trailing SHA256 line over the preceding lines.  The
-    fingerprint identifies the ambient lattice basis the matrix is written
-    in; an entry under another fingerprint is a miss, and the next store
-    overwrites it.  Writes are atomic (temp file + rename); corrupt entries,
-    and entries of another format version, are deleted and recomputed.
-    """
-
-    def __init__(self, root):
-        self.root = os.path.join(root, "msym_v1")
-
-    def _path(self, level, weight, label):
-        return os.path.join(self.root, "L%d_W%d" % (level, weight),
-                            "%s.mat" % label)
-
-    def store(self, level, weight, label, mat, fingerprint):
-        rows = len(mat)
-        cols = len(mat[0]) if mat else 0
-        lines = ["%s %d %d %s" % (CACHE_FORMAT, rows, cols, fingerprint)]
-        lines.extend(" ".join(str(x) for x in row) for row in mat)
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        path = self._path(level, weight, label)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
-            with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(lines))
-                fh.write("\nSHA256 %s\n" % digest)
-            os.replace(tmp, path)
-        except OSError as exc:
-            print("warning: cache write failed: %s" % exc, file=sys.stderr)
-
-    def load(self, level, weight, label, fingerprint):
-        path = self._path(level, weight, label)
-        try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return None
-        try:
-            if not lines or not lines[-1].startswith("SHA256 "):
-                raise ValueError("missing checksum")
-            digest = lines[-1].split()[1]
-            body = lines[:-1]
-            if hashlib.sha256("\n".join(body).encode()).hexdigest() != digest:
-                raise ValueError("checksum mismatch")
-            head = body[0].split()
-            if " ".join(head[:2]) != CACHE_FORMAT:
-                raise ValueError("version mismatch")
-            rows, cols = int(head[2]), int(head[3])
-            if head[4] != fingerprint:
-                return None
-            mat = [[int(x) for x in line.split()] for line in body[1:]]
-            if len(mat) != rows or any(len(r) != cols for r in mat):
-                raise ValueError("shape mismatch")
-            return mat
-        except (ValueError, IndexError):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
 
 
 def default_cache_dir():
@@ -419,9 +347,9 @@ def run_command(argv):
 
 
 def _run(args):
-    cache = None
-    if not args.no_cache:
-        cache = MatrixCache(args.cache_dir or default_cache_dir())
+    # one cache per run; without a directory it keeps the run's spaces only
+    cache = MatrixCache(
+        None if args.no_cache else args.cache_dir or default_cache_dir())
     handlers = {
         "char": lambda: _run_char(args),
         "subgroup": lambda: _run_subgroup(args),

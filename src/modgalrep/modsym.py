@@ -27,9 +27,15 @@ D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
 subspace in one step, X = D (T B), checked exactly against T B = B X, and
 a space between the two computes the operator only when asked for it.
+
+A run keeps its spaces in one MatrixCache, so each (level, weight) has one
+presentation in the run, and nothing outlives it.
 """
 
 import hashlib
+import os
+import sys
+import tempfile
 from functools import cached_property
 from math import comb, gcd
 
@@ -361,7 +367,7 @@ class ModularSymbolSpace:
     """A saturated Hecke-stable sublattice of a Manin symbol quotient."""
 
     def __init__(self, ambient, parent=None, basis=None, cuspidal=False,
-                 plus=False, h_subgroup=None):
+                 plus=False, h_subgroup=None, cache=None):
         self.ambient = ambient
         self.parent = parent
         self.root = self if parent is None else parent.root
@@ -370,7 +376,8 @@ class ModularSymbolSpace:
         self.is_plus = plus
         self.h_subgroup = h_subgroup
         self._ops = {}
-        self._cache = None
+        # the root's operators go to and from the cache's directory, if any
+        self._disk = cache if cache is not None and cache.directory else None
 
     @property
     def level(self):
@@ -390,9 +397,6 @@ class ModularSymbolSpace:
     def torsion(self):
         return self.ambient.torsion
 
-    def set_cache(self, cache):
-        self.root._cache = cache
-
     # -- operator matrices --------------------------------------------------
 
     def _operator(self, label, compute_ambient):
@@ -402,14 +406,14 @@ class ModularSymbolSpace:
             mat = self._restrict(self.root._operator(label, compute_ambient))
         else:
             mat = None
-            if self._cache is not None:
-                mat = self._cache.load(self.level, self.weight, label,
-                                       self.ambient.fingerprint)
+            if self._disk is not None:
+                mat = self._disk.load(self.level, self.weight, label,
+                                      self.ambient.fingerprint)
             if mat is None:
                 mat = compute_ambient()
-                if self._cache is not None:
-                    self._cache.store(self.level, self.weight, label, mat,
-                                      self.ambient.fingerprint)
+                if self._disk is not None:
+                    self._disk.store(self.level, self.weight, label, mat,
+                                     self.ambient.fingerprint)
         self._ops[label] = mat
         return mat
 
@@ -537,23 +541,93 @@ def _unit_vector(n, j):
     return v
 
 
-_AMBIENTS = {}
-
-
 def build_space(level, weight, cache=None):
     """The full weight-k modular symbol space for Gamma_1(level).
 
-    Ambient presentations are shared process-wide, so repeated calls are
-    cheap and operator matrices are computed once per (level, weight).  The
-    space uses the given cache, None for none, until the next call.
+    The cache holds one presentation per (level, weight), so repeated calls
+    with it are cheap and operator matrices are computed once per cache;
+    None means a fresh memory-only cache.
     """
-    key = (level, weight)
-    if key not in _AMBIENTS:
-        _AMBIENTS[key] = ModularSymbolSpace(_Ambient(level, weight))
-    space = _AMBIENTS[key]
-    space.set_cache(cache)
-    return space
+    cache = MatrixCache() if cache is None else cache
+    return cache.recall(("ambient", level, weight), lambda: ModularSymbolSpace(
+        _Ambient(level, weight), cache=cache))
 
 
-def clear_space_registry():
-    _AMBIENTS.clear()
+CACHE_FORMAT = "MSYMMAT 2"
+
+
+class MatrixCache:
+    """A run's spaces and decompositions in memory, and integral operator
+    matrices on disk when it has a directory.
+
+    Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, a text format
+    of one header line "MSYMMAT 2 {rows} {cols} {fingerprint}", decimal
+    integer rows, and a trailing SHA256 line over the preceding lines.  The
+    fingerprint identifies the ambient lattice basis the matrix is written
+    in; an entry under another fingerprint is a miss, and the next store
+    overwrites it.  Writes are atomic (temp file + rename); corrupt entries,
+    and entries of another format version, are deleted and recomputed.
+    """
+
+    def __init__(self, root=None):
+        self.directory = (None if root is None
+                          else os.path.join(root, "msym_v1"))
+        self._memo = {}
+
+    def recall(self, key, compute):
+        """The value kept under key, from compute() the first time."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _path(self, level, weight, label):
+        return os.path.join(self.directory, "L%d_W%d" % (level, weight),
+                            "%s.mat" % label)
+
+    def store(self, level, weight, label, mat, fingerprint):
+        rows = len(mat)
+        cols = len(mat[0]) if mat else 0
+        lines = ["%s %d %d %s" % (CACHE_FORMAT, rows, cols, fingerprint)]
+        lines.extend(" ".join(str(x) for x in row) for row in mat)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        path = self._path(level, weight, label)
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
+            with os.fdopen(fd, "w") as fh:
+                fh.write("\n".join(lines))
+                fh.write("\nSHA256 %s\n" % digest)
+            os.replace(tmp, path)
+        except OSError as exc:
+            print("warning: cache write failed: %s" % exc, file=sys.stderr)
+
+    def load(self, level, weight, label, fingerprint):
+        path = self._path(level, weight, label)
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except OSError:
+            return None
+        try:
+            if not lines or not lines[-1].startswith("SHA256 "):
+                raise ValueError("missing checksum")
+            digest = lines[-1].split()[1]
+            body = lines[:-1]
+            if hashlib.sha256("\n".join(body).encode()).hexdigest() != digest:
+                raise ValueError("checksum mismatch")
+            head = body[0].split()
+            if " ".join(head[:2]) != CACHE_FORMAT:
+                raise ValueError("version mismatch")
+            rows, cols = int(head[2]), int(head[3])
+            if head[4] != fingerprint:
+                return None
+            mat = [[int(x) for x in line.split()] for line in body[1:]]
+            if len(mat) != rows or any(len(r) != cols for r in mat):
+                raise ValueError("shape mismatch")
+            return mat
+        except (ValueError, IndexError):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None

@@ -34,7 +34,7 @@ from .eigen import (
 )
 from .exactalg.arith import divisors, primes_up_to
 from .exactalg.gf import fq_field, poly_from_ints, poly_gcd, poly_monic
-from .modsym import build_space
+from .modsym import MatrixCache, build_space
 
 
 class PipelineError(ValueError):
@@ -62,14 +62,12 @@ class InputForm:
     """A resolved weight-k eigensystem datum at level N mod ell, with the
     bound its values were computed up to."""
 
-    def __init__(self, level, weight, eps, selector, system, heuristic,
-                 bound):
+    def __init__(self, level, weight, eps, selector, system, bound):
         self.level = level
         self.weight = weight
         self.eps = eps
         self.selector = selector
         self.system = system
-        self.heuristic = heuristic
         self.bound = bound
 
     def __repr__(self):
@@ -77,37 +75,34 @@ class InputForm:
             self.level, self.weight, self.system.ell, self.system.digest())
 
 
-_PLUS_CUSPIDAL = {}
-_DECOMPOSED = {}
-
-
 def plus_cuspidal_space(level, weight, cache=None):
-    """Plus-cuspidal modular symbol space, memoized per process; it uses
-    the given cache, None for none, until the next call."""
-    key = (level, weight)
-    if key not in _PLUS_CUSPIDAL:
-        space = build_space(level, weight, cache=cache)
-        _PLUS_CUSPIDAL[key] = space.cuspidal_subspace().star_plus_subspace()
-    _PLUS_CUSPIDAL[key].set_cache(cache)
-    return _PLUS_CUSPIDAL[key]
+    """Plus-cuspidal modular symbol space, built once per cache on the
+    cache's ambient; None means a fresh memory-only cache."""
+    cache = MatrixCache() if cache is None else cache
+    return cache.recall(
+        ("plus", level, weight),
+        lambda: build_space(level, weight, cache=cache)
+        .cuspidal_subspace().star_plus_subspace())
 
 
 def decompose_level(level, weight, ell, bound, cache=None, subgroup=None):
     """Eigensystems of the (H-invariant) plus-cuspidal space mod ell.
 
-    Values are computed for all primes up to the bound; results are
-    memoized on (level, weight, ell, bound, subgroup).
+    Values are computed for all primes up to the bound; results are kept in
+    the cache under (level, weight, ell, bound, subgroup).
     """
-    key = (level, weight, ell, bound,
-           None if subgroup is None else subgroup.elements)
-    if key not in _DECOMPOSED:
+    cache = MatrixCache() if cache is None else cache
+
+    def compute():
         space = plus_cuspidal_space(level, weight, cache)
         if subgroup is not None:
             space = space.h_invariant_subspace(subgroup)
-        primes = [p for p in primes_up_to(bound)]
-        rspace = reduce_space_mod(space, ell, primes)
-        _DECOMPOSED[key] = decompose(rspace, primes)
-    return _DECOMPOSED[key]
+        primes = list(primes_up_to(bound))
+        return decompose(reduce_space_mod(space, ell, primes), primes)
+
+    return cache.recall(("decomposed", level, weight, ell, bound,
+                         None if subgroup is None else subgroup.elements),
+                        compute)
 
 
 def select_input_form(level, weight, ell, selector, eps=None, bound=None,
@@ -154,8 +149,7 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     if len(candidates) > 1:
         raise PipelineError(
             "ambiguous selector: %d systems match" % len(candidates))
-    return InputForm(level, weight, eps, selector, candidates[0], False,
-                     bound)
+    return InputForm(level, weight, eps, selector, candidates[0], bound)
 
 
 def _diamond_matches(sys, eps):
@@ -250,6 +244,7 @@ def find_twist(form, ell, truncate=None, cache=None):
     is searched.  Raises PipelineError when no candidate matches, which
     signals reducibility or an insufficient bound.
     """
+    cache = MatrixCache() if cache is None else cache
     k = form.weight
     n = form.level
     if ell >= k - 1:
@@ -348,6 +343,7 @@ def realize(form, ell, truncate=None, cache=None):
     d_1 >= d_H, and the first matching weight-2 eigensystem along the
     ascending divisor levels.
     """
+    cache = MatrixCache() if cache is None else cache
     n, k = form.level, form.weight
     nprime = n if k == 2 else n * ell
     twist = find_twist(form, ell, truncate=truncate, cache=cache)
@@ -395,6 +391,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
     weight-2 space admits a matching system if and only if H' is contained
     in the kernel subgroup H.  Returns the audit table.
     """
+    cache = MatrixCache() if cache is None else cache
     n, k = form.level, form.weight
     nprime = n if k == 2 else n * ell
     subgroup = h_from_eigenform(form.eps, k, i, ell)

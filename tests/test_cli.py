@@ -132,8 +132,6 @@ def test_main_emits_the_requested_format(capsys):
 
 
 def test_no_cache_run_writes_nothing_after_a_cached_run(tmp_path):
-    from modgalrep.modsym import clear_space_registry
-    clear_space_registry()
     root = str(tmp_path)
 
     def written():
@@ -153,3 +151,22 @@ def test_no_cache_run_writes_nothing_after_a_cached_run(tmp_path):
         code, doc = run_command(["--no-cache"] + args)
         assert code == 0, doc
     assert written() == before
+
+
+def test_cache_without_directory_is_never_asked(monkeypatch):
+    from modgalrep.pipeline import plus_cuspidal_space
+    calls = []
+
+    def spy(name):
+        def method(self, *args):
+            calls.append(name)
+            raise AssertionError("%s on a cache without a directory" % name)
+        return method
+
+    monkeypatch.setattr(MatrixCache, "load", spy("load"))
+    monkeypatch.setattr(MatrixCache, "store", spy("store"))
+    code, doc = run_command(["--no-cache", "hecke", "--level", "11",
+                             "--weight", "2", "--p", "2"])
+    assert code == 0, doc
+    plus_cuspidal_space(11, 2).hecke_matrix(2)
+    assert calls == []

@@ -1,11 +1,13 @@
 import pytest
 
 from modgalrep.dirichlet import make_character, parse_character
+from modgalrep.modsym import build_space, MatrixCache
 from modgalrep.pipeline import (
     find_twist,
     InputForm,
     largest_subgroup_audit,
     PipelineError,
+    plus_cuspidal_space,
     realize,
     select_input_form,
     sl2_index_gamma1,
@@ -165,3 +167,17 @@ def test_audit_trivial_subgroup_always_matches():
     assert audit["consistent"]
     triv = [r for r in audit["rows"] if r["order"] == 1][0]
     assert triv["match"]
+
+
+def test_one_presentation_per_cache():
+    # each cache holds one ambient per (N, k), and the plus-cuspidal space
+    # hangs off it; another cache builds its own, with the same operators
+    first, second = MatrixCache(), MatrixCache()
+    plus = plus_cuspidal_space(11, 2, first)
+    assert plus.root is build_space(11, 2, first)
+    assert plus_cuspidal_space(11, 2, first) is plus
+    other = build_space(11, 2, second)
+    assert plus_cuspidal_space(11, 2, second).root is other
+    assert other is not plus.root
+    assert other.hecke_matrix(2) == plus.root.hecke_matrix(2)
+    assert other.star_matrix() == plus.root.star_matrix()
