@@ -618,6 +618,8 @@ def poly_factor_fq(f):
     field = f[0].field
     if field.ell == 2:
         raise NotImplementedError("even characteristic is not supported")
+    if poly_degree(f) == 1:
+        return [(poly_monic(f), 1)]
     rng = random.Random(0)
     factors = []
     for sq, mult in squarefree_decomposition(f):

@@ -29,7 +29,10 @@ subspace in one step, X = D (T B), checked exactly against T B = B X, and
 a space between the two computes the operator only when asked for it.
 
 A run keeps its spaces in one MatrixCache, so each (level, weight) has one
-presentation in the run, and nothing outlives it.
+presentation in the run, and nothing outlives it.  The root space keeps its
+ambient operators as numpy arrays, which subspaces restrict directly; with
+a directory, the cache writes them to disk as fixed-width binary integers
+and reads them back as arrays, so a warm run parses no decimal text.
 """
 
 import hashlib
@@ -400,55 +403,55 @@ class ModularSymbolSpace:
     # -- operator matrices --------------------------------------------------
 
     def _operator(self, label, compute_ambient):
-        if label in self._ops:
-            return self._ops[label]
-        if self.parent is not None:
-            mat = self._restrict(self.root._operator(label, compute_ambient))
-        else:
+        """The operator on this space's lattice basis, as a list of rows."""
+        if self.parent is None:
+            return self._ambient_operator(label, compute_ambient).tolist()
+        if label not in self._ops:
+            self._ops[label] = self._restrict(
+                self.root._ambient_operator(label, compute_ambient))
+        return self._ops[label]
+
+    def _ambient_operator(self, label, compute_ambient):
+        """An operator of the root as an array, kept in memory: read from
+        the cache's directory, or computed and converted once."""
+        if label not in self._ops:
             mat = None
             if self._disk is not None:
                 mat = self._disk.load(self.level, self.weight, label,
                                       self.ambient.fingerprint)
             if mat is None:
-                mat = compute_ambient()
+                mat = _array(compute_ambient(), self.dim, self.dim)
                 if self._disk is not None:
                     self._disk.store(self.level, self.weight, label, mat,
                                      self.ambient.fingerprint)
-        self._ops[label] = mat
-        return mat
+            self._ops[label] = mat
+        return self._ops[label]
 
     @cached_property
     def _bases(self):
-        """(B, max |B|, D, max |D|): the basis as columns and its dual basis
-        in ambient coordinates, D B = I.  B = B_parent B_local is saturated,
-        as a composite of saturated bases, so D = D_local D_parent is
-        integral."""
+        """(B, (row maxima, column maxima of B), D, column maxima of D): the
+        basis as columns and its dual basis in ambient coordinates, D B = I,
+        with the largest absolute values that bound products with them.
+        B = B_parent B_local is saturated, as a composite of saturated
+        bases, so D = D_local D_parent is integral."""
         b, d = transpose(self.basis), dual_basis(self.basis, self.parent.dim)
         if self.parent.parent is not None:
             pb, _, pd, _ = self.parent._bases
             b, d = mat_mul(pb.tolist(), b), mat_mul(d, pd.tolist())
         n = self.ambient.dim
-        return _array(b, n, self.dim) + _array(d, self.dim, n)
+        b, d = _array(b, n, self.dim), _array(d, self.dim, n)
+        return b, (_abs_max(b, 1), _abs_max(b, 0)), d, _abs_max(d, 0)
 
     def _restrict(self, t):
-        """X with T B = B X for an ambient operator T, computed as
-        X = D (T B) through the composed bases.  One bound on the entries of
-        T B, X and B X sets the dtype of all three products."""
+        """X with T B = B X for an ambient operator T (an array), computed
+        as X = D (T B) through the composed bases.  Each of the three
+        products runs on the dtype a bound from its own inputs allows."""
         if not self.basis:
             return []
-        b, mb, d, md = self._bases
-        n, s = b.shape
-        try:
-            t = np.array(t, dtype=np.int64)
-        except OverflowError:
-            t = np.array(t, dtype=object)
-        # not np.abs, which wraps at -2^63
-        mt = max(int(t.max(initial=0)), -int(t.min(initial=0)))
-        dtype = exact_dtype(max(mb, md, mt * mb * mb * md * n * n * s))
-        b = b.astype(dtype, copy=False)
-        tb = t.astype(dtype, copy=False) @ b
-        x = d.astype(dtype, copy=False) @ tb
-        if (b @ x != tb).any():
+        b, (b_rows, b_cols), d, d_cols = self._bases
+        tb = _product(t, _abs_max(t, 0), b, b_rows)
+        x = _product(d, d_cols, tb, _abs_max(tb, 1))
+        if (_product(b, b_cols, x, _abs_max(x, 1)) != tb).any():
             raise SaturationError("operator does not preserve the subspace")
         return x.tolist()
 
@@ -529,10 +532,33 @@ class ModularSymbolSpace:
 
 
 def _array(rows, nrows, ncols):
-    """An integer matrix (list of rows) as an array of the dtype exact_dtype
-    picks for its entries, and its largest entry."""
-    m = max_abs(rows)
-    return np.array(rows, dtype=exact_dtype(m)).reshape(nrows, ncols), m
+    """An integer matrix (list of rows) as an int64 array, or on Python
+    integers where int64 cannot hold an entry."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    return a.reshape(nrows, ncols)
+
+
+def _abs_max(a, axis):
+    """The largest absolute values of an integer array along axis (0: of
+    each column, 1: of each row), as Python integers in an object array."""
+    a = np.abs(a)
+    if a.dtype != object:
+        # np.abs leaves -2^63 as it is, which reads as 2^63 in uint64
+        a = a.view(np.uint64)
+    return a.max(axis, initial=0).astype(object)
+
+
+def _product(a, a_cols, b, b_rows):
+    """a @ b for integer arrays, given the largest absolute value in each
+    column of a and in each row of b.  Every partial sum of an entry is at
+    most a_cols . b_rows, so that bound and the inputs' own entries set the
+    dtype."""
+    dtype = exact_dtype(max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
+                            b_rows.max(initial=0)))
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def _unit_vector(n, j):
@@ -553,16 +579,20 @@ def build_space(level, weight, cache=None):
         _Ambient(level, weight), cache=cache))
 
 
-CACHE_FORMAT = "MSYMMAT 2"
+CACHE_FORMAT = "MSYMMAT 3"
 
 
 class MatrixCache:
     """A run's spaces and decompositions in memory, and integral operator
     matrices on disk when it has a directory.
 
-    Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, a text format
-    of one header line "MSYMMAT 2 {rows} {cols} {fingerprint}", decimal
-    integer rows, and a trailing SHA256 line over the preceding lines.  The
+    Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, in binary:
+    one ASCII header line "MSYMMAT 3 {rows} {cols} {width} {fingerprint}",
+    the entries row by row as little-endian two's-complement integers of
+    width bytes each, and the 32-byte SHA-256 digest of everything before
+    it.  The width is the smallest of 1, 2, 4 and 8 that holds every entry;
+    a matrix beyond int64 takes as many bytes as its largest entry needs.
+    load returns an array, int64 or, past int64, Python integers.  The
     fingerprint identifies the ambient lattice basis the matrix is written
     in; an entry under another fingerprint is a miss, and the next store
     overwrites it.  Writes are atomic (temp file + rename); corrupt entries,
@@ -585,18 +615,18 @@ class MatrixCache:
                             "%s.mat" % label)
 
     def store(self, level, weight, label, mat, fingerprint):
-        rows = len(mat)
-        cols = len(mat[0]) if mat else 0
-        lines = ["%s %d %d %s" % (CACHE_FORMAT, rows, cols, fingerprint)]
-        lines.extend(" ".join(str(x) for x in row) for row in mat)
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        """Write an integer array (int64 or Python integers)."""
+        rows, cols = mat.shape
+        width, entries = _encode(mat)
+        data = ("%s %d %d %d %s\n" % (CACHE_FORMAT, rows, cols, width,
+                                       fingerprint)).encode() + entries
         path = self._path(level, weight, label)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
-            with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(lines))
-                fh.write("\nSHA256 %s\n" % digest)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+                fh.write(hashlib.sha256(data).digest())
             os.replace(tmp, path)
         except OSError as exc:
             print("warning: cache write failed: %s" % exc, file=sys.stderr)
@@ -604,30 +634,48 @@ class MatrixCache:
     def load(self, level, weight, label, fingerprint):
         path = self._path(level, weight, label)
         try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError:
             return None
         try:
-            if not lines or not lines[-1].startswith("SHA256 "):
-                raise ValueError("missing checksum")
-            digest = lines[-1].split()[1]
-            body = lines[:-1]
-            if hashlib.sha256("\n".join(body).encode()).hexdigest() != digest:
+            if hashlib.sha256(data[:-32]).digest() != data[-32:]:
                 raise ValueError("checksum mismatch")
-            head = body[0].split()
+            head, _, entries = data[:-32].partition(b"\n")
+            head = head.decode("ascii").split()
             if " ".join(head[:2]) != CACHE_FORMAT:
                 raise ValueError("version mismatch")
-            rows, cols = int(head[2]), int(head[3])
-            if head[4] != fingerprint:
+            rows, cols, width = int(head[2]), int(head[3]), int(head[4])
+            if head[5] != fingerprint:
                 return None
-            mat = [[int(x) for x in line.split()] for line in body[1:]]
-            if len(mat) != rows or any(len(r) != cols for r in mat):
+            if len(entries) != rows * cols * width:
                 raise ValueError("shape mismatch")
-            return mat
+            return _decode(entries, width).reshape(rows, cols)
         except (ValueError, IndexError):
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return None
+
+
+def _encode(mat):
+    """(width, bytes) of an integer array's entries, row by row, as
+    little-endian two's complement: numpy casts them while they fit int64,
+    and only a matrix beyond int64 is written entry by entry."""
+    lo, hi = int(mat.min(initial=0)), int(mat.max(initial=0))
+    size = (max(hi.bit_length(), (~lo).bit_length()) + 8) // 8
+    if size > 8:
+        return size, b"".join(int(x).to_bytes(size, "little", signed=True)
+                              for x in mat.flat)
+    width = next(w for w in (1, 2, 4, 8) if w >= size)
+    return width, mat.astype("<i%d" % width).tobytes()
+
+
+def _decode(entries, width):
+    """The flat array of entries _encode wrote at this width."""
+    if width in (1, 2, 4, 8):
+        return np.frombuffer(entries, dtype="<i%d" % width).astype(np.int64)
+    return np.array([int.from_bytes(entries[i:i + width], "little",
+                                    signed=True)
+                     for i in range(0, len(entries), width)], dtype=object)

@@ -2,7 +2,11 @@ import json
 import os
 from hashlib import sha256
 
+import numpy as np
+import pytest
+
 from modgalrep.cli import MatrixCache, run_command
+from modgalrep.modsym import _array
 from modgalrep.pipeline import TABLE_ROWS
 
 MAT = [[1, -2, 3], [40000000000000000000000, 0, -5]]
@@ -11,42 +15,109 @@ MAT = [[1, -2, 3], [40000000000000000000000, 0, -5]]
 def test_cache_round_trip(tmp_path):
     cache = MatrixCache(str(tmp_path))
     assert cache.load(6, 12, "T5", "fp") is None
-    cache.store(6, 12, "T5", MAT, "fp")
-    assert cache.load(6, 12, "T5", "fp") == MAT
+    cache.store(6, 12, "T5", _array(MAT, 2, 3), "fp")
+    assert cache.load(6, 12, "T5", "fp").tolist() == MAT
     assert cache.load(6, 12, "T7", "fp") is None
 
 
-def test_cache_deletes_corrupt_entry(tmp_path):
+@pytest.mark.parametrize("value, width", [
+    (0, 1), (127, 1), (-128, 1), (128, 2), (-129, 2), (-127, 1),
+    (32767, 2), (-32768, 2), (32768, 4), (-32769, 4), (-32767, 2),
+    (2 ** 31, 8), (-2 ** 31, 4), (2 ** 31 - 1, 4), (-2 ** 31 - 1, 8),
+    (2 ** 63 - 1, 8), (-2 ** 63, 8), (2 ** 63, 9), (-2 ** 63 - 1, 9),
+    (4 * 10 ** 22, 10), (-4 * 10 ** 22, 10),
+])
+def test_cache_round_trip_at_every_width(tmp_path, value, width):
     cache = MatrixCache(str(tmp_path))
-    cache.store(6, 12, "T5", MAT, "fp")
+    rows = [[value, -1, 0], [1, 0, value]]
+    cache.store(6, 12, "T5", _array(rows, 2, 3), "fp")
+    with open(cache._path(6, 12, "T5"), "rb") as fh:
+        head = fh.readline().split()
+    assert head[:2] == [b"MSYMMAT", b"3"] and int(head[4]) == width
+    mat = cache.load(6, 12, "T5", "fp")
+    assert mat.shape == (2, 3) and mat.tolist() == rows
+    assert mat.dtype == (np.int64 if width <= 8 else object)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+def test_cache_round_trip_of_an_empty_matrix(tmp_path, shape):
+    cache = MatrixCache(str(tmp_path))
+    cache.store(6, 12, "T5", np.zeros(shape, dtype=np.int64), "fp")
+    mat = cache.load(6, 12, "T5", "fp")
+    assert mat.shape == shape and mat.dtype == np.int64
+
+
+def _damage_and_load(tmp_path, damage):
+    cache = MatrixCache(str(tmp_path))
+    cache.store(6, 12, "T5", _array(MAT, 2, 3), "fp")
     path = cache._path(6, 12, "T5")
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(text.replace("-2", "-3"))
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    with open(path, "wb") as fh:
+        fh.write(damage(data))
     assert cache.load(6, 12, "T5", "fp") is None
     assert not os.path.exists(path)
 
 
+def test_cache_deletes_corrupt_entry(tmp_path):
+    # one entry byte flipped: the -2 of the first row becomes another value
+    def flip(data):
+        data[data.index(b"\n") + 1 + 10] ^= 1
+        return data
+    _damage_and_load(tmp_path, flip)
+
+
+def test_cache_deletes_truncated_entry(tmp_path):
+    _damage_and_load(tmp_path, lambda data: data[:-40])
+
+
 def test_cache_ignores_entry_of_another_presentation(tmp_path):
     cache = MatrixCache(str(tmp_path))
-    cache.store(6, 12, "T5", MAT, "old")
+    cache.store(6, 12, "T5", _array(MAT, 2, 3), "old")
     assert cache.load(6, 12, "T5", "new") is None
-    assert cache.load(6, 12, "T5", "old") == MAT
-    cache.store(6, 12, "T5", [[7]], "new")
-    assert cache.load(6, 12, "T5", "new") == [[7]]
+    assert cache.load(6, 12, "T5", "old").tolist() == MAT
+    cache.store(6, 12, "T5", _array([[7]], 1, 1), "new")
+    assert cache.load(6, 12, "T5", "new").tolist() == [[7]]
     assert cache.load(6, 12, "T5", "old") is None
+
+
+def _write_text_entry(path, body):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("%s\nSHA256 %s\n" % (body, sha256(body.encode()).hexdigest()))
 
 
 def test_cache_drops_entry_of_an_older_format(tmp_path):
     cache = MatrixCache(str(tmp_path))
     path = cache._path(6, 12, "T5")
-    os.makedirs(os.path.dirname(path))
-    body = "MSYMMAT 1 1 1\n7"
-    with open(path, "w") as fh:
-        fh.write("%s\nSHA256 %s\n" % (body, sha256(body.encode()).hexdigest()))
+    _write_text_entry(path, "MSYMMAT 1 1 1\n7")
     assert cache.load(6, 12, "T5", "fp") is None
     assert not os.path.exists(path)
+
+
+def test_cache_recomputes_a_decimal_text_entry_once(tmp_path, monkeypatch):
+    from modgalrep import modsym
+    space = modsym.build_space(11, 2, MatrixCache(str(tmp_path)))
+    t2 = modsym.build_space(11, 2).hecke_matrix(2)
+    # the decimal text format that preceded the binary one, with T_2 + 1
+    path = space._disk._path(11, 2, "T2")
+    _write_text_entry(path, "\n".join(
+        ["MSYMMAT 2 %d %d %s" % (space.dim, space.dim,
+                                 space.ambient.fingerprint)]
+        + [" ".join(str(x + 1) for x in row) for row in t2]))
+    calls = []
+    apply = modsym._Ambient._apply
+
+    def counted(self, *args):
+        calls.append(1)
+        return apply(self, *args)
+
+    monkeypatch.setattr(modsym._Ambient, "_apply", counted)
+    assert space.hecke_matrix(2) == t2 and len(calls) == 1
+    fresh = modsym.build_space(11, 2, MatrixCache(str(tmp_path)))
+    assert fresh.hecke_matrix(2) == t2 and len(calls) == 1
+    with open(path, "rb") as fh:
+        assert fh.readline().startswith(b"MSYMMAT 3 ")
 
 
 def test_hecke_command_rejects_p_below_one():
@@ -66,7 +137,8 @@ def test_hecke_command_rejects_p_not_prime(tmp_path):
     # nor is a T_4 that an older build left in the cache served
     from modgalrep.modsym import build_space
     cache = MatrixCache(str(tmp_path))
-    cache.store(11, 2, "T4", [[2]], build_space(11, 2).ambient.fingerprint)
+    cache.store(11, 2, "T4", np.array([[2]]),
+                build_space(11, 2).ambient.fingerprint)
     code, doc = run_command(["--cache-dir", str(tmp_path), "hecke", "--level",
                              "11", "--weight", "2", "--p", "4", "--full"])
     assert code == 2, doc
@@ -170,3 +242,21 @@ def test_cache_without_directory_is_never_asked(monkeypatch):
     assert code == 0, doc
     plus_cuspidal_space(11, 2).hecke_matrix(2)
     assert calls == []
+
+
+def test_warm_realize_reads_every_operator_from_the_cache(tmp_path, capsys,
+                                                          monkeypatch):
+    from modgalrep import modsym
+    from modgalrep.cli import main
+    argv = ["--cache-dir", str(tmp_path), "realize", "--level", "3",
+            "--weight", "12", "--ell", "5", "--a", "2=78", "--a", "3=-243",
+            "--truncate-bound", "50"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+
+    def no_apply(self, *args):
+        raise AssertionError("an ambient operator was computed on a warm run")
+
+    monkeypatch.setattr(modsym._Ambient, "_apply", no_apply)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold

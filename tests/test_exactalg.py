@@ -149,6 +149,18 @@ def test_factor_spec_examples():
         [([1, 1], 5), ([4, 1], 5)]
 
 
+def test_factor_linear_polynomial_is_itself():
+    rng = random.Random(3)
+    for ell, r in [(5, 1), (13, 1), (7, 3)]:
+        F = fq_field(ell, r)
+        for _ in range(10):
+            b = F.from_encoding(rng.randrange(F.order))
+            a = F.from_encoding(rng.randrange(1, F.order))
+            facs = poly_factor_fq([b, a])
+            assert facs == [([b * a.inverse(), F.one()], 1)]
+            assert poly_mul([a], facs[0][0]) == [b, a]
+
+
 def test_factor_roundtrip_random():
     rng = random.Random(7)
     for ell, r in [(5, 1), (7, 1), (13, 2), (5, 2)]:

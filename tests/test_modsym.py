@@ -149,6 +149,37 @@ def test_restrict_raises_outside_subspace():
     assert empty.hecke_matrix(2) == []
 
 
+def _restriction_dtypes(monkeypatch, space, p):
+    """The dtypes exact_dtype picks while space restricts the root's T_p."""
+    space.root.hecke_matrix(p)
+    picked = []
+
+    def spy(bound):
+        picked.append(exact_dtype(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(modsym, "exact_dtype", spy)
+    space.hecke_matrix(p)
+    monkeypatch.undo()
+    return picked
+
+
+def test_restriction_dtype_follows_each_product(monkeypatch):
+    # T_5 on plus-cuspidal S_12(Gamma_1(6)): an a-priori bound over all three
+    # products is 2^88, but T B, X and B X all fit int64
+    assert _restriction_dtypes(monkeypatch, plus_cuspidal(6, 12),
+                               5) == [np.int64] * 3
+
+
+def test_restriction_on_python_integers(monkeypatch):
+    cusp = build_space(23, 2).cuspidal_subspace()
+    x = cusp.hecke_matrix(2)
+    t = cusp.root._ambient_operator("T2", None)
+    big = cusp._restrict(t.astype(object) * 2 ** 62)
+    assert big == [[2 ** 62 * v for v in row] for row in x]
+    assert any(v >= 2 ** 63 for row in big for v in map(abs, row))
+
+
 def test_odd_weight_rejected():
     with pytest.raises(ValueError):
         build_space(3, 5)
