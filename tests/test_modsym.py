@@ -149,9 +149,11 @@ def test_restrict_raises_outside_subspace():
     assert empty.hecke_matrix(2) == []
 
 
-def _restriction_dtypes(monkeypatch, space, p):
-    """The dtypes exact_dtype picks while space restricts the root's T_p."""
-    space.root.hecke_matrix(p)
+def test_restriction_dtype_follows_each_product(monkeypatch):
+    # T_5 on plus-cuspidal S_12(Gamma_1(6)): an a-priori bound over all three
+    # products is 2^88, but T B, X and B X all fit int64
+    plus = plus_cuspidal(6, 12)
+    plus.root.hecke_matrix(5)
     picked = []
 
     def spy(bound):
@@ -159,19 +161,11 @@ def _restriction_dtypes(monkeypatch, space, p):
         return picked[-1]
 
     monkeypatch.setattr(modsym, "exact_dtype", spy)
-    space.hecke_matrix(p)
-    monkeypatch.undo()
-    return picked
+    plus.hecke_matrix(5)
+    assert picked == [np.int64] * 3
 
 
-def test_restriction_dtype_follows_each_product(monkeypatch):
-    # T_5 on plus-cuspidal S_12(Gamma_1(6)): an a-priori bound over all three
-    # products is 2^88, but T B, X and B X all fit int64
-    assert _restriction_dtypes(monkeypatch, plus_cuspidal(6, 12),
-                               5) == [np.int64] * 3
-
-
-def test_restriction_on_python_integers(monkeypatch):
+def test_restriction_on_python_integers():
     cusp = build_space(23, 2).cuspidal_subspace()
     x = cusp.hecke_matrix(2)
     t = cusp.root._ambient_operator("T2", None)
