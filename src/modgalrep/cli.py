@@ -273,7 +273,7 @@ def _select_form(level, weight, ell, selector, eps, truncate, cache):
     the weight-2 bound at level N' = N*ell (N at weight 2)."""
     nprime = level if weight == 2 else level * ell
     bound = sturm_bound(nprime, ell, weight, 2)
-    if truncate:
+    if truncate is not None:
         bound = min(bound, truncate)
     return select_input_form(level, weight, ell, selector, eps=eps,
                              bound=bound, cache=cache)

@@ -100,12 +100,12 @@ def trivial_subgroup(n):
     return SubgroupH(n, [1 % n])
 
 
-def h_from_eigenform(eps, k, i, ell, place=None):
+def h_from_eigenform(eps, k, i, ell):
     """Kernel subgroup attached to an eigenform datum.
 
     For weight k > 2 this is the set of units x modulo N' = N*ell with
-    eps(x) * x^(k-2-2i) = 1 at the place; for k = 2 it is the kernel of
-    the reduction of eps, at N' = N.
+    eps(x) * x^(k-2-2i) = 1 at the canonical place above ell; for k = 2 it
+    is the kernel of the reduction of eps, at N' = N.
     """
     n = eps.modulus
     if ell >= 5 and n % ell == 0:
@@ -119,8 +119,7 @@ def h_from_eigenform(eps, k, i, ell, place=None):
         nprime = n * ell
         e = k - 2 - 2 * i
     eps_ind = induce(eps, nprime)
-    if place is None:
-        place = place_above(ell, eps_ind.zeta_order)
+    place = place_above(ell, eps_ind.zeta_order)
     field = place.field
     one = field.one()
     elems = []
@@ -240,13 +239,13 @@ def gamma0_criterion(ell, k, i):
     return (k - 2 - 2 * i) % (ell - 1) == 0
 
 
-def intermediate_subgroups(n, limit=200):
+def intermediate_subgroups(n):
     """All subgroups of (Z/nZ)*, i.e. all groups between Gamma_1 and Gamma_0.
 
     Breadth-first closure over one-element extensions; deterministic order
-    (sorted by size then elements).  Refuses n beyond the given limit.
+    (sorted by size then elements).  Refuses n beyond 200.
     """
-    if n > limit:
+    if n > 200:
         raise ValueError("level %d too large for exhaustive enumeration" % n)
     units = unit_group(n).elements()
     found = {trivial_subgroup(n).elements: trivial_subgroup(n)}

@@ -18,7 +18,7 @@ a system times the degree of its value field, summed over representatives,
 is the dimension of the input space.  Values at primes dividing the level
 or ell are recorded when the operator has a single eigenvalue on the
 system's generalized eigenspace, and flagged; they never split blocks and
-never enter match verdicts unless explicitly requested.
+never enter match verdicts.
 """
 
 from math import lcm
@@ -333,16 +333,15 @@ class Eigensystem:
             self.multiplicity, self.digest())
 
 
-def decompose(rspace, primes=None):
+def decompose(rspace, primes):
     """Simultaneous generalized-eigenspace decomposition mod ell.
 
-    Returns one Eigensystem per Frobenius orbit, sorted by field degree and
-    value encodings; sum of multiplicity * [field : F_ell] over the output
-    equals the dimension of the input space.
+    Uses T_p for the given primes p (each must be among rspace.ops) and
+    the diamond operators.  Returns one Eigensystem per Frobenius orbit,
+    sorted by field degree and value encodings; sum of multiplicity *
+    [field : F_ell] over the output equals the dimension of the input space.
     """
     ell = rspace.ell
-    if primes is None:
-        primes = sorted(int(lbl[1:]) for lbl in rspace.ops if lbl[0] == "T")
     n = rspace.dim
     if n == 0:
         return []
@@ -530,14 +529,13 @@ class MatchReport:
         return doc
 
 
-def match_twist(sys_f, sys_g, i, bound, include_bad_primes=False,
-                heuristic=False):
+def match_twist(sys_f, sys_g, i, bound, heuristic=False):
     """Test a_p(f) = p^i a_p(g) for all good primes up to the bound.
 
     All embeddings of the two value fields into their compositum are tried;
-    the verdict is true if one embedding matches at every checked prime.
-    Primes dividing either level or ell are skipped (recorded) unless
-    include_bad_primes is set.  When the systems share level and diamond
+    the verdict is true if one embedding matches at every checked prime,
+    and at least one prime is checked.  Primes dividing either level or
+    ell are skipped (recorded).  When the systems share level and diamond
     character the weight congruence k = k' + 2i (mod ell-1) is reported;
     otherwise the diamond values are tested against the determinant
     relation eps_g = eps_f * chi^(k_f - k_g - 2i).
@@ -552,21 +550,18 @@ def match_twist(sys_f, sys_g, i, bound, include_bad_primes=False,
     primes = [p for p in primes_up_to(bound) if p <= bound]
     checked, skipped = [], []
     for p in primes:
-        bad = (sys_f.level * sys_g.level * ell) % p == 0
-        if bad and not include_bad_primes:
+        if (sys_f.level * sys_g.level * ell) % p == 0:
             skipped.append(p)
             continue
         if p not in sys_f.a or p not in sys_g.a:
-            if bad:
-                skipped.append(p)
-                continue
             raise AssertionError(
                 "eigensystem values missing at prime %d" % p)
         checked.append(p)
     best_fail, best_progress, best_j = None, -1, None
     verdict = False
     embedding = None
-    for j in range(sys_g.field.r):
+    # with no prime checked there is no evidence, so no embedding is tried
+    for j in range(sys_g.field.r if checked else 0):
         ok = True
         progress = 0
         fail = None

@@ -6,10 +6,16 @@ lexicographically least monic irreducible polynomial of degree r over F_l,
 comparing coefficient vectors low degree first, so fields are reproducible
 across runs and machines.
 
-Polynomials over a field are plain lists of FqElem, lowest degree first.
+There is one polynomial type: a plain list of FqElem, lowest degree first.
 Factorization is squarefree decomposition, then distinct-degree splitting,
 then equal-degree splitting with a pseudo-random source seeded to 0, so
-factor lists come out in a fixed order.
+factor lists come out in a fixed order.  The modulus search runs the same
+distinct-degree split over F_l: a candidate of degree r is irreducible
+exactly when its least-degree factor has degree r.
+
+`FqElem.inverse` alone works on coefficient lists of ints: it runs extended
+Euclid against the modulus, which is several times faster per element than
+Fermat inversion through the field's own multiplication.
 """
 
 import itertools
@@ -17,98 +23,6 @@ import random
 from functools import lru_cache
 
 from sympy import factorint, isprime
-
-
-# ---------------------------------------------------------------------------
-# polynomials over the prime field, as int lists (used for modulus search)
-
-def _zpoly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zpoly_mulmod(f, g, mod, p):
-    deg = len(mod) - 1
-    prod = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                prod[i + j] = (prod[i + j] + a * b) % p
-    for i in range(len(prod) - 1, deg - 1, -1):
-        c = prod[i]
-        if c:
-            for j in range(deg + 1):
-                prod[i - deg + j] = (prod[i - deg + j] - c * mod[j]) % p
-        prod.pop()
-    return _zpoly_trim(prod)
-
-
-def _zpoly_powmod_x(e, mod, p):
-    # x^e mod (mod), coefficients mod p
-    result = [1]
-    base = [0, 1]
-    if len(mod) == 2:
-        base = [(-mod[0]) % p]
-    while e:
-        if e & 1:
-            result = _zpoly_mulmod(result, base, mod, p)
-        base = _zpoly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _zpoly_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        g = [c * inv % p for c in g]
-        deg_f, deg_g = len(f) - 1, len(g) - 1
-        while deg_f >= deg_g and f:
-            c = f[-1]
-            if c:
-                for j in range(deg_g + 1):
-                    f[deg_f - deg_g + j] = (f[deg_f - deg_g + j] - c * g[j]) % p
-            f.pop()
-            _zpoly_trim(f)
-            deg_f = len(f) - 1
-        f, g = g, f
-    return f
-
-
-def _is_irreducible_zpoly(f, p):
-    # f monic over F_p; Rabin test: x^(p^r) = x mod f and
-    # gcd(x^(p^(r/t)) - x, f) = 1 for prime t | r.
-    r = len(f) - 1
-    if r == 0:
-        return False
-    if r == 1:
-        return True
-    if f[0] == 0:
-        return False
-    if _zpoly_powmod_x(p ** r, f, p) != [0, 1]:
-        return False
-    for t in factorint(r):
-        h = list(_zpoly_powmod_x(p ** (r // t), f, p))
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        _zpoly_trim(h)
-        if not h or len(_zpoly_gcd(f, h, p)) != 1:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _canonical_modulus(ell, r):
-    if r == 1:
-        return (0, 1)
-    # x divides every candidate with constant term 0, so start at 1
-    for tail in itertools.product(range(1, ell), *[range(ell)] * (r - 1)):
-        f = list(tail) + [1]
-        if _is_irreducible_zpoly(f, ell):
-            return tuple(f)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +92,6 @@ class FqField:
             coeffs.append(c)
         return FqElem(self, tuple(coeffs))
 
-    def elements(self):
-        """Iterate over all elements in encoding order (small fields only)."""
-        for code in range(self.order):
-            yield self.from_encoding(code)
-
     def card_factors(self):
         """Factorization of the multiplicative group order ell^r - 1."""
         if self._card_factors is None:
@@ -220,6 +129,20 @@ class FqField:
 
 
 @lru_cache(maxsize=None)
+def _canonical_modulus(ell, r):
+    if r == 1:
+        return (0, 1)
+    prime_field = fq_field(ell, 1)
+    # x divides every candidate with constant term 0, so start at 1; the
+    # least-degree factor comes first, so degree r means irreducible
+    for tail in itertools.product(range(1, ell), *[range(ell)] * (r - 1)):
+        f = tail + (1,)
+        if _distinct_degree(poly_from_ints(prime_field, f))[0][1] == r:
+            return f
+    raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+@lru_cache(maxsize=None)
 def fq_field(ell, r):
     """Canonical field with ell^r elements; same (ell, r) gives one object."""
     if ell < 2 or not isprime(ell):
@@ -227,6 +150,12 @@ def fq_field(ell, r):
     if r < 1:
         raise ValueError("degree must be positive")
     return FqField(ell, r, _canonical_modulus(ell, r))
+
+
+def _trim_ints(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
 class FqElem:
@@ -299,7 +228,7 @@ class FqElem:
             return FqElem(f, (pow(self.coeffs[0], -1, f.ell),))
         # extended Euclid on residue polynomial and the modulus
         ell = f.ell
-        a = _zpoly_trim(list(self.coeffs))
+        a = _trim_ints(list(self.coeffs))
         if not a:
             raise ZeroDivisionError("inverse of zero")
         b = list(f.modulus)
@@ -317,7 +246,7 @@ class FqElem:
                 for j in range(len(b)):
                     rem[shift + j] = (rem[shift + j] - c * b[j]) % ell
                 rem.pop()
-                _zpoly_trim(rem)
+                _trim_ints(rem)
             # s0 - q*s1
             qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
             for i, qi in enumerate(q):
@@ -326,7 +255,7 @@ class FqElem:
                         qs1[i + j] = (qs1[i + j] + qi * sj) % ell
             new_s = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % ell
                      for i in range(max(len(s0), len(qs1), 1))]
-            _zpoly_trim(new_s)
+            _trim_ints(new_s)
             a, b = b, rem
             s0, s1 = s1, new_s
         # a is now gcd (degree 0 since modulus irreducible)
@@ -557,7 +486,9 @@ def squarefree_decomposition(f):
 
 
 def _distinct_degree(f):
-    # f monic squarefree; yield (product of degree-d irreducibles, d)
+    # f monic squarefree; list (product of degree-d irreducibles, d) by
+    # rising d.  For any monic f, the first d is the least degree of an
+    # irreducible factor, which the modulus search relies on.
     field = f[0].field
     q = field.order
     out = []

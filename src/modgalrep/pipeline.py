@@ -227,7 +227,7 @@ def _match_bound(form, rigorous, truncate, warnings):
     """The bound to match the form at, and whether it is below the rigorous
     one: the rigorous bound, cut to the truncation and to the form's own
     bound.  A cut at the form's bound adds a warning."""
-    bound = min(rigorous, truncate) if truncate else rigorous
+    bound = rigorous if truncate is None else min(rigorous, truncate)
     if form.bound < bound:
         bound = form.bound
         note = "the input form has values only up to %d" % bound
@@ -383,8 +383,7 @@ def realize(form, ell, truncate=None, cache=None):
         "no weight-2 match at any divisor level of %d" % mprime)
 
 
-def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
-                           limit=200):
+def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     """Check that a weight-2 match exists exactly on subgroups inside H.
 
     For every subgroup H' of the units at level N', the H'-invariant
@@ -399,7 +398,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None,
     bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k, 2),
                                     truncate, warnings)
     rows = []
-    for hp in intermediate_subgroups(nprime, limit=limit):
+    for hp in intermediate_subgroups(nprime):
         systems = decompose_level(nprime, 2, ell, bound, cache, subgroup=hp)
         matched = False
         for f2 in systems:

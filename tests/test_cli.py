@@ -196,6 +196,28 @@ def test_domain_error_exits_2():
     assert "ell" in doc["error"]
 
 
+@pytest.mark.parametrize("level, truncate", [(6, 3), (3, 1), (3, 0)])
+def test_realize_with_no_good_prime_below_the_truncation_fails(
+        monkeypatch, level, truncate):
+    # every prime up to the bound divides N*ell, or there is none; a bound
+    # of 0 is taken as given, not as the untruncated one
+    from modgalrep import pipeline
+    bounds = []
+    decompose_level = pipeline.decompose_level
+
+    def spy(level, weight, ell, bound, *args, **kwargs):
+        bounds.append(bound)
+        return decompose_level(level, weight, ell, bound, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "decompose_level", spy)
+    code, doc = run_command(
+        ["--no-cache", "realize", "--level", str(level), "--weight", "12",
+         "--ell", "5", "--index", "0", "--truncate-bound", str(truncate)])
+    assert code == 2
+    assert "twist search exhausted" in doc["error"]
+    assert bounds and max(bounds) == truncate
+
+
 def test_main_emits_the_requested_format(capsys):
     from modgalrep.cli import main
     assert main(["--format", "tsv", "char", "--char", "triv:5"]) == 0

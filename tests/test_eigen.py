@@ -157,6 +157,18 @@ def test_match_delta_level11():
     assert 11 in r0.primes_skipped
 
 
+def test_match_without_a_checked_prime_is_no_verdict():
+    s = systems_of(15, 2, 5)[0]
+    rep = match_twist(s, s, 0, 1)
+    assert rep.primes_checked == [] and not rep.verdict
+    # at level 6 and ell 5 every prime up to 5 is bad
+    t = systems_of(6, 12, 5, [2, 3, 5, 7])[0]
+    rep = match_twist(t, t, 0, 5)
+    assert rep.primes_skipped == [2, 3, 5] and rep.primes_checked == []
+    assert not rep.verdict and rep.first_failing_prime is None
+    assert match_twist(t, t, 0, 7).verdict
+
+
 def test_match_weight_congruence_reported_same_level():
     systems = systems_of(13, 2, 13)
     a, b = systems[0], systems[1]

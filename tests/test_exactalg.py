@@ -1,4 +1,5 @@
 import random
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ def test_canonical_modulus_is_lex_least_irreducible():
     assert fq_field(13, 2).modulus == least_irreducible(13, 2)
     assert fq_field(5, 4).modulus == least_irreducible(5, 4)
     assert fq_field(7, 3).modulus == least_irreducible(7, 3)
+
+
+# sha256 of "p,r:c_0,...,c_r" for each pair below, joined by ";"
+MODULUS_DIGEST = (
+    "1eafda93cc69d3099d6cdc54a7dd7a0eed798f8fc712b95c34be599a1b276707")
+
+
+def test_canonical_moduli_are_pinned():
+    pairs = [(p, r) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 7)]
+    pairs.append((7, 10))
+    text = ";".join(
+        "%d,%d:%s" % (p, r, ",".join(map(str, fq_field(p, r).modulus)))
+        for p, r in pairs)
+    assert sha256(text.encode()).hexdigest() == MODULUS_DIGEST
+    assert fq_field(7, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
+    assert fq_field(13, 6).modulus == (1, 0, 0, 0, 0, 1, 1)
 
 
 def test_fq_field_requires_prime():
