@@ -129,11 +129,16 @@ def _selector_from_args(args):
         key, _, val = item.partition("=")
         ap[int(key)] = int(val)
     if args.form_file:
-        with open(args.form_file) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2:
-                    ap[int(parts[0])] = int(parts[1])
+        try:
+            with open(args.form_file) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError("cannot read form file %s: %s"
+                             % (args.form_file, exc.strerror)) from None
+        for line in lines:
+            parts = line.split()
+            if len(parts) == 2:
+                ap[int(parts[0])] = int(parts[1])
     if ap:
         selector["ap"] = ap
     if args.index is not None:

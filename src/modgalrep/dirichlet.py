@@ -123,8 +123,6 @@ def conductor(chi):
 
 def kernel(chi):
     """Sorted list of units where the character is 1."""
-    if isinstance(chi, ResidualCharacter):
-        return chi.kernel()
     return sorted(x for x in unit_group(chi.modulus).elements()
                   if chi.exponent_at(x) == 0)
 

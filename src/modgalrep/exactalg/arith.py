@@ -1,13 +1,68 @@
 """Arbitrary-precision integer helpers and unit groups of Z/nZ.
 
 Everything in this package is exact; no floating point is used anywhere.
-Integer factorization and primality testing are delegated to sympy.
+Primality is the Miller-Rabin test with the 13 prime bases 2..41, which
+decides every n < 3,317,044,064,679,887,385,961,981 (J. Sorenson and
+J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+2017).  At or above that bound a number that passes every base raises
+ValueError rather than being reported prime; a number some base proves
+composite is reported composite at any size.  Factorization is trial
+division that stops once the cofactor left is prime.
 """
 
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from sympy import factorint
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether the integer n is prime (Miller-Rabin, bases 2..41).
+
+    ValueError for an n >= _MR_LIMIT that passes every base."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError("primality of %d is not decided by bases 2..41" % n)
+    return True
+
+
+def factorint(n):
+    """Prime factorization {p: e} of n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError("factorint needs a positive integer, got %d" % n)
+    factors = {}
+    d = 2
+    while n > 1 and not is_prime(n):
+        # n is composite, so its least prime factor is at most sqrt(n)
+        while n % d:
+            d += 1 if d == 2 else 2
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        factors[d] = e
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def xgcd(a, b):

@@ -22,7 +22,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from sympy import factorint, isprime
+from .arith import factorint, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def _canonical_modulus(ell, r):
 @lru_cache(maxsize=None)
 def fq_field(ell, r):
     """Canonical field with ell^r elements; same (ell, r) gives one object."""
-    if ell < 2 or not isprime(ell):
+    if ell < 2 or not is_prime(ell):
         raise ValueError("characteristic must be prime, got %d" % ell)
     if r < 1:
         raise ValueError("degree must be positive")

@@ -19,13 +19,17 @@ D, and there is no solve.
 The free quotient of Z^n by integer relations is coordinatized by such a
 kernel: a saturated basis of the linear forms that vanish on every relation
 maps Z^n onto Z^dim, and its dual basis gives a preimage of each coordinate
-vector.  The torsion of the quotient comes from sympy's Smith form.
+vector.  The torsion of the quotient comes from a diagonal form of the
+relations made by the same elimination: echelon the relation rows, then
+the transpose of the result, and so on until every row has one nonzero
+entry.  Each pass is a unimodular change of rows or of columns, so the
+diagonal presents the same torsion, which is split into prime powers;
+the Smith divisibility chain is never needed.
 """
 
 import numpy as np
 
-from sympy import Matrix, factorint
-from sympy.matrices.normalforms import invariant_factors
+from .arith import factorint
 
 
 class SaturationError(Exception):
@@ -264,10 +268,12 @@ def quotient_by_relations(n, relation_rows):
                 dense[j][pos[c]] = v
         forms = kernel_int(dense, t)
         dim = len(forms)
-        # the echelon rows span the relation lattice, and sympy's Smith form
-        # runs far faster on them than on the raw relations
-        rank, echelon = _echelon(dense, t)
-        torsion = elementary_divisors(invariant_factors(Matrix(echelon[:rank])))
+        # row and column echelon in turn until the relations are diagonal
+        rank, rows = _echelon(dense, t)
+        rows = rows[:rank]
+        while any(sum(1 for x in row if x) > 1 for row in rows):
+            rows = _echelon(transpose(rows), rank)[1][:rank]
+        torsion = elementary_divisors(x for row in rows for x in row)
         proj_remaining = [[f[c] for f in forms] for c in range(t)]
         lifts = [[(remaining[r], v) for r, v in enumerate(vec) if v]
                  for vec in dual_basis(forms, t)]

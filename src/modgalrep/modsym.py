@@ -43,10 +43,9 @@ from functools import cached_property
 from math import comb, gcd
 
 import numpy as np
-from sympy import isprime
 
 from .congruence import coset_table, trivial_subgroup
-from .exactalg.arith import xgcd
+from .exactalg.arith import is_prime, xgcd
 from .exactalg.intmat import (
     dual_basis,
     exact_dtype,
@@ -459,7 +458,7 @@ class ModularSymbolSpace:
         """Integer matrix of T_p, p prime, on this space's lattice basis."""
         # checked before the cache, which may hold T_n for composite n from
         # builds that computed it
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError("T_p needs a prime p, got %d" % p)
         return self._operator("T%d" % p, lambda: self.ambient.hecke_on_basis(p))
 

@@ -16,7 +16,7 @@ input form's values were computed up to; a bound cut there is flagged
 heuristic too, with a warning.
 """
 
-from sympy import factorint
+from math import lcm
 
 from .congruence import (
     genus_of_subgroup,
@@ -25,15 +25,22 @@ from .congruence import (
     predicted_kernel_order,
     trivial_subgroup,
 )
-from .dirichlet import conductor, trivial_character
+from .dirichlet import conductor, place_above, reduce_mod, trivial_character
 from .eigen import (
     _frob_iter,
     decompose,
     match_twist,
     reduce_space_mod,
 )
-from .exactalg.arith import divisors, primes_up_to
-from .exactalg.gf import fq_field, poly_from_ints, poly_gcd, poly_monic
+from .exactalg.arith import divisors, factorint, primes_up_to, unit_group
+from .exactalg.gf import (
+    embed_field,
+    fq_field,
+    fq_str,
+    poly_from_ints,
+    poly_gcd,
+    poly_monic,
+)
 from .modsym import MatrixCache, build_space
 
 
@@ -156,16 +163,11 @@ def _diamond_matches(sys, eps):
     if eps.is_trivial():
         return sys.diamond_is_trivial()
     # compare the reduction of eps with the system's diamond character
-    from .dirichlet import place_above, reduce_mod
-    from .exactalg.gf import embed_field
-    from math import lcm as _lcm
     place = place_above(sys.ell, eps.order)
     red = reduce_mod(eps, place)
-    r = _lcm(place.field.r, sys.field.r)
-    big = fq_field(sys.ell, r)
+    big = fq_field(sys.ell, lcm(place.field.r, sys.field.r))
     phi_e = embed_field(place.field, big)
     phi_s = embed_field(sys.field, big)
-    from .exactalg.arith import unit_group
     gens = unit_group(sys.level).generators
     targets = [phi_e(red.value(g)) for g in gens]
     for j in range(sys.field.r):
@@ -236,6 +238,16 @@ def _match_bound(form, rigorous, truncate, warnings):
     return bound, bound < rigorous
 
 
+def _first_match(form, systems, i, bound, heuristic):
+    """The first of the systems that matches the form as a twist by p^i and
+    passes the determinant check, as (system, report); None if none does."""
+    for g in systems:
+        report = match_twist(form.system, g, i, bound, heuristic=heuristic)
+        if report.verdict and report.det_check:
+            return g, report
+    return None
+
+
 def find_twist(form, ell, truncate=None, cache=None):
     """Smallest (i, k', M) realizing the system as a twist of lower weight.
 
@@ -261,12 +273,11 @@ def find_twist(form, ell, truncate=None, cache=None):
         bound, heuristic = _match_bound(form, sturm_bound(n, ell, k, kp),
                                         truncate, warnings)
         for m in levels:
-            for g in decompose_level(m, kp, ell, bound, cache):
-                report = match_twist(form.system, g, i, bound,
-                                     heuristic=heuristic)
-                if report.verdict and report.det_check:
-                    return TwistResult(i, kp, m, g, report, bound, heuristic,
-                                       warnings)
+            systems = decompose_level(m, kp, ell, bound, cache)
+            found = _first_match(form, systems, i, bound, heuristic)
+            if found:
+                return TwistResult(i, kp, m, *found, bound, heuristic,
+                                   warnings)
     raise PipelineError(
         "twist search exhausted: representation may be reducible or the "
         "bound too small")
@@ -304,7 +315,6 @@ class RealizationReport:
         }
 
     def to_dict(self):
-        from .exactalg.gf import fq_str
         doc = {
             "level": self.form.level,
             "weight": self.form.weight,
@@ -367,18 +377,16 @@ def realize(form, ell, truncate=None, cache=None):
         hproj = subgroup.project(mpp) if mpp > 1 else None
         systems = decompose_level(mpp, 2, ell, bound, cache,
                                   subgroup=hproj)
-        for f2 in systems:
-            report = match_twist(form.system, f2, i, bound,
-                                 heuristic=heuristic)
-            if report.verdict and report.det_check:
-                if heuristic:
-                    warnings.append(
-                        "weight-2 match used a truncated bound")
-                minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
-                return RealizationReport(
-                    form, ell, i, subgroup, len(subgroup), predicted,
-                    d1, dh, subgroup.is_full(), f2, mpp, report, minpolys,
-                    report.det_check, twist, warnings)
+        found = _first_match(form, systems, i, bound, heuristic)
+        if found:
+            f2, report = found
+            if heuristic:
+                warnings.append("weight-2 match used a truncated bound")
+            minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
+            return RealizationReport(
+                form, ell, i, subgroup, len(subgroup), predicted,
+                d1, dh, subgroup.is_full(), f2, mpp, report, minpolys,
+                report.det_check, twist, warnings)
     raise PipelineError(
         "no weight-2 match at any divisor level of %d" % mprime)
 
@@ -400,18 +408,12 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     rows = []
     for hp in intermediate_subgroups(nprime):
         systems = decompose_level(nprime, 2, ell, bound, cache, subgroup=hp)
-        matched = False
-        for f2 in systems:
-            report = match_twist(form.system, f2, i, bound,
-                                 heuristic=heuristic)
-            if report.verdict and report.det_check:
-                matched = True
-                break
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),
             "contained_in_h": hp.is_subgroup_of(subgroup),
-            "match": matched,
+            "match": _first_match(form, systems, i, bound,
+                                  heuristic) is not None,
         })
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,

@@ -196,6 +196,14 @@ def test_domain_error_exits_2():
     assert "ell" in doc["error"]
 
 
+def test_unreadable_form_file_is_a_domain_error():
+    code, doc = run_command(
+        ["--no-cache", "realize", "--level", "3", "--weight", "12", "--ell",
+         "5", "--form-file", "/nonexistent"])
+    assert code == 2
+    assert "/nonexistent" in doc["error"]
+
+
 @pytest.mark.parametrize("level, truncate", [(6, 3), (3, 1), (3, 0)])
 def test_realize_with_no_good_prime_below_the_truncation_fails(
         monkeypatch, level, truncate):

@@ -3,7 +3,9 @@ from hashlib import sha256
 
 import numpy as np
 import pytest
+import sympy
 from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from modgalrep.exactalg import (
     divisors,
@@ -20,6 +22,7 @@ from modgalrep.exactalg import (
     unit_group,
 )
 from modgalrep.exactalg import intmat
+from modgalrep.exactalg.arith import factorint, is_prime
 from modgalrep.exactalg.gf import (
     element_of_order,
     embed_field,
@@ -241,15 +244,32 @@ def test_lattice_quotient_free():
     assert qm.dim == 2 and qm.torsion == []
 
 
+def smith_torsion(rels):
+    """Oracle: prime-power invariants of sympy's Smith form of the rows."""
+    if not rels:
+        return []
+    return intmat.elementary_divisors(invariant_factors(Matrix(rels)))
+
+
+def check_torsion(n, rels, dim, torsion):
+    qm = dense_quotient(n, rels)
+    assert smith_torsion(rels) == torsion
+    assert qm.dim == dim and qm.torsion == torsion
+
+
 def test_lattice_quotient_torsion_single():
-    qm = dense_quotient(1, [[2]])
-    assert qm.dim == 0 and qm.torsion == [2]
+    check_torsion(1, [[2]], 0, [2])
+    # a primitive relation without a unit coefficient leaves no torsion
+    check_torsion(3, [[6, 10, 15]], 2, [])
 
 
 def test_lattice_quotient_torsion_pair():
-    # oracle: Smith form of diag(2, 3) is diag(1, 6); prime-power invariants
-    qm = dense_quotient(2, [[2, 0], [0, 3]])
-    assert qm.dim == 0 and qm.torsion == [2, 3]
+    # the Smith form of diag(2, 3) is diag(1, 6); prime-power invariants
+    check_torsion(2, [[2, 0], [0, 3]], 0, [2, 3])
+    # 2 e0 + e1 = 2 e1 = 0: e1 = -2 e0, so e0 has order 4
+    check_torsion(2, [[2, 1], [0, 2]], 0, [4])
+    # no unit coefficient: the diagonal form needs column operations
+    check_torsion(3, [[2, 2, 0], [0, 4, 6]], 1, [2, 2])
 
 
 def test_lattice_quotient_rank_permutation_invariant():
@@ -265,7 +285,7 @@ def test_lattice_quotient_rank_permutation_invariant():
         rng.shuffle(shuffled)
         other = dense_quotient(n, shuffled)
         assert base.dim == other.dim
-        assert base.torsion == other.torsion
+        assert base.torsion == other.torsion == smith_torsion(rels)
 
 
 def test_quotient_by_relations_projects_relations_to_zero():
@@ -276,9 +296,10 @@ def test_quotient_by_relations_projects_relations_to_zero():
                  for _ in range(rng.randrange(1, 4))}
                 for _ in range(rng.randrange(0, 12))]
         qm = quotient_by_relations(n, [dict(r) for r in rows])
-        # oracle: the rank over Q of the relations, from sympy
+        # oracle: the rank over Q and the Smith form, from sympy
         dense = [[r.get(j, 0) for j in range(n)] for r in rows]
         assert qm.dim == n - (Matrix(dense).rank() if rows else 0)
+        assert qm.torsion == smith_torsion(dense)
         for r in rows:
             assert all(x == 0 for x in project_vector(qm, list(r.items())))
         for j, lift in enumerate(qm.lifts):
@@ -421,3 +442,34 @@ def test_dual_basis_widens_while_clearing(monkeypatch):
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(78) == [1, 2, 3, 6, 13, 26, 39, 78]
+
+
+# strong pseudoprimes to the bases 2..7, 2..31 and 2..37 in turn
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051,
+                       318665857834031151167461)
+
+
+def test_is_prime_against_sympy():
+    assert [n for n in range(-2, 10 ** 5) if is_prime(n)] == list(
+        sympy.primerange(10 ** 5))
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n) and not sympy.isprime(n)
+    assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_a_probable_prime_past_its_bound():
+    # the least strong pseudoprime to every base 2..41
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    # a divisor or a witness among the bases decides n at any size
+    assert not is_prime(3 * 3317044064679887385961981)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_factorint_against_sympy():
+    for n in range(1, 10 ** 4 + 1):
+        assert factorint(n) == sympy.factorint(n)
+    for ell in (2, 3, 5, 7, 11, 13):
+        for r in range(1, 13):
+            assert factorint(ell ** r - 1) == sympy.factorint(ell ** r - 1)
+    assert factorint(2 ** 61 - 2) == sympy.factorint(2 ** 61 - 2)

@@ -1,4 +1,5 @@
-"""Every name a module under src/ imports is used in that module.
+"""Every name a module under src/ imports is used in that module, and the
+package runs on numpy and the standard library alone.
 
 Package __init__ modules re-export names; those listed in __all__ count as
 used.  Standard library only (ast), so it runs wherever the tests run.
@@ -6,6 +7,8 @@ used.  Standard library only (ast), so it runs wherever the tests run.
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -40,3 +43,11 @@ def test_no_unused_imports_in_src():
                 found += ["%s:%d %s" % (rel, line, name)
                           for line, name in _unused_imports(path)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_runtime_does_not_import_sympy():
+    # sympy is a test dependency only, the oracle of the exact-arithmetic tests
+    code = ("import sys, modgalrep.cli, modgalrep.pipeline; "
+            "assert 'sympy' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
