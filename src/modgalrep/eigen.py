@@ -3,15 +3,24 @@ generalized-eigenspace decomposition, and the twist-matching predicate with
 its determinant check.
 
 decompose works in two steps.  It first splits the space over F_ell, on
-numpy arrays of residues: operator by operator (Hecke at good primes in
-order, then diamonds), each block is cut into ker g(T)^e for the
-irreducible factors g^e of the operator's characteristic polynomial.  A
-final block then carries one irreducible factor per operator, so all its
-systems take values in the one field F_{ell^d}, d the lcm of the factor
-degrees.  The second step works in that field: it follows one root of the
-factor of largest degree and reads off or splits out the other values.  A
-block may hold more than one Frobenius orbit: the systems (a, b) and
-(a, b^ell) have the same factors over F_ell.
+numpy arrays of residues, taking the operators in turn (Hecke at good
+primes in order, then diamonds): a block is cut into ker g(T)^e for the
+irreducible factors g^e of the operator's characteristic polynomial on it.
+Two rules spare most of that work.  A block whose dimension equals the
+degree of a factor it already carries is simple, and no operator of the
+commutative Hecke algebra splits it, so it is cut no further.  An operator
+that acts on a block as a scalar c, as every operator does on a line, has
+the one factor T - c and needs no characteristic polynomial.  A final block
+carries the factors of the operators that cut it, and all its systems take
+values in the one field F_{ell^d}, d the lcm of their degrees; on a simple
+block the other values lie in F_ell[T]/(g) for its factor g of degree d.
+The second step works in that field: it follows one root of the factor of
+largest degree and reads off or splits out the other values.  The roots of
+a factor are those of `irreducible_roots`: one root by equal-degree
+splitting and its Frobenius conjugates, since every root of a polynomial
+irreducible over F_ell is a conjugate of any one.  A block may hold more
+than one Frobenius orbit: the systems (a, b) and (a, b^ell) have the same
+factors over F_ell.
 
 The result is one representative per Frobenius orbit; the multiplicity of
 a system times the degree of its value field, summed over representatives,
@@ -30,9 +39,9 @@ from .exactalg.gf import (
     embed_field,
     fq_field,
     fq_str,
+    irreducible_roots,
     poly_factor_fq,
     poly_from_ints,
-    poly_roots,
 )
 from .exactalg.intmat import exact_dtype
 
@@ -353,10 +362,11 @@ def decompose(rspace, primes):
     blocks = [(np.eye(n, dtype=dtype), {})]
     for label in good:
         blocks = [split for block in blocks
-                  for split in _split_mod(block, label, ops[label], ell)]
+                  for split in ([block] if _is_simple(*block) else
+                                _split_mod(block, label, ops[label], ell))]
     systems = []
     for basis, factors in blocks:
-        field, found = _finish_block(basis, factors, ops, bad, ell)
+        field, found = _finish_block(basis, factors, good, ops, bad, ell)
         for values, mult in found:
             a = {int(k[1:]): v for k, v in values.items() if k[0] == "T"}
             diamond = {int(k[1:]): v for k, v in values.items() if k[0] == "d"}
@@ -370,12 +380,23 @@ def decompose(rspace, primes):
     return systems
 
 
+def _is_simple(basis, factors):
+    """Whether an operator already acts on the block with an irreducible
+    characteristic polynomial: the block is then a simple module, and no
+    operator of the algebra splits it."""
+    return any(len(g) - 1 == basis.shape[1] for g in factors.values())
+
+
 def _split_mod(block, label, op, ell):
     """Split a block over F_ell into the generalized eigenspaces of one
     operator, one for each irreducible factor of its characteristic
-    polynomial on the block."""
+    polynomial on the block.  An operator that acts as a scalar c has the
+    one factor T - c, and needs no characteristic polynomial."""
     basis, factors = block
     x = _solve_mod(basis, op @ basis % ell, ell)
+    c = int(x[0, 0])
+    if np.array_equal(x, c * np.eye(len(x), dtype=x.dtype)):
+        return [(basis, {**factors, label: [-c % ell, 1]})]
     split = _factor_mod(charpoly_mod(x, ell), ell)
     if len(split) == 1:
         return [(basis, {**factors, label: split[0][0]})]
@@ -387,7 +408,7 @@ def _split_mod(block, label, op, ell):
     return out
 
 
-def _finish_block(basis, factors, ops, bad, ell):
+def _finish_block(basis, factors, good, ops, bad, ell):
     """The systems of one block, with their values in F_{ell^d}.
 
     Pieces of the block are subspaces of F_{ell^d}^s, s the block's
@@ -395,12 +416,16 @@ def _finish_block(basis, factors, ops, bad, ell):
     the largest degree goes first, and only one of its roots is followed:
     every Frobenius orbit in the block has members with that value, and
     `_dedupe_orbits` keeps one.  A later value is read off a one-dimensional
-    piece, or a piece is split by the roots of the operator's factor.
+    piece, or a piece is split by the roots of the operator's factor.  A
+    good label with no recorded factor was never split on, because the block
+    is simple: its pieces are one-dimensional once the lead is followed.
+    Values at bad labels are read off one-dimensional pieces too; only a
+    larger piece needs the operator's characteristic polynomial.
     Returns the field and a list of (label -> value, multiplicity).
     """
     s = basis.shape[1]
     field = fq_field(ell, lcm(1, *(len(g) - 1 for g in factors.values())))
-    labels = list(factors) + bad
+    labels = good + bad
     coords = _solve_mod(
         basis, np.hstack([ops[lbl] @ basis % ell for lbl in labels]), ell)
     mats = {lbl: coords[:, i * s:(i + 1) * s] for i, lbl in enumerate(labels)}
@@ -408,33 +433,35 @@ def _finish_block(basis, factors, ops, bad, ell):
     zero, one = field.zero(), field.one()
     pieces = [([[one if i == j else zero for i in range(s)] for j in range(s)],
                {})]
-    for label in sorted(factors, key=lambda lbl: lbl != lead):
-        g, roots = factors[label], None
+    for label in sorted(good, key=lambda lbl: lbl != lead):
+        g, roots = factors.get(label), None
         split = []
         for cols, values in pieces:
-            if len(g) == 2:
+            if g is not None and len(g) == 2:
                 found = [(field.from_int(-g[0]), cols)]
             elif len(cols) == 1:
                 found = [(_read_value(field, mats[label], cols[0]), cols)]
             else:
                 if roots is None:
-                    roots = poly_roots(poly_from_ints(field, g))
+                    roots = irreducible_roots(field, g)
                 found = _eigenspaces(field, mats[label], cols,
                                      roots[:1] if label == lead else roots)
             split += [(sub, {**values, label: v}) for v, sub in found]
         pieces = split
     for label in bad:
-        facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
-        roots = None
+        facs = roots = None
         for cols, values in pieces:
+            if len(cols) == 1:
+                values[label] = _read_value(field, mats[label], cols[0])
+                continue
+            if facs is None:
+                facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
             if len(facs) == 1 and len(facs[0][0]) == 2:
                 values[label] = field.from_int(-facs[0][0][0])
-            elif len(cols) == 1:
-                values[label] = _read_value(field, mats[label], cols[0])
             elif len(cols) < s:
                 if roots is None:
                     roots = [r for g, _ in facs if field.r % (len(g) - 1) == 0
-                             for r in poly_roots(poly_from_ints(field, g))]
+                             for r in irreducible_roots(field, g)]
                 found = _eigenspaces(field, mats[label], cols, roots)
                 if len(found) == 1 and len(found[0][1]) == len(cols):
                     values[label] = found[0][0]

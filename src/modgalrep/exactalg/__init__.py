@@ -16,6 +16,7 @@ from .gf import (
     fq_str,
     FqElem,
     FqField,
+    irreducible_roots,
     poly_factor_fq,
     poly_from_ints,
     poly_roots,
@@ -36,7 +37,8 @@ __all__ = [
     "divisors", "euler_phi", "multiplicative_order",
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
-    "FqField", "poly_factor_fq", "poly_from_ints", "poly_roots",
+    "FqField", "irreducible_roots", "poly_factor_fq", "poly_from_ints",
+    "poly_roots",
     "dual_basis", "exact_dtype", "identity_matrix", "kernel_int", "mat_mul",
     "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",
 ]

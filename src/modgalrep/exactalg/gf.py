@@ -13,12 +13,17 @@ factor lists come out in a fixed order.  The modulus search runs the same
 distinct-degree split over F_l: a candidate of degree r is irreducible
 exactly when its least-degree factor has degree r.
 
+The roots of a polynomial irreducible over F_l whose degree d divides r
+need no factoring: `irreducible_roots` splits off one linear factor by
+equal-degree splitting alone, with no squarefree or distinct-degree pass,
+and returns that root's d Frobenius conjugates.  Field embeddings and the
+eigensystem code find their roots with it.
+
 `FqElem.inverse` alone works on coefficient lists of ints: it runs extended
 Euclid against the modulus, which is several times faster per element than
 Fermat inversion through the field's own multiplication.
 """
 
-import itertools
 import random
 from functools import lru_cache
 
@@ -134,9 +139,11 @@ def _canonical_modulus(ell, r):
         return (0, 1)
     prime_field = fq_field(ell, 1)
     # x divides every candidate with constant term 0, so start at 1; the
-    # least-degree factor comes first, so degree r means irreducible
-    for tail in itertools.product(range(1, ell), *[range(ell)] * (r - 1)):
-        f = tail + (1,)
+    # least-degree factor comes first, so degree r means irreducible.  The
+    # candidates are the base-ell digits of m, constant term first, made one
+    # at a time so that a large ell costs nothing up front.
+    for m in range(ell ** (r - 1), ell ** r):
+        f = tuple(m // ell ** (r - 1 - i) % ell for i in range(r)) + (1,)
         if _distinct_degree(poly_from_ints(prime_field, f))[0][1] == r:
             return f
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -510,30 +517,32 @@ def _distinct_degree(f):
     return out
 
 
-def _equal_degree(f, d, rng):
-    # Cantor-Zassenhaus split of a monic squarefree product of degree-d factors.
+def _split_once(f, d, rng):
+    # Cantor-Zassenhaus: a proper monic factor of a monic squarefree product
+    # of at least two irreducibles of degree d.
     field = f[0].field
     n = poly_degree(f)
-    if n == d:
-        return [f]
     q = field.order
     one = [field.one()]
     while True:
-        h = [field.from_encoding(rng.randrange(q)) for _ in range(n)]
-        h = poly_trim(h)
+        h = poly_trim([field.from_encoding(rng.randrange(q)) for _ in range(n)])
         if poly_degree(h) < 1:
             continue
         g = poly_gcd(h, f)
-        if 0 < poly_degree(g) < n:
-            pass
-        else:
-            e = (q ** d - 1) // 2
-            t = poly_powmod(h, e, f)
+        if not 0 < poly_degree(g) < n:
+            t = poly_powmod(h, (q ** d - 1) // 2, f)
             g = poly_gcd(poly_sub(t, one), f)
-            if not (0 < poly_degree(g) < n):
-                continue
-        rest, _ = poly_divmod(f, g)
-        return _equal_degree(g, d, rng) + _equal_degree(rest, d, rng)
+        if 0 < poly_degree(g) < n:
+            return g
+
+
+def _equal_degree(f, d, rng):
+    # every irreducible factor of a monic squarefree product of degree-d ones
+    if poly_degree(f) == d:
+        return [f]
+    g = _split_once(f, d, rng)
+    rest, _ = poly_divmod(f, g)
+    return _equal_degree(g, d, rng) + _equal_degree(rest, d, rng)
 
 
 def poly_factor_fq(f):
@@ -570,6 +579,30 @@ def poly_roots(f):
     return sorted(roots, key=lambda x: x.encoding())
 
 
+def irreducible_roots(field, g):
+    """Roots in field of a monic polynomial g, irreducible over F_ell, whose
+    degree d divides field.r; g is given by its integer coefficients, lowest
+    degree first.
+
+    One root comes from equal-degree splitting alone, always keeping one
+    factor; the roots are its d Frobenius conjugates, sorted by encoding,
+    which is the list poly_roots returns.
+    """
+    f = poly_from_ints(field, g)
+    d = poly_degree(f)
+    if d < 1 or field.r % d:
+        raise ValueError("degree %d does not divide %d" % (d, field.r))
+    if field.ell == 2 and d > 1:
+        raise NotImplementedError("even characteristic is not supported")
+    rng = random.Random(0)
+    while poly_degree(f) > 1:
+        f = _split_once(f, 1, rng)
+    roots = [-f[0]]
+    for _ in range(d - 1):
+        roots.append(roots[-1].frobenius())
+    return sorted(roots, key=lambda x: x.encoding())
+
+
 def element_of_order(field, m):
     """Canonical element of multiplicative order m in the field.
 
@@ -595,8 +628,7 @@ def embed_field(small, big):
         return lambda x: big.from_int(x.coeffs[0])
     if small == big:
         return lambda x: x
-    modulus = poly_from_ints(big, small.modulus)
-    root = poly_roots(modulus)[0]
+    root = irreducible_roots(big, small.modulus)[0]
     powers = [big.one()]
     for _ in range(small.r - 1):
         powers.append(powers[-1] * root)

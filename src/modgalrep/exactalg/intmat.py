@@ -203,24 +203,38 @@ def quotient_by_relations(n, relation_rows):
     elementary divisors and discarded from the projection.
     """
     solved = {}       # col -> dict of remaining cols (the substitution)
-    solved_order = []
+
+    def resolved(col):
+        """solved[col] over the columns not solved so far, stored back.
+        An entry holds only columns solved after its own, so the chains
+        end; each is expanded once, the deepest first."""
+        stack = [col]
+        while stack:
+            top = stack[-1]
+            stale = [c for c in solved[top] if c in solved]
+            deeper = [c for c in stale if any(c2 in solved for c2 in solved[c])]
+            if deeper:
+                stack += deeper
+                continue
+            stack.pop()
+            if stale:
+                sub = solved[top]
+                for c in stale:
+                    v = sub.pop(c)
+                    for c2, v2 in solved[c].items():
+                        sub[c2] = sub.get(c2, 0) + v * v2
+                solved[top] = {c: v for c, v in sub.items() if v}
+        return solved[col]
 
     def substitute(row):
-        while True:
-            hit = [c for c in row if c in solved]
-            if not hit:
-                return row
-            for c in hit:
-                if c not in row:
-                    continue
-                coeff = row.pop(c)
-                if coeff:
-                    for c2, v2 in solved[c].items():
-                        nv = row.get(c2, 0) + coeff * v2
-                        if nv:
-                            row[c2] = nv
-                        elif c2 in row:
-                            del row[c2]
+        for c in [c for c in row if c in solved]:
+            coeff = row.pop(c)
+            for c2, v2 in resolved(c).items():
+                nv = row.get(c2, 0) + coeff * v2
+                if nv:
+                    row[c2] = nv
+                else:
+                    row.pop(c2, None)
 
     # substitute until a pass finds no new unit pivot
     pending = [{c: v for c, v in raw.items() if v} for raw in relation_rows]
@@ -236,7 +250,6 @@ def quotient_by_relations(n, relation_rows):
                 target = max(units)
                 sign = row.pop(target)
                 solved[target] = {c: -v * sign for c, v in row.items()}
-                solved_order.append(target)
                 progressed = True
             else:
                 waiting.append(row)
@@ -245,17 +258,9 @@ def quotient_by_relations(n, relation_rows):
             break
     leftovers = pending
 
-    # resolve substitution chains so every solved column maps to free columns
-    for target in reversed(solved_order):
-        sub = solved[target]
-        resolved = {}
-        for c, v in sub.items():
-            if c in solved:
-                for c2, v2 in solved[c].items():
-                    resolved[c2] = resolved.get(c2, 0) + v * v2
-            else:
-                resolved[c] = resolved.get(c, 0) + v
-        solved[target] = {c: v for c, v in resolved.items() if v}
+    # every solved column in terms of the free columns
+    for target in solved:
+        resolved(target)
 
     remaining = sorted(set(range(n)) - set(solved))
     pos = {c: i for i, c in enumerate(remaining)}

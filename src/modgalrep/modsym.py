@@ -402,7 +402,10 @@ class ModularSymbolSpace:
     # -- operator matrices --------------------------------------------------
 
     def _operator(self, label, compute_ambient):
-        """The operator on this space's lattice basis, as a list of rows."""
+        """The operator on this space's lattice basis, as a list of rows.
+        A zero-dimensional space has nothing to compute or load."""
+        if not self.dim:
+            return []
         if self.parent is None:
             return self._ambient_operator(label, compute_ambient).tolist()
         if label not in self._ops:
@@ -445,8 +448,6 @@ class ModularSymbolSpace:
         """X with T B = B X for an ambient operator T (an array), computed
         as X = D (T B) through the composed bases.  Each of the three
         products runs on the dtype a bound from its own inputs allows."""
-        if not self.basis:
-            return []
         b, (b_rows, b_cols), d, d_cols = self._bases
         tb = _product(t, _abs_max(t, 0), b, b_rows)
         x = _product(d, d_cols, tb, _abs_max(tb, 1))

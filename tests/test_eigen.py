@@ -3,6 +3,7 @@ import random
 import pytest
 from sympy import Matrix
 
+from modgalrep import eigen
 from modgalrep.eigen import (
     charpoly_mod,
     decompose,
@@ -207,6 +208,23 @@ def test_charpoly_sanity():
                     for _ in range(n)] for _ in range(n)]
             expected = Matrix(mat).charpoly().all_coeffs()[::-1]
             assert charpoly_mod(mat, ell) == [int(c) % ell for c in expected]
+
+
+def test_decompose_skips_simple_and_scalar_blocks(monkeypatch):
+    # a simple block is not split further, and a scalar operator needs no
+    # characteristic polynomial: far fewer than the 232 calls of cutting
+    # every block by every operator
+    calls = []
+
+    def spy(a, ell):
+        calls.append(len(a))
+        return charpoly(a, ell)
+
+    charpoly = eigen.charpoly_mod
+    monkeypatch.setattr(eigen, "charpoly_mod", spy)
+    systems = systems_of(40, 2, 13)
+    assert sum(s.multiplicity * s.field.r for s in systems) == 25
+    assert len(calls) <= 60
 
 
 def test_decompose_beyond_int64():

@@ -26,6 +26,7 @@ from modgalrep.exactalg.arith import factorint, is_prime
 from modgalrep.exactalg.gf import (
     element_of_order,
     embed_field,
+    irreducible_roots,
     poly_mul,
     poly_roots,
 )
@@ -220,6 +221,43 @@ def test_embed_field_is_homomorphism():
     assert phi(a * b) == phi(a) * phi(b)
     assert phi(a + b) == phi(a) + phi(b)
     assert phi(small.one()) == big.one()
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_irreducible_roots_match_poly_roots(ell):
+    # for each d | r <= 4: the canonical modulus of degree d and four
+    # minimal polynomials of random elements of F_{ell^d}; listing every
+    # irreducible of degree 4 over F_13 would take minutes
+    rng = random.Random(ell)
+    for r in range(1, 5):
+        big = fq_field(ell, r)
+        for d in divisors(r):
+            small = fq_field(ell, d)
+            polys = {small.modulus}
+            while len(polys) < 5:
+                g = small.from_encoding(rng.randrange(small.order)).minpoly()
+                if len(g) == d + 1:
+                    polys.add(tuple(g))
+            for g in sorted(polys):
+                roots = irreducible_roots(big, g)
+                assert len(roots) == d
+                assert roots == poly_roots(poly_from_ints(big, g)), (r, g)
+
+
+def test_irreducible_roots_past_int64():
+    ell = 2 ** 61 - 1
+    field = fq_field(ell, 2)
+    # 3 is not a square mod ell, since ell = 1 mod 3 and ell = 3 mod 4
+    g = [-3, 0, 1]
+    roots = irreducible_roots(field, g)
+    assert roots == poly_roots(poly_from_ints(field, g))
+    assert [x * x for x in roots] == [field.from_int(3)] * 2
+    assert irreducible_roots(field, [-5, 1]) == [field.from_int(5)]
+
+
+def test_irreducible_roots_rejects_degree_not_dividing():
+    with pytest.raises(ValueError):
+        irreducible_roots(fq_field(5, 4), fq_field(5, 3).modulus)
 
 
 def test_element_of_order_compatible_powers():

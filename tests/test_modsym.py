@@ -174,6 +174,22 @@ def test_restriction_on_python_integers():
     assert any(v >= 2 ** 63 for row in big for v in map(abs, row))
 
 
+def test_zero_dimensional_space_computes_no_operator(monkeypatch):
+    # S_2(Gamma_1(5)) = 0: no ambient T_7 is computed for it
+    calls = []
+    plain = modsym._Ambient.hecke_on_basis
+
+    def spy(self, p):
+        calls.append(p)
+        return plain(self, p)
+
+    monkeypatch.setattr(modsym._Ambient, "hecke_on_basis", spy)
+    space = plus_cuspidal(5, 2)
+    assert space.dim == 0
+    assert space.hecke_matrix(7) == []
+    assert calls == []
+
+
 def test_odd_weight_rejected():
     with pytest.raises(ValueError):
         build_space(3, 5)
