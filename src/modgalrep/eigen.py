@@ -15,12 +15,16 @@ carries the factors of the operators that cut it, and all its systems take
 values in the one field F_{ell^d}, d the lcm of their degrees; on a simple
 block the other values lie in F_ell[T]/(g) for its factor g of degree d.
 The second step works in that field: it follows one root of the factor of
-largest degree and reads off or splits out the other values.  The roots of
-a factor are those of `irreducible_roots`: one root by equal-degree
-splitting and its Frobenius conjugates, since every root of a polynomial
-irreducible over F_ell is a conjugate of any one.  A block may hold more
-than one Frobenius orbit: the systems (a, b) and (a, b^ell) have the same
-factors over F_ell.
+largest degree and reads off or splits out the other values.  Its pieces
+are subspaces over F_{ell^d}, but each is held as a span over F_ell: F_{ell^d}
+is a d-dimensional F_ell-space, an operator acts on each coefficient of an
+entry, and a root acts on each entry through its regular representation,
+the d x d matrix of multiplication by it.  So both steps run on the one
+numpy backend over F_ell.  The roots of a factor are those of
+`irreducible_roots`: one root by equal-degree splitting and its Frobenius
+conjugates, since every root of a polynomial irreducible over F_ell is a
+conjugate of any one.  A block may hold more than one Frobenius orbit: the
+systems (a, b) and (a, b^ell) have the same factors over F_ell.
 
 The result is one representative per Frobenius orbit; the multiplicity of
 a system times the degree of its value field, summed over representatives,
@@ -36,6 +40,8 @@ import numpy as np
 
 from .exactalg.arith import primes_up_to, unit_group
 from .exactalg.gf import (
+    _exact_dtype,
+    _rref_mod,
     embed_field,
     fq_field,
     fq_str,
@@ -43,37 +49,10 @@ from .exactalg.gf import (
     poly_factor_fq,
     poly_from_ints,
 )
-from .exactalg.intmat import exact_dtype
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_ell on numpy arrays of residues
-
-def _exact_dtype(n, ell):
-    """int64 while a sum of n + 2 products of two residues fits in it,
-    Python integers beyond that."""
-    return exact_dtype((n + 2) * ell * ell)
-
-
-def _rref_mod(a, ell):
-    """Reduced row echelon form of a mod ell, and its pivot columns."""
-    a = a % ell
-    pivots = []
-    for j in range(a.shape[1]):
-        r = len(pivots)
-        nz = np.flatnonzero(a[r:, j])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, ell) % ell
-        rows = np.flatnonzero(a[:, j])
-        rows = rows[rows != r]
-        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:])) % ell
-        pivots.append(j)
-        if len(pivots) == a.shape[0]:
-            break
-    return a[:len(pivots)], pivots
-
 
 def _kernel_mod(a, ell):
     """Basis of the kernel of a mod ell, as the columns of an array."""
@@ -140,101 +119,14 @@ def _poly_at(g, x, ell):
     return acc
 
 
-def _square_up(a, e, mul):
-    """a^(2^t) for the least 2^t >= e, which has the kernel of a^e when e
-    bounds the nilpotency index."""
+def _square_up(a, e, ell):
+    """a^(2^t) mod ell for the least 2^t >= e, which has the kernel of a^e
+    when e bounds the nilpotency index."""
     covered = 1
     while covered < e:
-        a = mul(a, a)
+        a = a @ a % ell
         covered *= 2
     return a
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over an FqField (lists of lists of FqElem)
-
-def gf_mat_mul(a, b):
-    if not a or not b:
-        return []
-    field = a[0][0].field
-    zero = field.zero()
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def _gf_rref(rows, ncols):
-    """Reduced row echelon form over a finite field, and its pivot columns
-    among the first ncols."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    for j in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows))
-                    if not rows[i][j].is_zero()), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][j].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][j].is_zero():
-                c = rows[i][j]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(j)
-    return rows, pivots
-
-
-def gf_kernel(mat, ncols):
-    """Column-vector kernel basis of a nonempty matrix over a finite field."""
-    field = mat[0][0].field
-    rows, pivots = _gf_rref(mat, ncols)
-    basis = []
-    for j in range(ncols):
-        if j not in pivots:
-            vec = [field.zero()] * ncols
-            vec[j] = field.one()
-            for r, pj in enumerate(pivots):
-                vec[pj] = -rows[r][j]
-            basis.append(vec)
-    return basis
-
-
-def gf_solve(bcols, ycols):
-    """Solve B X = Y where B's columns are independent vectors over a field;
-    returns the coordinates of the ycols in the bcols."""
-    s = len(bcols)
-    rows, pivots = _gf_rref([list(b) + list(y) for b, y in
-                             zip(zip(*bcols), zip(*ycols))], s + len(ycols))
-    if pivots[:s] != list(range(s)):
-        raise AssertionError("basis columns are dependent")
-    if len(pivots) > s:
-        raise AssertionError("target outside the span")
-    return [row[s:] for row in rows[:s]]
-
-
-def _apply(field, x, cols):
-    """x times each column, for an F_ell matrix x and columns over field."""
-    coeffs = np.array([[c.coeffs for c in col] for col in cols], dtype=x.dtype)
-    return [[field(row) for row in col]
-            for col in np.matmul(x, coeffs) % field.ell]
-
-
-def _combine(cols, coeffs):
-    out = [c * coeffs[0] for c in cols[0]]
-    for col, k in zip(cols[1:], coeffs[1:]):
-        if not k.is_zero():
-            out = [o + c * k for o, c in zip(out, col)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +294,7 @@ def _split_mod(block, label, op, ell):
         return [(basis, {**factors, label: split[0][0]})]
     out = []
     for g, e in split:
-        power = _square_up(_poly_at(g, x, ell), e, lambda a, b: a @ b % ell)
+        power = _square_up(_poly_at(g, x, ell), e, ell)
         out.append((basis @ _kernel_mod(power, ell) % ell,
                     {**factors, label: g}))
     return out
@@ -411,36 +303,38 @@ def _split_mod(block, label, op, ell):
 def _finish_block(basis, factors, good, ops, bad, ell):
     """The systems of one block, with their values in F_{ell^d}.
 
-    Pieces of the block are subspaces of F_{ell^d}^s, s the block's
-    dimension, in coordinates on its basis.  The operator whose factor has
-    the largest degree goes first, and only one of its roots is followed:
-    every Frobenius orbit in the block has members with that value, and
-    `_dedupe_orbits` keeps one.  A later value is read off a one-dimensional
-    piece, or a piece is split by the roots of the operator's factor.  A
-    good label with no recorded factor was never split on, because the block
-    is simple: its pieces are one-dimensional once the lead is followed.
-    Values at bad labels are read off one-dimensional pieces too; only a
-    larger piece needs the operator's characteristic polynomial.
+    Pieces of the block are F_{ell^d}-subspaces of F_{ell^d}^s, s the
+    block's dimension, in coordinates on its basis.  A piece of dimension m
+    over F_{ell^d} is held as an F_ell basis, an array of shape (s*d, m*d)
+    whose row i*d + j holds coefficient j of entry i.  The operator whose
+    factor has the largest degree goes first, and only one of its roots is
+    followed: every Frobenius orbit in the block has members with that
+    value, and `_dedupe_orbits` keeps one.  A later value is read off a
+    one-dimensional piece, or a piece is split by the roots of the
+    operator's factor.  A good label with no recorded factor was never split
+    on, because the block is simple: its pieces are one-dimensional once the
+    lead is followed.  Values at bad labels are read off one-dimensional
+    pieces too; only a larger piece needs the operator's characteristic
+    polynomial.
     Returns the field and a list of (label -> value, multiplicity).
     """
     s = basis.shape[1]
     field = fq_field(ell, lcm(1, *(len(g) - 1 for g in factors.values())))
+    d = field.r
     labels = good + bad
     coords = _solve_mod(
         basis, np.hstack([ops[lbl] @ basis % ell for lbl in labels]), ell)
     mats = {lbl: coords[:, i * s:(i + 1) * s] for i, lbl in enumerate(labels)}
     lead = max(factors, key=lambda lbl: len(factors[lbl]), default=None)
-    zero, one = field.zero(), field.one()
-    pieces = [([[one if i == j else zero for i in range(s)] for j in range(s)],
-               {})]
+    pieces = [(np.eye(s * d, dtype=_exact_dtype(s * d, ell)), {})]
     for label in sorted(good, key=lambda lbl: lbl != lead):
         g, roots = factors.get(label), None
         split = []
         for cols, values in pieces:
             if g is not None and len(g) == 2:
                 found = [(field.from_int(-g[0]), cols)]
-            elif len(cols) == 1:
-                found = [(_read_value(field, mats[label], cols[0]), cols)]
+            elif cols.shape[1] == d:
+                found = [(_read_value(field, mats[label], cols), cols)]
             else:
                 if roots is None:
                     roots = irreducible_roots(field, g)
@@ -451,43 +345,56 @@ def _finish_block(basis, factors, good, ops, bad, ell):
     for label in bad:
         facs = roots = None
         for cols, values in pieces:
-            if len(cols) == 1:
-                values[label] = _read_value(field, mats[label], cols[0])
+            if cols.shape[1] == d:
+                values[label] = _read_value(field, mats[label], cols)
                 continue
             if facs is None:
                 facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
             if len(facs) == 1 and len(facs[0][0]) == 2:
                 values[label] = field.from_int(-facs[0][0][0])
-            elif len(cols) < s:
+            elif cols.shape[1] < s * d:
                 if roots is None:
-                    roots = [r for g, _ in facs if field.r % (len(g) - 1) == 0
+                    roots = [r for g, _ in facs if d % (len(g) - 1) == 0
                              for r in irreducible_roots(field, g)]
                 found = _eigenspaces(field, mats[label], cols, roots)
-                if len(found) == 1 and len(found[0][1]) == len(cols):
+                if len(found) == 1 and found[0][1].shape == cols.shape:
                     values[label] = found[0][0]
-    return field, [(values, len(cols)) for cols, values in pieces]
+    return field, [(values, cols.shape[1] // d) for cols, values in pieces]
 
 
-def _read_value(field, x, col):
-    """The eigenvalue of x on the line that col spans."""
-    image = _apply(field, x, [col])[0]
-    i = next(i for i, c in enumerate(col) if not c.is_zero())
-    return image[i] / col[i]
+def _read_value(field, x, cols):
+    """The eigenvalue of x on a piece of dimension one over field: entry i
+    of x w over entry i of w, for w spanning the piece and w_i nonzero."""
+    w = cols[:, 0].reshape(len(x), field.r)
+    i = np.flatnonzero(cols[:, 0])[0] // field.r
+    return field(x[i] @ w % field.ell) / field(w[i])
 
 
 def _eigenspaces(field, x, cols, roots):
-    """Generalized eigenspaces of x inside the span of cols, for those of
-    the candidate eigenvalues that have one: a list of (root, columns)."""
-    m = len(cols)
-    y = gf_solve(cols, _apply(field, x, cols))
+    """Generalized eigenspaces of x inside a piece, for those of the
+    candidate eigenvalues that have one: a list of (root, sub-piece).
+
+    In the F_ell coordinates of the piece, x acts by y and a root by r, the
+    matrix of its regular representation on each entry.  Both commute with
+    multiplication by the generator, so the kernel of (y - r)^m, m the
+    piece's dimension over the field, is again a subspace over the field.
+    """
+    ell, d = field.ell, field.r
+    s, m = len(x), cols.shape[1] // d
+    y = _solve_mod(cols, (x @ cols.reshape(s, -1)).reshape(cols.shape) % ell,
+                   ell)
     out = []
     for root in roots:
-        shifted = [[v - root if i == j else v for j, v in enumerate(row)]
-                   for i, row in enumerate(y)]
-        ker = gf_kernel(_square_up(shifted, m, gf_mat_mul), m)
-        if ker:
-            out.append((root, [_combine(cols, k) for k in ker]))
-        if sum(len(sub) for _, sub in out) == m:
+        regular = [root]
+        for _ in range(d - 1):
+            regular.append(regular[-1] * field.gen())
+        mult = np.array([c.coeffs for c in regular], dtype=cols.dtype).T
+        r = _solve_mod(cols, (mult @ cols.reshape(s, d, -1)).reshape(
+            cols.shape) % ell, ell)
+        ker = _kernel_mod(_square_up((y - r) % ell, m, ell), ell)
+        if ker.shape[1]:
+            out.append((root, cols @ ker % ell))
+        if sum(sub.shape[1] for _, sub in out) == cols.shape[1]:
             break
     return out
 

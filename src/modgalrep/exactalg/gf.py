@@ -19,15 +19,51 @@ equal-degree splitting alone, with no squarefree or distinct-degree pass,
 and returns that root's d Frobenius conjugates.  Field embeddings and the
 eigensystem code find their roots with it.
 
-`FqElem.inverse` alone works on coefficient lists of ints: it runs extended
-Euclid against the modulus, which is several times faster per element than
-Fermat inversion through the field's own multiplication.
+Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
+the one elimination over a finite field in the package; the eigensystem
+code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
+coefficient vectors of an element's powers with it.  `FqElem.inverse`
+alone works on coefficient lists of ints: it runs extended Euclid against
+the modulus, which is several times faster per element than Fermat
+inversion through the field's own multiplication.
 """
 
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import factorint, is_prime
+from .intmat import exact_dtype
+
+
+# ---------------------------------------------------------------------------
+# matrices over F_l, as numpy arrays of residues
+
+def _exact_dtype(n, ell):
+    """int64 while a sum of n + 2 products of two residues fits in it,
+    Python integers beyond that."""
+    return exact_dtype((n + 2) * ell * ell)
+
+
+def _rref_mod(a, ell):
+    """Reduced row echelon form of a mod ell, and its pivot columns."""
+    a = a % ell
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, ell) % ell
+        rows = np.flatnonzero(a[:, j])
+        rows = rows[rows != r]
+        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:])) % ell
+        pivots.append(j)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +325,19 @@ class FqElem:
         return order
 
     def minpoly(self):
-        """Monic minimal polynomial over the prime field, as an int list."""
+        """Monic minimal polynomial over the prime field, as an int list.
+
+        The coefficient vectors of 1, x, ..., x^r are echelonized as
+        columns: the pivots are the first d powers, d the degree, and
+        column d writes x^d in them."""
         f = self.field
-        ell = f.ell
-        # find the first linear dependence among 1, x, x^2, ...
-        rows = []  # echelon rows: (pivot, normalized vector, combination)
-        power = f.one()
-        for d in range(f.r + 1):
-            vec = list(power.coeffs)
-            combo = [0] * (f.r + 2)
-            combo[d] = 1
-            for pivot, rvec, rcombo in rows:
-                c = vec[pivot]
-                if c:
-                    vec = [(a - c * b) % ell for a, b in zip(vec, rvec)]
-                    combo = [(a - c * b) % ell for a, b in zip(combo, rcombo)]
-            nz = next((i for i, a in enumerate(vec) if a), None)
-            if nz is None:
-                lead_inv = pow(combo[d], -1, ell)
-                return [c * lead_inv % ell for c in combo[: d + 1]]
-            inv = pow(vec[nz], -1, ell)
-            rows.append((nz, [a * inv % ell for a in vec],
-                         [c * inv % ell for c in combo]))
-            power = power * self
-        raise RuntimeError("minimal polynomial not found")  # unreachable
+        powers = [f.one()]
+        for _ in range(f.r):
+            powers.append(powers[-1] * self)
+        cols = np.array([p.coeffs for p in powers],
+                        dtype=_exact_dtype(f.r + 1, f.ell)).T
+        rows, pivots = _rref_mod(cols, f.ell)
+        return [-int(c) % f.ell for c in rows[:, len(pivots)]] + [1]
 
     def __eq__(self, other):
         return (
@@ -557,7 +582,7 @@ def poly_factor_fq(f):
         raise ValueError("cannot factor the zero polynomial")
     field = f[0].field
     if field.ell == 2:
-        raise NotImplementedError("even characteristic is not supported")
+        raise ValueError("even characteristic is not supported")
     if poly_degree(f) == 1:
         return [(poly_monic(f), 1)]
     rng = random.Random(0)
@@ -593,7 +618,7 @@ def irreducible_roots(field, g):
     if d < 1 or field.r % d:
         raise ValueError("degree %d does not divide %d" % (d, field.r))
     if field.ell == 2 and d > 1:
-        raise NotImplementedError("even characteristic is not supported")
+        raise ValueError("even characteristic is not supported")
     rng = random.Random(0)
     while poly_degree(f) > 1:
         f = _split_once(f, 1, rng)

@@ -169,6 +169,8 @@ class _Ambient:
     """The full weight-k Manin symbol quotient for Gamma_1(n)."""
 
     def __init__(self, level, weight):
+        if level < 1:
+            raise ValueError("level must be positive")
         if weight < 2 or weight % 2:
             raise ValueError("only even weights >= 2 are supported")
         self.level = level

@@ -196,6 +196,19 @@ def test_domain_error_exits_2():
     assert "ell" in doc["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["msdim", "--level", "0", "--weight", "2"], "level"),
+    (["eigensys", "--level", "0", "--weight", "2", "--ell", "5"], "level"),
+    # S_2(Gamma_1(23)) has systems with values in F_{2^5}
+    (["eigensys", "--level", "23", "--weight", "2", "--ell", "2",
+      "--primes-up-to", "30"], "even characteristic"),
+], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2"])
+def test_limits_of_the_domain_exit_2(argv, message):
+    code, doc = run_command(["--no-cache"] + argv)
+    assert code == 2, doc
+    assert message in doc["error"]
+
+
 def test_unreadable_form_file_is_a_domain_error():
     code, doc = run_command(
         ["--no-cache", "realize", "--level", "3", "--weight", "12", "--ell",

@@ -237,3 +237,19 @@ def test_decompose_beyond_int64():
     assert [(s.multiplicity, s.value_tuple()) for s in systems] \
         == [(1, (1, 1)), (1, (2, 4))]
     assert charpoly_mod(t2, ell) == [2, ell - 3, 1]
+    # an F_{ell^2} block: T2 = diag(C, C) and T3 = diag(C, -C), C the
+    # companion matrix of x^2 + 1, give the orbits of (a, a) and (a, -a)
+    m = ell - 1
+    t2 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, m], [0, 0, 1, 0]]
+    t3 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, m, 0]]
+    rspace = ReducedSpace(1, 2, ell, 4, {"T2": t2, "T3": t3}, ())
+    systems = decompose(rspace, [2, 3])
+    assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
+        == [(2, 1, (ell, ell)), (2, 1, (ell, m * ell))]
+    # a simple block: T3 = 3 + 2 T2 is never split on, and its value is read
+    # off the one-dimensional piece
+    rspace = ReducedSpace(1, 2, ell, 2, {"T2": [[0, m], [1, 0]],
+                                         "T3": [[3, 2 * m % ell], [2, 3]]}, ())
+    systems = decompose(rspace, [2, 3])
+    assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
+        == [(2, 1, (ell, 3 + 2 * ell))]

@@ -6,7 +6,7 @@ plus-cuspidal space with every prime up to 50.  Value tuples are the
 encodings of the canonical representative of each Frobenius orbit in the
 canonical field of its degree, so the pins hold across any reimplementation
 of the decomposition that keeps those conventions.  The cases cover value
-fields of degree 2 to 6, multiplicities up to 7, diamond operators and
+fields of degree 2 to 6 and 18, multiplicities up to 7, diamond operators and
 primes dividing the level.
 """
 
@@ -29,6 +29,7 @@ PINNED = {
     (23, 2, 5): (3, 5, 2, "3f17aa5993fd92f0"),
     (29, 2, 5): (5, 6, 2, "c006be838952ddd0"),
     (33, 2, 11): (15, 2, 2, "2cef5e4deb60d147"),
+    (37, 2, 5): (10, 18, 1, "efa2c39222168ef6"),
     (40, 2, 13): (14, 4, 2, "2d660567d250110d"),
 }
 
