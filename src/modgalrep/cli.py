@@ -277,7 +277,7 @@ def _select_form(level, weight, ell, selector, eps, truncate, cache):
     """Select the input form up to the bound that realize matches it at,
     the weight-2 bound at level N' = N*ell (N at weight 2)."""
     nprime = level if weight == 2 else level * ell
-    bound = sturm_bound(nprime, ell, weight, 2)
+    bound = sturm_bound(nprime, ell, weight)
     if truncate is not None:
         bound = min(bound, truncate)
     return select_input_form(level, weight, ell, selector, eps=eps,

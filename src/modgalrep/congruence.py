@@ -4,7 +4,8 @@ A subgroup H of (Z/nZ)* determines the group Gamma_H(n) of integral
 unimodular matrices with lower-left entry divisible by n and lower-right
 entry in H mod n.  Cosets of its image in PSL2(Z) are unimodular bottom
 rows (c:d) mod n up to scaling by +-H, which is all that is needed for
-elliptic point, cusp and genus counts, and for the index formulas.
+elliptic point, cusp and genus counts, and for the index formulas.  The
+coset table holds each coset's cusp, its orbit under T.
 """
 
 from math import gcd
@@ -137,10 +138,14 @@ class CosetTable:
 
     Cosets are canonical unimodular bottom rows (c:d) mod n up to +-H
     scaling; the canonical form is the lexicographically least pair of
-    least non-negative residues in the scaling class.
+    least non-negative residues in the scaling class.  cusp_of[x] is the
+    cusp g(inf) of the coset x = Gamma g, the index of its orbit under
+    g -> gT (Gamma g inf = Gamma g' inf exactly when g' is in Gamma g <+-T>),
+    with orbits numbered in order of their least coset.
     """
 
-    __slots__ = ("level", "subgroup", "reps", "index_of", "s_perm", "t_perm")
+    __slots__ = ("level", "subgroup", "reps", "index_of", "s_perm", "t_perm",
+                 "cusp_of")
 
     def __init__(self, subgroup):
         n = subgroup.level
@@ -165,13 +170,18 @@ class CosetTable:
         self.index_of = index_of
         self.s_perm = [index_of[(d % n, (-c) % n)] for c, d in reps]
         self.t_perm = [index_of[(c, (c + d) % n)] for c, d in reps]
+        self.cusp_of = [-1] * len(reps)
+        cusps = 0
+        for i in range(len(reps)):
+            if self.cusp_of[i] < 0:
+                j = i
+                while self.cusp_of[j] < 0:
+                    self.cusp_of[j] = cusps
+                    j = self.t_perm[j]
+                cusps += 1
 
     def __len__(self):
         return len(self.reps)
-
-    def index(self, pair):
-        c, d = pair
-        return self.index_of[(c % self.level, d % self.level)]
 
     def __repr__(self):
         return "CosetTable(level %d, %d cosets)" % (self.level, len(self.reps))
@@ -208,15 +218,7 @@ def curve_invariants(table):
     s, t = table.s_perm, table.t_perm
     nu2 = sum(1 for i, j in enumerate(s) if i == j)
     nu3 = sum(1 for i in range(mu) if t[s[i]] == i)
-    seen = [False] * mu
-    cusps = 0
-    for i in range(mu):
-        if not seen[i]:
-            cusps += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = t[j]
+    cusps = max(table.cusp_of) + 1
     twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusps
     if twelve_g % 12:
         raise AssertionError("genus formula did not come out integral")

@@ -10,7 +10,7 @@ turns zeta_m into a concrete element of a finite field.
 from math import gcd, lcm
 from functools import lru_cache
 
-from .exactalg.arith import multiplicative_order, unit_group
+from .exactalg.arith import is_prime, multiplicative_order, unit_group
 from .exactalg.gf import element_of_order, fq_field
 
 
@@ -138,6 +138,8 @@ class PlaceAboveEll:
     __slots__ = ("ell", "m_max", "field", "base")
 
     def __init__(self, ell, m_max):
+        if not is_prime(ell):
+            raise ValueError("ell must be prime, got %d" % ell)
         m_max = _prime_to_ell_part(m_max, ell)
         self.ell = ell
         self.m_max = m_max

@@ -38,7 +38,7 @@ from math import lcm
 
 import numpy as np
 
-from .exactalg.arith import primes_up_to, unit_group
+from .exactalg.arith import is_prime, primes_up_to, unit_group
 from .exactalg.gf import (
     _exact_dtype,
     _rref_mod,
@@ -155,6 +155,8 @@ def reduce_space_mod(space, ell, primes):
     matrices come from saturated lattices, so reduction is a ring map and
     commutativity is preserved.
     """
+    if not is_prime(ell):
+        raise ValueError("ell must be prime, got %d" % ell)
     ops = {}
     for p in primes:
         mat = space.hecke_matrix(p)
@@ -481,9 +483,8 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False):
     big = fq_field(ell, r)
     phi_f = embed_field(sys_f.field, big)
     phi_g = embed_field(sys_g.field, big)
-    primes = [p for p in primes_up_to(bound) if p <= bound]
     checked, skipped = [], []
-    for p in primes:
+    for p in primes_up_to(bound):
         if (sys_f.level * sys_g.level * ell) % p == 0:
             skipped.append(p)
             continue

@@ -27,6 +27,10 @@ D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
 subspace in one step, X = D (T B), checked exactly against T B = B X, and
 a space between the two computes the operator only when asked for it.
+The cuspidal subspace is the kernel of the boundary map, whose cusps are
+the T-orbits of the coset table: Gamma g inf = Gamma g' inf exactly when g'
+lies in Gamma g <+-T>, and g(0) is the cusp gS(inf) of the coset S sends
+Gamma g to.
 
 A run keeps its spaces in one MatrixCache, so each (level, weight) has one
 presentation in the run, and nothing outlives it.  The root space keeps its
@@ -45,7 +49,7 @@ from math import comb, gcd
 import numpy as np
 
 from .congruence import coset_table, trivial_subgroup
-from .exactalg.arith import is_prime, xgcd
+from .exactalg.arith import is_prime
 from .exactalg.intmat import (
     dual_basis,
     exact_dtype,
@@ -117,54 +121,6 @@ def _monomial_tables(mats, k, rows):
     return out
 
 
-def lift_unimodular(c, d, n):
-    """Lift a pair (c:d) mod n with gcd(c, d, n) = 1 to gcd(c1, d1) = 1."""
-    c %= n
-    d %= n
-    if n == 1:
-        return 0, 1
-    if c == 0 and gcd(d, n) == 1 and d != 1:
-        return n, d
-    if c == 0:
-        return (n, d) if d != 1 else (0, 1)
-    for t in range(c + 1):
-        if gcd(c, d + t * n) == 1:
-            return c, d + t * n
-    raise AssertionError("no unimodular lift found")
-
-
-class CuspClasses:
-    """Cusp classes of +-Gamma_1(n), discovered on demand.
-
-    Cusps are primitive integer pairs (p, q); two are identified when
-    (p2, q2) = +-(p1 + j*q1, q1) mod n for some integer j.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.reps = []
-
-    def _equiv(self, a, b):
-        n = self.n
-        p1, q1 = a
-        p2, q2 = b
-        g = gcd(q1, n)
-        for s in (1, -1):
-            if (q2 - s * q1) % n == 0 and (p2 - s * p1) % g == 0:
-                return True
-        return False
-
-    def index(self, pair):
-        for i, rep in enumerate(self.reps):
-            if self._equiv(rep, pair):
-                return i
-        self.reps.append(pair)
-        return len(self.reps) - 1
-
-    def __len__(self):
-        return len(self.reps)
-
-
 class _Ambient:
     """The full weight-k Manin symbol quotient for Gamma_1(n)."""
 
@@ -181,7 +137,7 @@ class _Ambient:
         self.nsym = (k - 1) * ncos
         rows = []
         for x, (c, d) in enumerate(self.table.reps):
-            sx = self.table.index_of[(d % level, (-c) % level)]
+            sx = self.table.s_perm[x]
             tx = self.table.index_of[(d % level, (-c - d) % level)]
             ux = self.table.index_of[((-c - d) % level, c % level)]
             for a in range(k - 1):
@@ -330,32 +286,26 @@ class _Ambient:
                                                   self._exponents))
 
     def boundary_matrix(self):
-        """Boundary map to the cusp module, on the lattice basis."""
+        """Boundary map to the cusp module, on the lattice basis.
+
+        The symbol X^(k-2) (c:d) at the coset Gamma g goes to its cusp
+        g(inf), and X^0 (c:d) to minus g(0) = gS(inf); at weight 2 a symbol
+        goes to both.  Rows are the cusps in order of first appearance.
+        """
         if self._boundary is None:
-            n, k = self.level, self.weight
-            ncos = len(self.table)
-            cusps = CuspClasses(n)
-            entries = {}  # (cusp, basiscol) -> coeff
+            ncos, top = len(self.table), self.weight - 2
+            cusp_of, s_perm = self.table.cusp_of, self.table.s_perm
+            rows = {}
             for col, lift in enumerate(self.lifts):
                 for sym, coeff in lift:
-                    a_exp, x = divmod(sym, ncos)
-                    if a_exp != 0 and a_exp != k - 2:
-                        continue
-                    c, d = self.table.reps[x]
-                    c1, d1 = lift_unimodular(c, d, n)
-                    g, u, v = xgcd(d1, c1)
-                    assert g == 1
-                    a_top, b_top = u, -v
-                    if a_exp == k - 2:
-                        key = (cusps.index((a_top, c1)), col)
-                        entries[key] = entries.get(key, 0) + coeff
-                    if a_exp == 0:
-                        key = (cusps.index((b_top, d1)), col)
-                        entries[key] = entries.get(key, 0) - coeff
-            mat = [[0] * self.dim for _ in range(len(cusps))]
-            for (r, ccol), v in entries.items():
-                mat[r][ccol] = v
-            self._boundary = mat
+                    a, x = divmod(sym, ncos)
+                    for end, cusp, sign in ((top, cusp_of[x], 1),
+                                            (0, cusp_of[s_perm[x]], -1)):
+                        if a == end:
+                            if cusp not in rows:
+                                rows[cusp] = [0] * self.dim
+                            rows[cusp][col] += sign * coeff
+            self._boundary = list(rows.values())
         return self._boundary
 
 

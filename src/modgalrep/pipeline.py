@@ -60,9 +60,10 @@ def sl2_index_gamma1(n):
     return phi * psi
 
 
-def sturm_bound(level, ell, k, kprime):
-    """Prime bound certifying a twisted eigensystem identity."""
-    return sl2_index_gamma1(level) * (ell * ell - 1 + max(k, kprime)) // 12
+def sturm_bound(level, ell, k):
+    """Prime bound certifying a twisted eigensystem identity between a
+    weight-k system and one of weight at most k."""
+    return sl2_index_gamma1(level) * (ell * ell - 1 + k) // 12
 
 
 class InputForm:
@@ -129,7 +130,7 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     if eps is None:
         eps = trivial_character(level)
     if bound is None:
-        bound = sturm_bound(level, ell, weight, min(weight, ell + 1))
+        bound = sturm_bound(level, ell, weight)
     systems = decompose_level(level, weight, ell, bound, cache)
     candidates = [s for s in systems if _diamond_matches(s, eps)]
     if "index" in selector:
@@ -269,9 +270,9 @@ def find_twist(form, ell, truncate=None, cache=None):
     cond = conductor(form.eps)
     levels = [m for m in divisors(n) if m % cond == 0]
     warnings = []
+    bound, heuristic = _match_bound(form, sturm_bound(n, ell, k), truncate,
+                                    warnings)
     for i, kp in pairs:
-        bound, heuristic = _match_bound(form, sturm_bound(n, ell, k, kp),
-                                        truncate, warnings)
         for m in levels:
             systems = decompose_level(m, kp, ell, bound, cache)
             found = _first_match(form, systems, i, bound, heuristic)
@@ -372,7 +373,7 @@ def realize(form, ell, truncate=None, cache=None):
             raise AssertionError("index formula mismatch: %d != %d"
                                  % (predicted, len(subgroup)))
     for mpp in divisors(mprime):
-        bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k, 2),
+        bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k),
                                         truncate, warnings)
         hproj = subgroup.project(mpp) if mpp > 1 else None
         systems = decompose_level(mpp, 2, ell, bound, cache,
@@ -403,7 +404,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     nprime = n if k == 2 else n * ell
     subgroup = h_from_eigenform(form.eps, k, i, ell)
     warnings = []
-    bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k, 2),
+    bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k),
                                     truncate, warnings)
     rows = []
     for hp in intermediate_subgroups(nprime):

@@ -9,7 +9,13 @@ from math import comb, gcd, lcm
 
 from modgalrep.dirichlet import DirichletCharacter, place_above
 from modgalrep.eigen import Eigensystem
-from modgalrep.exactalg import dual_basis, mat_mul, transpose, unit_group
+from modgalrep.exactalg import (
+    dual_basis,
+    mat_mul,
+    transpose,
+    unit_group,
+    xgcd,
+)
 
 
 def naive_is_irreducible(coeffs, p):
@@ -254,3 +260,82 @@ def twist_eigensystem(sys, j):
     return Eigensystem(sys.level, sys.weight, sys.ell, sys.field, a,
                        dict(sys.diamond), sys.multiplicity,
                        sys.provenance + "*chi^%d" % j, sys.bad_primes)
+
+
+def lift_unimodular(c, d, n):
+    """Lift a pair (c:d) mod n with gcd(c, d, n) = 1 to gcd(c1, d1) = 1."""
+    c %= n
+    d %= n
+    if n == 1:
+        return 0, 1
+    if c == 0 and gcd(d, n) == 1 and d != 1:
+        return n, d
+    if c == 0:
+        return (n, d) if d != 1 else (0, 1)
+    for t in range(c + 1):
+        if gcd(c, d + t * n) == 1:
+            return c, d + t * n
+    raise AssertionError("no unimodular lift found")
+
+
+class CuspClasses:
+    """Cusp classes of +-Gamma_1(n), discovered on demand.
+
+    Cusps are primitive integer pairs (p, q); two are identified when
+    (p2, q2) = +-(p1 + j*q1, q1) mod n for some integer j.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.reps = []
+
+    def _equiv(self, a, b):
+        n = self.n
+        p1, q1 = a
+        p2, q2 = b
+        g = gcd(q1, n)
+        for s in (1, -1):
+            if (q2 - s * q1) % n == 0 and (p2 - s * p1) % g == 0:
+                return True
+        return False
+
+    def index(self, pair):
+        for i, rep in enumerate(self.reps):
+            if self._equiv(rep, pair):
+                return i
+        self.reps.append(pair)
+        return len(self.reps) - 1
+
+    def __len__(self):
+        return len(self.reps)
+
+
+def boundary_by_cusp_equivalence(ambient):
+    """The boundary map of an ambient on its lattice basis, with each cusp
+    g(inf), g(0) of a symbol's coset found by lifting (c:d) to a matrix g
+    and testing it against the cusps met so far (CuspClasses); rows in
+    order of discovery."""
+    n, k = ambient.level, ambient.weight
+    ncos = len(ambient.table)
+    cusps = CuspClasses(n)
+    entries = {}  # (cusp, basiscol) -> coeff
+    for col, lift in enumerate(ambient.lifts):
+        for sym, coeff in lift:
+            a_exp, x = divmod(sym, ncos)
+            if a_exp != 0 and a_exp != k - 2:
+                continue
+            c, d = ambient.table.reps[x]
+            c1, d1 = lift_unimodular(c, d, n)
+            g, u, v = xgcd(d1, c1)
+            assert g == 1
+            a_top, b_top = u, -v
+            if a_exp == k - 2:
+                key = (cusps.index((a_top, c1)), col)
+                entries[key] = entries.get(key, 0) + coeff
+            if a_exp == 0:
+                key = (cusps.index((b_top, d1)), col)
+                entries[key] = entries.get(key, 0) - coeff
+    mat = [[0] * ambient.dim for _ in range(len(cusps))]
+    for (r, ccol), v in entries.items():
+        mat[r][ccol] = v
+    return mat

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from hashlib import sha256
 
 import numpy as np
@@ -202,11 +204,28 @@ def test_domain_error_exits_2():
     # S_2(Gamma_1(23)) has systems with values in F_{2^5}
     (["eigensys", "--level", "23", "--weight", "2", "--ell", "2",
       "--primes-up-to", "30"], "even characteristic"),
-], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2"])
+    (["eigensys", "--level", "11", "--weight", "2", "--ell", "1"],
+     "ell must be prime, got 1"),
+    (["eigensys", "--level", "11", "--weight", "2", "--ell", "0"],
+     "ell must be prime, got 0"),
+], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2",
+        "eigensys-ell-1", "eigensys-ell-0"])
 def test_limits_of_the_domain_exit_2(argv, message):
     code, doc = run_command(["--no-cache"] + argv)
     assert code == 2, doc
     assert message in doc["error"]
+
+
+def test_subgroup_with_ell_1_exits_2_in_time():
+    # in a subprocess with a timeout, so that a hang fails this test alone
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modgalrep.cli", "--no-cache", "subgroup",
+         "--level", "3", "--weight", "12", "--ell", "1"],
+        env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "ell must be prime, got 1" in json.loads(proc.stdout)["error"]
 
 
 def test_unreadable_form_file_is_a_domain_error():

@@ -28,6 +28,7 @@ from modgalrep.modsym import (
 )
 
 from helpers import (
+    boundary_by_cusp_equivalence,
     dim_cusp_forms,
     merel_family,
     ramanujan_tau,
@@ -91,6 +92,20 @@ def test_hecke_matches_merel_family(monkeypatch):
                 (n, k, p)
     for name in ("_monomial_tables", "_apply"):
         assert {d for f, d in picked if f == name} == {np.int64, object}
+
+
+def test_boundary_matches_cusp_equivalence_oracle():
+    """The boundary map read off the T-orbits of the coset table equals,
+    entry for entry and row for row, the one that lifts each coset to a
+    matrix and tests its cusps for equivalence: 95 spaces of weight
+    k in {2, 4, 6, 8, 12} with N^2 k <= 1800, and (78, 2)."""
+    spaces = [(n, k) for k in (2, 4, 6, 8, 12)
+              for n in range(1, 43) if n * n * k <= 1800]
+    assert len(spaces) == 95
+    for n, k in spaces + [(78, 2)]:
+        ambient = build_space(n, k).ambient
+        assert ambient.boundary_matrix() == \
+            boundary_by_cusp_equivalence(ambient), (n, k)
 
 
 def _restricted_spaces():

@@ -28,9 +28,9 @@ def test_sl2_index():
 
 
 def test_sturm_bound_examples():
-    assert sturm_bound(1, 11, 12, 2) == 11
-    assert sturm_bound(1, 13, 12, 2) == 15
-    assert sturm_bound(3, 11, 12, 2) == 88
+    assert sturm_bound(1, 11, 12) == 11
+    assert sturm_bound(1, 13, 12) == 15
+    assert sturm_bound(3, 11, 12) == 88
 
 
 def test_select_input_form_delta():
