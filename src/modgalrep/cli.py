@@ -29,13 +29,12 @@ from .dirichlet import (
     parse_character,
     trivial_character,
 )
-from .eigen import reduce_space_mod, decompose
-from .exactalg.arith import primes_up_to
 from .exactalg.gf import fq_str
 from .modsym import MatrixCache, build_space
 from .pipeline import (
     PipelineError,
     TABLE_ROWS,
+    decompose_level,
     find_twist,
     plus_cuspidal_space,
     realize,
@@ -252,13 +251,10 @@ def _run_hecke(args, cache):
 
 
 def _run_eigensys(args, cache):
-    space = plus_cuspidal_space(args.level, args.weight, cache=cache)
-    if args.subgroup:
-        space = space.h_invariant_subspace(
-            _subgroup_from_text(args.level, args.subgroup))
-    primes = list(primes_up_to(args.primes_up_to))
-    rspace = reduce_space_mod(space, args.ell, primes)
-    systems = decompose(rspace, primes)
+    subgroup = (_subgroup_from_text(args.level, args.subgroup)
+                if args.subgroup else None)
+    systems = decompose_level(args.level, args.weight, args.ell,
+                              args.primes_up_to, cache, subgroup)
     out = []
     for s in systems:
         out.append({
@@ -269,8 +265,9 @@ def _run_eigensys(args, cache):
             "minpoly_a2": s.a[2].minpoly() if 2 in s.a else None,
             "bad_primes": list(s.bad_primes),
         })
+    dim = sum(s.multiplicity * s.field.r for s in systems)
     return {"level": args.level, "weight": args.weight, "ell": args.ell,
-            "dim": rspace.dim, "systems": out}
+            "dim": dim, "systems": out}
 
 
 def _select_form(level, weight, ell, selector, eps, truncate, cache):

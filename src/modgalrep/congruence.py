@@ -11,7 +11,7 @@ coset table holds each coset's cusp, its orbit under T.
 from math import gcd
 
 from .dirichlet import induce, place_above
-from .exactalg.arith import euler_phi, unit_group
+from .exactalg.arith import euler_phi, is_prime, unit_group
 
 
 class SubgroupH:
@@ -109,6 +109,8 @@ def h_from_eigenform(eps, k, i, ell):
     is the kernel of the reduction of eps, at N' = N.
     """
     n = eps.modulus
+    if not is_prime(ell):
+        raise ValueError("ell must be prime, got %d" % ell)
     if ell >= 5 and n % ell == 0:
         raise ValueError("ell must not divide the level")
     if not 0 <= i <= ell - 1:

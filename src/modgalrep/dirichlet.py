@@ -64,11 +64,6 @@ class DirichletCharacter:
             for a, b in zip(self.exponents, other.exponents))
         return DirichletCharacter(self.modulus, m, exps)
 
-    def __pow__(self, j):
-        return DirichletCharacter(
-            self.modulus, self.zeta_order,
-            tuple(e * j % self.zeta_order for e in self.exponents))
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
@@ -209,10 +204,6 @@ class ResidualCharacter:
     def order(self):
         orders = [v.multiplicative_order() for v in self.values]
         return lcm(*orders) if orders else 1
-
-    def is_trivial(self):
-        one = self.field.one()
-        return all(v == one for v in self.values)
 
     def __mul__(self, other):
         if self.modulus != other.modulus or self.field != other.field:

@@ -418,12 +418,6 @@ def _dedupe_orbits(systems):
     return out
 
 
-def _chi_power(p, j, ell):
-    if p % ell:
-        return pow(p, j % (ell - 1), ell)
-    return 1 if j == 0 else 0
-
-
 class MatchReport:
     """Outcome of comparing two eigensystems up to a cyclotomic twist."""
 
@@ -502,7 +496,7 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False):
         fail = None
         for p in checked:
             lhs = phi_f(sys_f.a[p])
-            factor = big.from_int(_chi_power(p, i, ell))
+            factor = big.from_int(pow(p, i % (ell - 1), ell))
             rhs = factor * phi_g(_frob_iter(sys_g.a[p], j))
             if lhs != rhs:
                 ok = False

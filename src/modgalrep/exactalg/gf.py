@@ -109,13 +109,7 @@ class FqField:
         return FqElem(self, (0, 1) + (0,) * (self.r - 2))
 
     def __call__(self, value):
-        """Coerce an integer or a coefficient sequence into the field."""
-        if isinstance(value, FqElem):
-            if value.field is not self:
-                raise ValueError("element of a different field")
-            return value
-        if isinstance(value, int):
-            return self.from_int(value)
+        """The element with a given coefficient sequence."""
         coeffs = tuple(int(c) % self.ell for c in value)
         if len(coeffs) > self.r:
             raise ValueError("coefficient vector too long")

@@ -20,17 +20,20 @@ table of its action on the monomials; the diamond <d> is the one matrix
 kernel works on int64 arrays when a bound from its inputs shows no
 overflow and on Python integers otherwise, in the same code.
 
-Subspaces (cuspidal, plus, H-invariant) are integer kernels in their
-parent's coordinates, hence saturated sublattices.  Each composes its basis
-into ambient coordinates once, B = B_parent B_local, with the dual basis
+A subspace is an integer kernel in the coordinates of the space it is cut
+from, its parent, hence a saturated sublattice.  The cuspidal subspace is
+the kernel of the boundary map on the full space, whose cusps are the
+T-orbits of the coset table: Gamma g inf = Gamma g' inf exactly when g'
+lies in Gamma g <+-T>, and g(0) is the cusp gS(inf) of the coset S sends
+Gamma g to.  The plus and H-invariant subspaces are fixed spaces, each one
+kernel of M - I stacked over the matrices M that fix it: the star
+involution, or <h> for each generator h of H (none for trivial H, whose
+fixed space is the whole parent).  Each subspace composes its basis into
+ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
 subspace in one step, X = D (T B), checked exactly against T B = B X, and
 a space between the two computes the operator only when asked for it.
-The cuspidal subspace is the kernel of the boundary map, whose cusps are
-the T-orbits of the coset table: Gamma g inf = Gamma g' inf exactly when g'
-lies in Gamma g <+-T>, and g(0) is the cusp gS(inf) of the coset S sends
-Gamma g to.
 
 A run keeps its spaces in one MatrixCache, so each (level, weight) has one
 presentation in the run, and nothing outlives it.  The root space keeps its
@@ -318,17 +321,17 @@ def _acc(row, key, val):
 
 
 class ModularSymbolSpace:
-    """A saturated Hecke-stable sublattice of a Manin symbol quotient."""
+    """A saturated Hecke-stable sublattice of a Manin symbol quotient: the
+    full space (parent None), or a saturated kernel cut from its parent,
+    with basis in the parent's coordinates.  Cuspidal is the boundary
+    kernel of the full space; plus and H-invariant are fixed spaces, each
+    taken in one kernel."""
 
-    def __init__(self, ambient, parent=None, basis=None, cuspidal=False,
-                 plus=False, h_subgroup=None, cache=None):
+    def __init__(self, ambient, parent=None, basis=None, cache=None):
         self.ambient = ambient
         self.parent = parent
         self.root = self if parent is None else parent.root
         self.basis = basis  # list of vectors in parent coordinates
-        self.is_cuspidal = cuspidal
-        self.is_plus = plus
-        self.h_subgroup = h_subgroup
         self._ops = {}
         # the root's operators go to and from the cache's directory, if any
         self._disk = cache if cache is not None and cache.directory else None
@@ -426,61 +429,42 @@ class ModularSymbolSpace:
 
     # -- subspaces ------------------------------------------------------------
 
-    def _child(self, basis, **flags):
-        merged = dict(cuspidal=self.is_cuspidal, plus=self.is_plus,
-                      h_subgroup=self.h_subgroup)
-        merged.update(flags)
-        return ModularSymbolSpace(self.ambient, parent=self, basis=basis,
-                                  **merged)
-
-    def _kernel_space(self, mat, **flags):
-        basis = kernel_int(mat, self.dim)
-        return self._child(basis, **flags)
+    def _fixed_space(self, mats):
+        """The saturated sublattice fixed by every matrix in mats: one
+        kernel of M - I stacked over them, the whole space for none."""
+        rows = []
+        for mat in mats:
+            for i, row in enumerate(mat):
+                row = row[:]
+                row[i] -= 1
+                rows.append(row)
+        return ModularSymbolSpace(self.ambient, parent=self,
+                                  basis=kernel_int(rows, self.dim))
 
     def cuspidal_subspace(self):
-        """Kernel of the boundary map, a saturated Hecke-stable sublattice."""
-        if self.is_cuspidal:
-            raise ValueError("space is already cuspidal")
-        bnd = self.ambient.boundary_matrix()
+        """Kernel of the boundary map on the full space, a saturated
+        Hecke-stable sublattice."""
         if self.parent is not None:
-            bnd = mat_mul(bnd, self._bases[0].tolist())
-        return self._kernel_space(bnd, cuspidal=True)
+            raise ValueError("the cuspidal subspace is cut from the full space")
+        return ModularSymbolSpace(
+            self.ambient, parent=self,
+            basis=kernel_int(self.ambient.boundary_matrix(), self.dim))
 
     def star_plus_subspace(self):
         """The +1 eigenspace of the star involution."""
-        mat = [row[:] for row in self.star_matrix()]
-        for i in range(self.dim):
-            mat[i][i] -= 1
-        return self._kernel_space(mat, plus=True)
+        return self._fixed_space([self.star_matrix()])
 
     def h_invariant_subspace(self, subgroup):
-        """Intersection of the kernels of <h> - 1 over generators of H."""
+        """The space fixed by <h> for every generator h of H."""
         if subgroup.level != self.level:
             raise ValueError("subgroup level %d != space level %d"
                              % (subgroup.level, self.level))
-        space = self
-        for h in subgroup.generators():
-            mat = [row[:] for row in space.diamond_matrix(h)]
-            for i in range(space.dim):
-                mat[i][i] -= 1
-            space = space._kernel_space(mat, h_subgroup=subgroup)
-        if space is self:
-            space = self._child([_unit_vector(self.dim, j)
-                                 for j in range(self.dim)],
-                                h_subgroup=subgroup)
-        return space
+        return self._fixed_space([self.diamond_matrix(h)
+                                  for h in subgroup.generators()])
 
     def __repr__(self):
-        tags = []
-        if self.is_cuspidal:
-            tags.append("cuspidal")
-        if self.is_plus:
-            tags.append("plus")
-        if self.h_subgroup is not None:
-            tags.append("H#%d" % len(self.h_subgroup))
-        return "ModularSymbolSpace(level %d, weight %d, dim %d%s)" % (
-            self.level, self.weight, self.dim,
-            ", " + " ".join(tags) if tags else "")
+        return "ModularSymbolSpace(level %d, weight %d, dim %d)" % (
+            self.level, self.weight, self.dim)
 
 
 def _array(rows, nrows, ncols):
@@ -511,12 +495,6 @@ def _product(a, a_cols, b, b_rows):
     dtype = exact_dtype(max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
                             b_rows.max(initial=0)))
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-
-
-def _unit_vector(n, j):
-    v = [0] * n
-    v[j] = 1
-    return v
 
 
 def build_space(level, weight, cache=None):

@@ -208,12 +208,47 @@ def test_domain_error_exits_2():
      "ell must be prime, got 1"),
     (["eigensys", "--level", "11", "--weight", "2", "--ell", "0"],
      "ell must be prime, got 0"),
+    (["subgroup", "--level", "3", "--weight", "12", "--ell", "0"],
+     "ell must be prime, got 0"),
+    (["subgroup", "--level", "3", "--weight", "12", "--ell", "-5"],
+     "ell must be prime, got -5"),
 ], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2",
-        "eigensys-ell-1", "eigensys-ell-0"])
+        "eigensys-ell-1", "eigensys-ell-0", "subgroup-ell-0",
+        "subgroup-ell-minus-5"])
 def test_limits_of_the_domain_exit_2(argv, message):
     code, doc = run_command(["--no-cache"] + argv)
     assert code == 2, doc
     assert message in doc["error"]
+
+
+# the first 16 hex digits of the SHA-256 of each command's sorted-key JSON
+COMMAND_PINS = [
+    (["char", "--char", "13:2^1@6"], "5215e3ce500f4a80"),
+    (["subgroup", "--level", "3", "--weight", "12", "--ell", "5", "--i", "1"],
+     "483d6503e2349409"),
+    (["genus", "--level", "39", "--subgroup", "4,14"], "c34235b5581046fa"),
+    (["msdim", "--level", "23", "--weight", "2"], "d1c77a180bfbef40"),
+    (["msdim", "--level", "6", "--weight", "12"], "7701c3ec3d125a82"),
+    (["hecke", "--level", "40", "--weight", "2", "--p", "3"],
+     "a8e92573294ba602"),
+    (["eigensys", "--level", "40", "--weight", "2", "--ell", "13",
+      "--primes-up-to", "50"], "a0d35b9e3dc8c2b6"),
+    (["eigensys", "--level", "35", "--weight", "2", "--ell", "5",
+      "--primes-up-to", "30", "--subgroup", "6,11"], "c157996ef2d87f74"),
+    (["twist", "--level", "3", "--weight", "12", "--ell", "5", "--a", "2=78",
+      "--truncate-bound", "50"], "4949bb960560740e"),
+    (["realize", "--level", "6", "--weight", "12", "--ell", "7", "--a",
+      "2=-32", "--a", "3=-243", "--truncate-bound", "50"], "7e00385a7114f3ed"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", COMMAND_PINS,
+                         ids=[" ".join(argv[:3]) for argv, _ in COMMAND_PINS])
+def test_every_command_output_pinned(argv, digest):
+    code, doc = run_command(["--no-cache"] + argv)
+    assert code == 0, doc
+    text = json.dumps(doc, sort_keys=True)
+    assert sha256(text.encode()).hexdigest()[:16] == digest, text
 
 
 def test_subgroup_with_ell_1_exits_2_in_time():

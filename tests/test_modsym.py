@@ -1,7 +1,10 @@
+import hashlib
+import json
 import sys
 
 import numpy as np
 import pytest
+import sympy
 
 from modgalrep.congruence import (
     coset_table,
@@ -111,8 +114,8 @@ def test_boundary_matches_cusp_equivalence_oracle():
 def _restricted_spaces():
     for n, k in [(11, 2), (1, 12), (6, 12), (12, 8), (35, 2), (40, 2)]:
         yield plus_cuspidal(n, k)
-    # H = {1, 9} has one generator; H = <6, 11> of order 6 has two, so its
-    # space is a grandchild of the plus space
+    # H = {1, 9} has one generator; H = <6, 11> of order 6 has two, whose
+    # diamonds are stacked into one kernel cut from the plus space
     for n, gens in [(40, [9]), (35, [6, 11])]:
         subgroup = SubgroupH.from_generators(n, gens)
         assert len(subgroup.generators()) == len(gens)
@@ -358,6 +361,53 @@ def test_h_invariant_dim_39_size4():
     cusp = build_space(39, 2).cuspidal_subspace()
     inv = cusp.h_invariant_subspace(h)
     assert inv.star_plus_subspace().dim == 17
+
+
+# sympy characteristic polynomials of T_2, T_3 and the diamonds of the
+# generators of (Z/N)*, as the first 16 hex digits of the SHA-256 of their
+# coefficient lists
+H_SPACE_PINS = {
+    35: {"dim": 5, "T2": "07df1994e965475d", "T3": "f4e7dd93651c68e0",
+         "d22": "7d47fd7948d5af52", "d31": "e7dc7d11a962fc20"},
+    39: {"dim": 34, "T2": "183772fadb45b59f", "T3": "d653c42608df9efa",
+         "d14": "f6866f1e95202a20", "d28": "bfd476aff77183be"},
+    13: {"dim": 4, "T2": "03a702ba51b05527", "T3": "42760917ad6cfcd1",
+         "d2": "f327b11750a3b928"},
+}
+
+
+def _sympy_charpoly_digest(mat):
+    coeffs = [int(c) for c in sympy.Matrix(mat).charpoly().all_coeffs()]
+    return hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("level", sorted(H_SPACE_PINS))
+def test_h_invariant_space_is_one_kernel(level):
+    """The H-invariant space hangs directly off the space it is cut from,
+    whatever the number of generators of H: two at 35 and 39, none for the
+    trivial H at 13."""
+    if level == 35:
+        base = plus_cuspidal(35, 2)
+        h = SubgroupH.from_generators(35, [6, 11])
+    elif level == 39:
+        base = build_space(39, 2).cuspidal_subspace()
+        h = h_from_eigenform(trivial_character(3), 12, 0, 13)
+    else:
+        base = build_space(13, 2).cuspidal_subspace()
+        h = trivial_subgroup(13)
+    space = base.h_invariant_subspace(h)
+    assert space.parent is base
+    b, _, d, _ = space._bases
+    assert (d @ b == np.eye(space.dim, dtype=np.int64)).all()
+    for g in h.generators():
+        assert space.diamond_matrix(g) == [
+            [int(i == j) for j in range(space.dim)] for i in range(space.dim)]
+    got = {"dim": space.dim}
+    for p in (2, 3):
+        got["T%d" % p] = _sympy_charpoly_digest(space.hecke_matrix(p))
+    for g in unit_group(level).generators:
+        got["d%d" % g] = _sympy_charpoly_digest(space.diamond_matrix(g))
+    assert got == H_SPACE_PINS[level]
 
 
 def test_h_invariant_plus_dim_equals_genus_spot():
