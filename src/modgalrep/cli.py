@@ -39,7 +39,6 @@ from .pipeline import (
     plus_cuspidal_space,
     realize,
     select_input_form,
-    sturm_bound,
     table_row_selector,
 )
 
@@ -150,8 +149,7 @@ def _subgroup_from_text(level, text):
         return full_subgroup(level)
     if text in ("triv", "1"):
         return trivial_subgroup(level)
-    return SubgroupH.from_generators(
-        level, [int(x) for x in text.split(",")])
+    return SubgroupH.from_generators(level, [int(x) for x in text.split(",")])
 
 
 def _poly_str(coeffs):
@@ -251,8 +249,7 @@ def _run_hecke(args, cache):
 
 
 def _run_eigensys(args, cache):
-    subgroup = (_subgroup_from_text(args.level, args.subgroup)
-                if args.subgroup else None)
+    subgroup = _subgroup_from_text(args.level, args.subgroup or "triv")
     systems = decompose_level(args.level, args.weight, args.ell,
                               args.primes_up_to, cache, subgroup)
     out = []
@@ -270,22 +267,11 @@ def _run_eigensys(args, cache):
             "dim": dim, "systems": out}
 
 
-def _select_form(level, weight, ell, selector, eps, truncate, cache):
-    """Select the input form up to the bound that realize matches it at,
-    the weight-2 bound at level N' = N*ell (N at weight 2)."""
-    nprime = level if weight == 2 else level * ell
-    bound = sturm_bound(nprime, ell, weight)
-    if truncate is not None:
-        bound = min(bound, truncate)
-    return select_input_form(level, weight, ell, selector, eps=eps,
-                             bound=bound, cache=cache)
-
-
 def _resolve_form(args, cache):
     eps = parse_character(args.char) if args.char else None
-    return _select_form(args.level, args.weight, args.ell,
-                        _selector_from_args(args), eps, args.truncate_bound,
-                        cache)
+    return select_input_form(args.level, args.weight, args.ell,
+                             _selector_from_args(args), eps=eps,
+                             bound=args.truncate_bound, cache=cache)
 
 
 def _run_twist(args, cache):
@@ -309,8 +295,9 @@ def _run_tables(args, cache):
         if row["ell"] > args.max_ell:
             continue
         eps = parse_character(row["eps"]) if "eps" in row else None
-        form = _select_form(row["N"], 12, row["ell"], table_row_selector(row),
-                            eps, args.truncate_bound, cache)
+        form = select_input_form(row["N"], 12, row["ell"],
+                                 table_row_selector(row), eps=eps,
+                                 bound=args.truncate_bound, cache=cache)
         report = realize(form, row["ell"], truncate=args.truncate_bound,
                          cache=cache)
         ell = row["ell"]

@@ -20,6 +20,8 @@ class SubgroupH:
     __slots__ = ("level", "elements")
 
     def __init__(self, level, elements):
+        if level < 1:
+            raise ValueError("level must be positive")
         elements = sorted({x % level for x in elements} or {1 % level})
         group = unit_group(level)
         for x in elements:
@@ -98,7 +100,14 @@ def full_subgroup(n):
     return SubgroupH(n, unit_group(n).elements())
 
 def trivial_subgroup(n):
-    return SubgroupH(n, [1 % n])
+    return SubgroupH(n, [1])
+
+
+def plus_minus(level, subgroup=None):
+    """+-H, H trivial for None: Gamma_H(n) and Gamma_{+-H}(n) have one
+    image in PSL2(Z)."""
+    h = trivial_subgroup(level) if subgroup is None else subgroup
+    return SubgroupH(h.level, [s * x for x in h.elements for s in (1, -1)])
 
 
 def h_from_eigenform(eps, k, i, ell):
@@ -151,15 +160,12 @@ class CosetTable:
 
     def __init__(self, subgroup):
         n = subgroup.level
-        scalars = sorted({u % n for u in subgroup.elements}
-                         | {(-u) % n for u in subgroup.elements})
+        scalars = plus_minus(n, subgroup).elements
         index_of = {}
         reps = []
         for c in range(n):
             for d in range(n):
-                if gcd(gcd(c, d), n) != 1:
-                    continue
-                if (c, d) in index_of:
+                if gcd(gcd(c, d), n) != 1 or (c, d) in index_of:
                     continue
                 orbit = {((u * c) % n, (u * d) % n) for u in scalars}
                 idx = len(reps)

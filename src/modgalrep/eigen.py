@@ -161,12 +161,11 @@ def reduce_space_mod(space, ell, primes):
     for p in primes:
         mat = space.hecke_matrix(p)
         ops["T%d" % p] = [[x % ell for x in row] for row in mat]
-    gens = ()
-    if space.level > 2:
-        gens = unit_group(space.level).generators
-        for d in gens:
-            mat = space.diamond_matrix(d)
-            ops["d%d" % d] = [[x % ell for x in row] for row in mat]
+    # (Z/nZ)* has no generators for n <= 2
+    gens = unit_group(space.level).generators
+    for d in gens:
+        mat = space.diamond_matrix(d)
+        ops["d%d" % d] = [[x % ell for x in row] for row in mat]
     return ReducedSpace(space.level, space.weight, ell, space.dim, ops, gens)
 
 

@@ -1,14 +1,16 @@
-"""Weight-k Manin symbols for Gamma_1(n) with exact integral structure.
+"""Weight-k Manin symbols for Gamma_H(n) with exact integral structure.
 
 Symbols are pairs (monomial X^a Y^(k-2-a), coset), where cosets are
-unimodular bottom rows (c:d) mod n up to sign; only even weights are
-supported, so the sign quotient is harmless.  The ambient lattice is the
-free part of the quotient of Z^symbols by the two- and three-term
-relations; its torsion is recorded and discarded.  The coordinates of a
-symbol are the values of a saturated basis of the integer linear forms
-that vanish on every relation (quotient_by_relations), which keeps them
-small, and all operators are integer matrices on the dual basis.  A
-fingerprint of these coordinates identifies the basis in the disk cache.
+unimodular bottom rows (c:d) mod n up to +-H: Gamma_H(n) has bottom rows
+(0, h) mod n, so (c:d) ~ (hc:hd), with no character factor at the even
+weights supported (W. Stein, Modular Forms: A Computational Approach, GSM
+79, 2007, ch. 8).  The ambient lattice is the free part of the quotient of
+Z^symbols by the two- and three-term relations; its torsion is recorded
+and discarded.  The coordinates of a symbol are the values of a saturated
+basis of the integer linear forms that vanish on every relation
+(quotient_by_relations), which keeps them small, and all operators are
+integer matrices on the dual basis.  A fingerprint of these coordinates
+identifies the basis in the disk cache.
 
 Every ambient operator is a sum over integer matrices g acting on symbols,
 and one numpy kernel (_Ambient._apply) computes them all: T_p, p prime,
@@ -25,18 +27,18 @@ from, its parent, hence a saturated sublattice.  The cuspidal subspace is
 the kernel of the boundary map on the full space, whose cusps are the
 T-orbits of the coset table: Gamma g inf = Gamma g' inf exactly when g'
 lies in Gamma g <+-T>, and g(0) is the cusp gS(inf) of the coset S sends
-Gamma g to.  The plus and H-invariant subspaces are fixed spaces, each one
-kernel of M - I stacked over the matrices M that fix it: the star
-involution, or <h> for each generator h of H (none for trivial H, whose
-fixed space is the whole parent).  Each subspace composes its basis into
+Gamma g to.  The plus subspace is the fixed space of the star involution
+M, the kernel of M - I; the H-invariant subspace of a Gamma_1 space, the
+tests' oracle for the Gamma_H ambient, is one kernel of M - I stacked over
+<h> for each generator h of H.  Each subspace composes its basis into
 ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
 subspace in one step, X = D (T B), checked exactly against T B = B X, and
 a space between the two computes the operator only when asked for it.
 
-A run keeps its spaces in one MatrixCache, so each (level, weight) has one
-presentation in the run, and nothing outlives it.  The root space keeps its
+A run keeps its spaces in one MatrixCache, one presentation for each
+(level, weight, +-H), and nothing outlives it.  The root space keeps its
 ambient operators as numpy arrays, which subspaces restrict directly; with
 a directory, the cache writes them to disk as fixed-width binary integers
 and reads them back as arrays, so a warm run parses no decimal text.
@@ -51,7 +53,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .congruence import coset_table, trivial_subgroup
+from .congruence import coset_table, plus_minus
 from .exactalg.arith import is_prime
 from .exactalg.intmat import (
     dual_basis,
@@ -125,16 +127,21 @@ def _monomial_tables(mats, k, rows):
 
 
 class _Ambient:
-    """The full weight-k Manin symbol quotient for Gamma_1(n)."""
+    """The full weight-k Manin symbol quotient for Gamma_H(n)."""
 
-    def __init__(self, level, weight):
-        if level < 1:
-            raise ValueError("level must be positive")
+    def __init__(self, level, weight, subgroup=None):
         if weight < 2 or weight % 2:
             raise ValueError("only even weights >= 2 are supported")
+        pm = plus_minus(level, subgroup)
+        if pm.level != level:
+            raise ValueError("subgroup level %d != space level %d"
+                             % (pm.level, level))
         self.level = level
         self.weight = weight
-        self.table = coset_table(trivial_subgroup(level))
+        self.table = coset_table(pm)
+        # a nontrivial +-H keeps its disk entries apart, named by generators
+        self.cache_prefix = ("H%s/" % "-".join(map(str, pm.generators()))
+                             if len(pm) > 2 else "")
         ncos = len(self.table)
         k = weight
         self.nsym = (k - 1) * ncos
@@ -373,13 +380,14 @@ class ModularSymbolSpace:
         the cache's directory, or computed and converted once."""
         if label not in self._ops:
             mat = None
+            name = self.ambient.cache_prefix + label
             if self._disk is not None:
-                mat = self._disk.load(self.level, self.weight, label,
+                mat = self._disk.load(self.level, self.weight, name,
                                       self.ambient.fingerprint)
             if mat is None:
                 mat = _array(compute_ambient(), self.dim, self.dim)
                 if self._disk is not None:
-                    self._disk.store(self.level, self.weight, label, mat,
+                    self._disk.store(self.level, self.weight, name, mat,
                                      self.ambient.fingerprint)
             self._ops[label] = mat
         return self._ops[label]
@@ -455,10 +463,9 @@ class ModularSymbolSpace:
         return self._fixed_space([self.star_matrix()])
 
     def h_invariant_subspace(self, subgroup):
-        """The space fixed by <h> for every generator h of H."""
-        if subgroup.level != self.level:
-            raise ValueError("subgroup level %d != space level %d"
-                             % (subgroup.level, self.level))
+        """The space fixed by <h> for every generator h of H: the tests'
+        oracle for the Gamma_H ambient, whose H-coinvariants are, over Q,
+        isomorphic to these H-invariants as Hecke modules."""
         return self._fixed_space([self.diamond_matrix(h)
                                   for h in subgroup.generators()])
 
@@ -497,16 +504,17 @@ def _product(a, a_cols, b, b_rows):
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def build_space(level, weight, cache=None):
-    """The full weight-k modular symbol space for Gamma_1(level).
+def build_space(level, weight, cache=None, subgroup=None):
+    """The full weight-k modular symbol space for Gamma_H(level).
 
-    The cache holds one presentation per (level, weight), so repeated calls
-    with it are cheap and operator matrices are computed once per cache;
-    None means a fresh memory-only cache.
+    H is trivial for None.  The cache holds one presentation per (level,
+    weight, +-H), so repeated calls with it are cheap and operator matrices
+    are computed once per cache; None means a fresh memory-only cache.
     """
     cache = MatrixCache() if cache is None else cache
-    return cache.recall(("ambient", level, weight), lambda: ModularSymbolSpace(
-        _Ambient(level, weight), cache=cache))
+    key = ("ambient", level, weight, plus_minus(level, subgroup))
+    return cache.recall(key, lambda: ModularSymbolSpace(
+        _Ambient(level, weight, subgroup), cache=cache))
 
 
 CACHE_FORMAT = "MSYMMAT 3"
@@ -516,17 +524,19 @@ class MatrixCache:
     """A run's spaces and decompositions in memory, and integral operator
     matrices on disk when it has a directory.
 
-    Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, in binary:
-    one ASCII header line "MSYMMAT 3 {rows} {cols} {width} {fingerprint}",
-    the entries row by row as little-endian two's-complement integers of
-    width bytes each, and the 32-byte SHA-256 digest of everything before
-    it.  The width is the smallest of 1, 2, 4 and 8 that holds every entry;
-    a matrix beyond int64 takes as many bytes as its largest entry needs.
-    load returns an array, int64 or, past int64, Python integers.  The
-    fingerprint identifies the ambient lattice basis the matrix is written
-    in; an entry under another fingerprint is a miss, and the next store
-    overwrites it.  Writes are atomic (temp file + rename); corrupt entries,
-    and entries of another format version, are deleted and recomputed.
+    Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, the label
+    prefixed by H{generators of +-H, joined by "-"}/ on Gamma_H for +-H
+    nontrivial, in binary: one ASCII header line "MSYMMAT 3 {rows} {cols}
+    {width} {fingerprint}", the entries row by row as little-endian
+    two's-complement integers of width bytes each, and the 32-byte SHA-256
+    digest of everything before it.  The width is the smallest of 1, 2, 4
+    and 8 that holds every entry; a matrix beyond int64 takes as many bytes
+    as its largest entry needs.  load returns an array, int64 or, past
+    int64, Python integers.  The fingerprint identifies the ambient lattice
+    basis the matrix is written in; an entry under another fingerprint is a
+    miss, and the next store overwrites it.  Writes are atomic (temp file +
+    rename); corrupt entries, and entries of another format version, are
+    deleted and recomputed.
     """
 
     def __init__(self, root=None):

@@ -5,9 +5,9 @@ smallest (i, k', M) such that a weight-k' system g at level M | N matches
 a_p(f) = p^i a_p(g) at all good primes up to the rigorous bound, walking
 candidates in the fixed loop order (i ascending, k' ascending, M
 ascending) and pre-filtering by the weight congruence k = k' + 2i mod
-(ell - 1).  `realize` then builds the weight-2 H-invariant space at each
-divisor level and returns the first verified weight-2 system, together
-with the index data and both curve dimensions.
+(ell - 1).  `realize` then builds the weight-2 space on Gamma_H at each
+divisor level, H projected there, and returns the first verified weight-2
+system, together with the index data and both curve dimensions.
 
 The rigorous prime bound is floor(index(Gamma_1)/12 * (ell^2 - 1 + k));
 a truncated bound may be supplied for desk-scale runs, in which case every
@@ -22,6 +22,7 @@ from .congruence import (
     genus_of_subgroup,
     h_from_eigenform,
     intermediate_subgroups,
+    plus_minus,
     predicted_kernel_order,
     trivial_subgroup,
 )
@@ -83,34 +84,31 @@ class InputForm:
             self.level, self.weight, self.system.ell, self.system.digest())
 
 
-def plus_cuspidal_space(level, weight, cache=None):
-    """Plus-cuspidal modular symbol space, built once per cache on the
-    cache's ambient; None means a fresh memory-only cache."""
+def plus_cuspidal_space(level, weight, cache=None, subgroup=None):
+    """Plus-cuspidal modular symbol space on Gamma_H(level), H trivial for
+    None, built once per cache on its ambient; None means a fresh cache."""
     cache = MatrixCache() if cache is None else cache
     return cache.recall(
-        ("plus", level, weight),
-        lambda: build_space(level, weight, cache=cache)
+        ("plus", level, weight, plus_minus(level, subgroup)),
+        lambda: build_space(level, weight, cache, subgroup)
         .cuspidal_subspace().star_plus_subspace())
 
 
 def decompose_level(level, weight, ell, bound, cache=None, subgroup=None):
-    """Eigensystems of the (H-invariant) plus-cuspidal space mod ell.
+    """Eigensystems of the plus-cuspidal space on Gamma_H(level) mod ell.
 
     Values are computed for all primes up to the bound; results are kept in
-    the cache under (level, weight, ell, bound, subgroup).
+    the cache under (level, weight, ell, bound, +-H).
     """
     cache = MatrixCache() if cache is None else cache
 
     def compute():
-        space = plus_cuspidal_space(level, weight, cache)
-        if subgroup is not None:
-            space = space.h_invariant_subspace(subgroup)
+        space = plus_cuspidal_space(level, weight, cache, subgroup)
         primes = list(primes_up_to(bound))
         return decompose(reduce_space_mod(space, ell, primes), primes)
 
     return cache.recall(("decomposed", level, weight, ell, bound,
-                         None if subgroup is None else subgroup.elements),
-                        compute)
+                         plus_minus(level, subgroup)), compute)
 
 
 def select_input_form(level, weight, ell, selector, eps=None, bound=None,
@@ -121,7 +119,8 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     minimal polynomials {"ap_minpoly": {p: coeffs}}, give a polynomial
     relation {"ap_poly": {p: (coeffs_in_a2, denominator)}}, or pick an
     index {"index": j}.  Systems whose diamond character disagrees with
-    eps are never candidates.
+    eps are never candidates.  Values go up to the rigorous bound at the
+    level N' = N*ell (N at weight 2) that realize matches at, or below.
     """
     if weight % 2:
         raise ValueError("odd weights are not supported")
@@ -129,8 +128,8 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
         raise ValueError("need a prime ell >= 5 not dividing the level")
     if eps is None:
         eps = trivial_character(level)
-    if bound is None:
-        bound = sturm_bound(level, ell, weight)
+    rigorous = sturm_bound(level if weight == 2 else level * ell, ell, weight)
+    bound = rigorous if bound is None else min(bound, rigorous)
     systems = decompose_level(level, weight, ell, bound, cache)
     candidates = [s for s in systems if _diamond_matches(s, eps)]
     if "index" in selector:
@@ -375,9 +374,8 @@ def realize(form, ell, truncate=None, cache=None):
     for mpp in divisors(mprime):
         bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k),
                                         truncate, warnings)
-        hproj = subgroup.project(mpp) if mpp > 1 else None
         systems = decompose_level(mpp, 2, ell, bound, cache,
-                                  subgroup=hproj)
+                                  subgroup=subgroup.project(mpp))
         found = _first_match(form, systems, i, bound, heuristic)
         if found:
             f2, report = found
@@ -395,8 +393,8 @@ def realize(form, ell, truncate=None, cache=None):
 def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     """Check that a weight-2 match exists exactly on subgroups inside H.
 
-    For every subgroup H' of the units at level N', the H'-invariant
-    weight-2 space admits a matching system if and only if H' is contained
+    For every subgroup H' of the units at level N', the weight-2 space on
+    Gamma_H' admits a matching system if and only if H' is contained
     in the kernel subgroup H.  Returns the audit table.
     """
     cache = MatrixCache() if cache is None else cache
@@ -408,7 +406,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
                                     truncate, warnings)
     rows = []
     for hp in intermediate_subgroups(nprime):
-        systems = decompose_level(nprime, 2, ell, bound, cache, subgroup=hp)
+        systems = decompose_level(nprime, 2, ell, bound, cache, hp)
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),

@@ -83,6 +83,32 @@ def test_cache_ignores_entry_of_another_presentation(tmp_path):
     assert cache.load(6, 12, "T5", "old") is None
 
 
+def test_cache_keeps_each_plus_minus_h_apart(tmp_path):
+    # two subgroups at 35 whose +-H differ: an operator stored under one is
+    # a miss under the other, also with the other's fingerprint
+    from modgalrep.congruence import intermediate_subgroups, plus_minus
+    from modgalrep.modsym import build_space
+    by_plus_minus = {}
+    for h in intermediate_subgroups(35):
+        by_plus_minus.setdefault(plus_minus(35, h), h)
+    first, second = [h for pm, h in by_plus_minus.items() if len(pm) > 2][:2]
+    cache = MatrixCache(str(tmp_path))
+    one = build_space(35, 2, cache, first)
+    other = build_space(35, 2, MatrixCache(str(tmp_path)), second)
+    one.hecke_matrix(2)
+    label = one.ambient.cache_prefix + "T2"
+    assert cache.load(35, 2, label, one.ambient.fingerprint) is not None
+    for fingerprint in (one.ambient.fingerprint, other.ambient.fingerprint):
+        assert cache.load(35, 2, other.ambient.cache_prefix + "T2",
+                          fingerprint) is None
+    cache.store(35, 2, label, np.zeros((other.dim, other.dim), np.int64),
+                other.ambient.fingerprint)
+    assert other.hecke_matrix(2) == build_space(
+        35, 2, subgroup=second).hecke_matrix(2)
+    # and neither is Gamma_1's
+    assert cache.load(35, 2, "T2", one.ambient.fingerprint) is None
+
+
 def _write_text_entry(path, body):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -354,6 +380,20 @@ def test_warm_realize_reads_every_operator_from_the_cache(tmp_path, capsys,
     def no_apply(self, *args):
         raise AssertionError("an ambient operator was computed on a warm run")
 
+    # among the entries read, T_p of Gamma_0(15), the space realize matches
+    # in, as Gamma_H(15) for H = (Z/15)*
+    loaded = []
+    load = MatrixCache.load
+
+    def spy(self, level, weight, label, fingerprint):
+        mat = load(self, level, weight, label, fingerprint)
+        loaded.append((level, label.split("/")[0], mat is not None))
+        return mat
+
     monkeypatch.setattr(modsym._Ambient, "_apply", no_apply)
+    monkeypatch.setattr(MatrixCache, "load", spy)
     assert main(argv) == 0
     assert capsys.readouterr().out == cold
+    assert json.loads(cold)["weight2_level"] == 15
+    assert (15, "H2-7", True) in loaded
+    assert all(hit for _, _, hit in loaded)

@@ -410,15 +410,6 @@ def test_h_invariant_space_is_one_kernel(level):
     assert got == H_SPACE_PINS[level]
 
 
-def test_h_invariant_plus_dim_equals_genus_spot():
-    from modgalrep.congruence import genus_of_subgroup, intermediate_subgroups
-    for n in (13, 20, 21):
-        cusp = build_space(n, 2).cuspidal_subspace()
-        for h in intermediate_subgroups(n):
-            inv = cusp.h_invariant_subspace(h)
-            assert inv.star_plus_subspace().dim == genus_of_subgroup(h)
-
-
 def test_rebuild_is_deterministic():
     space, space2 = build_space(13, 2), build_space(13, 2)
     assert space2 is not space

@@ -98,9 +98,33 @@ def test_realize_delta_mod11():
     assert rep.index == 10 and rep.predicted_index == 10
 
 
+def test_select_input_form_defaults_to_the_realize_bound(monkeypatch):
+    # the rigorous bound at N' = N*ell, 576 for (3, 12, 5), not the level-N
+    # one of 24; an explicit bound is cut to it.  The spy stops each run
+    # before any space is built.
+    from modgalrep import pipeline
+    bounds = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(level, weight, ell, bound, *args, **kwargs):
+        bounds.append(bound)
+        raise Stop
+
+    monkeypatch.setattr(pipeline, "decompose_level", spy)
+    for bound in (None, 10 ** 6, 50):
+        with pytest.raises(Stop):
+            select_input_form(3, 12, 5, {"ap": {2: 78}}, bound=bound)
+    with pytest.raises(Stop):
+        select_input_form(1, 12, 11, {"ap": {2: -24}})
+    assert bounds == [576, 576, 50, 1320]
+    assert bounds[0] == sturm_bound(15, 5, 12) and sturm_bound(3, 5, 12) == 24
+
+
 def test_realize_stops_at_the_input_bound():
-    # selected at the level-1 bound 11; realize must not match past it
-    form = select_input_form(1, 12, 11, {"ap": {2: -24}})
+    # selected at bound 11; realize must not match past it
+    form = select_input_form(1, 12, 11, {"ap": {2: -24}}, bound=11)
     assert form.bound == 11
     rep = realize(form, 11, truncate=50)
     assert rep.i == 0 and rep.system_level == 11
