@@ -36,6 +36,7 @@ from .pipeline import (
     TABLE_ROWS,
     decompose_level,
     find_twist,
+    largest_subgroup_audit,
     plus_cuspidal_space,
     realize,
     select_input_form,
@@ -100,8 +101,10 @@ def _build_parser():
     p.add_argument("--subgroup", default=None,
                    help="comma-separated residues of H")
 
-    for name in ("twist", "realize"):
-        p = sub.add_parser(name)
+    for name, text in (("twist", None), ("realize", None),
+                       ("audit", "check that the weight-2 match exists "
+                        "exactly on the subgroups inside H")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--weight", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
@@ -288,6 +291,14 @@ def _run_realize(args, cache):
     return report.to_dict()
 
 
+def _run_audit(args, cache):
+    form = _resolve_form(args, cache)
+    twist = find_twist(form, args.ell, truncate=args.truncate_bound,
+                       cache=cache)
+    return largest_subgroup_audit(form, args.ell, twist.i,
+                                  truncate=args.truncate_bound, cache=cache)
+
+
 def _run_tables(args, cache):
     rows = []
     warnings = []
@@ -348,6 +359,7 @@ def _run(args):
         "eigensys": lambda: _run_eigensys(args, cache),
         "twist": lambda: _run_twist(args, cache),
         "realize": lambda: _run_realize(args, cache),
+        "audit": lambda: _run_audit(args, cache),
         "tables": lambda: _run_tables(args, cache),
     }
     try:

@@ -133,14 +133,16 @@ def _square_up(a, e, ell):
 # reduced spaces and eigensystems
 
 class ReducedSpace:
-    """Integral operator matrices of a modular symbol space, reduced mod ell."""
+    """Hecke and diamond operators of a modular symbol space over F_ell."""
 
     def __init__(self, level, weight, ell, dim, ops, diamond_gens):
         self.level = level
         self.weight = weight
         self.ell = ell
         self.dim = dim
-        self.ops = ops  # label -> matrix over F_ell as int lists
+        # label (T{p}, d{d}) -> the operator over F_ell, an array of residues
+        # (reduce_space_mod) or a list of rows of them
+        self.ops = ops
         self.diamond_gens = diamond_gens
 
     def __repr__(self):
@@ -149,24 +151,22 @@ class ReducedSpace:
 
 
 def reduce_space_mod(space, ell, primes):
-    """Reduce the integral Hecke and diamond matrices of a space mod ell.
+    """The Hecke operators T_p, p in primes, and the diamonds of the unit
+    group's generators on a space, over F_ell.
 
-    Entries are reduced to least non-negative residues; the integral
-    matrices come from saturated lattices, so reduction is a ring map and
-    commutativity is preserved.
+    They are computed mod ell, never over Z: the ambient operators by the
+    operator kernel on residues, restricted to the space mod ell through
+    its saturated bases, so they are the reductions of the integral
+    matrices, and commutativity is preserved.  The restriction is checked
+    mod ell only (`ModularSymbolSpace.operators_mod`), which is weaker than
+    the exact check over Z that `hecke_matrix` makes.
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %d" % ell)
-    ops = {}
-    for p in primes:
-        mat = space.hecke_matrix(p)
-        ops["T%d" % p] = [[x % ell for x in row] for row in mat]
     # (Z/nZ)* has no generators for n <= 2
     gens = unit_group(space.level).generators
-    for d in gens:
-        mat = space.diamond_matrix(d)
-        ops["d%d" % d] = [[x % ell for x in row] for row in mat]
-    return ReducedSpace(space.level, space.weight, ell, space.dim, ops, gens)
+    return ReducedSpace(space.level, space.weight, ell, space.dim,
+                        space.operators_mod(ell, primes, gens), gens)
 
 
 class Eigensystem:

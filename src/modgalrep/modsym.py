@@ -15,12 +15,19 @@ identifies the basis in the disk cache.
 Every ambient operator is a sum over integer matrices g acting on symbols,
 and one numpy kernel (_Ambient._apply) computes them all: T_p, p prime,
 sums over Cremona's Heilbronn matrices of determinant p (J. Cremona,
-Algorithms for Modular Elliptic Curves, 2nd ed., 1997), each g with the
-table of its action on the monomials; the diamond <d> is the one matrix
-(d, 0, 0, d) with the identity table; the star involution is
-(-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  The
-kernel works on int64 arrays when a bound from its inputs shows no
-overflow and on Python integers otherwise, in the same code.
+Algorithms for Modular Elliptic Curves, 2nd ed., 1997), kept once per run
+in its cache, each g with the table of its action on the monomials; the
+diamond <d> is the one matrix (d, 0, 0, d) with the identity table; the
+star involution is (-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.
+Over Z the kernel works on int64 arrays when a bound from its inputs shows
+no overflow and on Python integers otherwise, in the same code.  The sum is
+a ring computation, so it can also run mod ell term by term (W. Stein,
+Modular Forms: A Computational Approach, GSM 79, 2007, ch. 8): tables,
+projection and lifts reduced mod ell, and int64 wherever _exact_dtype
+allows, at every weight and p.  The eigensystems need the operators mod ell
+only, and get them that way (operators_mod); over Z the kernel computes the
+star involution, which cuts the plus space, and T_p and <d> for `mgr hecke`
+and the tests' oracles.
 
 A subspace is an integer kernel in the coordinates of the space it is cut
 from, its parent, hence a saturated sublattice.  The cuspidal subspace is
@@ -34,14 +41,17 @@ tests' oracle for the Gamma_H ambient, is one kernel of M - I stacked over
 ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
-subspace in one step, X = D (T B), checked exactly against T B = B X, and
-a space between the two computes the operator only when asked for it.
+subspace in one step, X = D (T B): over Z checked exactly against
+T B = B X, over F_ell checked mod ell only.  A space between the two
+computes the operator only when asked for it.
 
 A run keeps its spaces in one MatrixCache, one presentation for each
 (level, weight, +-H), and nothing outlives it.  The root space keeps its
 ambient operators as numpy arrays, which subspaces restrict directly; with
 a directory, the cache writes them to disk as fixed-width binary integers
-and reads them back as arrays, so a warm run parses no decimal text.
+and reads them back as arrays, so a warm run parses no decimal text.  On
+disk, each integer operator has its own entry, and the operators mod ell
+of an ambient share one stacked entry per ell (see MatrixCache).
 """
 
 import hashlib
@@ -55,6 +65,7 @@ import numpy as np
 
 from .congruence import coset_table, plus_minus
 from .exactalg.arith import is_prime
+from .exactalg.gf import _exact_dtype
 from .exactalg.intmat import (
     dual_basis,
     exact_dtype,
@@ -96,16 +107,21 @@ def heilbronn_cremona(p):
         y1, y2 = y2, q * y2 - y1
 
 
-def _monomial_tables(mats, k, rows):
+def _monomial_tables(mats, k, rows, ell=None):
     """t[g, e, j]: coefficient of X^j Y^(k-2-j) in (aX + bY)^e (cX + dY)^(k-2-e).
 
     One table for each matrix g = (a, b, c, d) of mats, all computed at once,
-    for the exponents e < rows; int64 when no entry can overflow, Python
-    integers otherwise.
+    for the exponents e < rows.  Over Z, int64 when no entry can overflow,
+    Python integers otherwise; given ell, residues mod ell, reduced as they
+    are built, so int64 wherever _exact_dtype allows.
     """
     g = np.array(mats, dtype=np.int64).reshape(-1, 4)
-    m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
-    g = g.astype(exact_dtype(m ** (k - 2)))
+    if ell is None:
+        m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
+        g = g.astype(exact_dtype(m ** (k - 2)))
+    else:
+        # each entry below sums at most k - 1 products of two residues
+        g = (g % ell).astype(_exact_dtype(k, ell))
 
     def powers(u, v, n):
         # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i, i < n
@@ -114,6 +130,8 @@ def _monomial_tables(mats, k, rows):
         for i in range(n - 1):
             pw[:, i + 1] = v[:, None] * pw[:, i]
             pw[:, i + 1, 1:] += u[:, None] * pw[:, i, :-1]
+            if ell is not None:
+                pw[:, i + 1] %= ell
         return pw
 
     p1 = powers(g[:, 0], g[:, 1], rows)
@@ -123,13 +141,13 @@ def _monomial_tables(mats, k, rows):
         tail = p2[:, k - 2 - e, :k - 1 - e]
         for u in range(e + 1):
             out[:, e, u:u + k - 1 - e] += p1[:, e, u, None] * tail
-    return out
+    return out if ell is None else out % ell
 
 
 class _Ambient:
     """The full weight-k Manin symbol quotient for Gamma_H(n)."""
 
-    def __init__(self, level, weight, subgroup=None):
+    def __init__(self, level, weight, subgroup=None, cache=None):
         if weight < 2 or weight % 2:
             raise ValueError("only even weights >= 2 are supported")
         pm = plus_minus(level, subgroup)
@@ -138,6 +156,8 @@ class _Ambient:
                              % (pm.level, level))
         self.level = level
         self.weight = weight
+        # the run's cache keeps the Heilbronn matrices of each p once
+        self._recall = (MatrixCache() if cache is None else cache).recall
         self.table = coset_table(pm)
         # a nontrivial +-H keeps its disk entries apart, named by generators
         self.cache_prefix = ("H%s/" % "-".join(map(str, pm.generators()))
@@ -198,6 +218,7 @@ class _Ambient:
             [c for lift in qm.lifts for _, c in lift],
             dtype=exact_dtype(self._lift_sum))
         self._lift_ptr = np.cumsum([0] + [len(lift) for lift in qm.lifts])
+        self._reduced = {}
 
     @cached_property
     def fingerprint(self):
@@ -207,15 +228,18 @@ class _Ambient:
 
     # -- operators on the lattice basis ------------------------------------
 
-    def _apply(self, mats, tables):
+    def _apply(self, mats, tables, ell=None):
         """Matrix of the operator sum_g g on the lattice basis.
 
         Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
         (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
         the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j),
         for the exponents e < self._exponents that the lifts use.
-        Entries are int64 when a bound from the inputs shows no overflow,
-        Python integers otherwise.
+        Returns an array of integers, int64 when a bound from the inputs
+        shows no overflow and Python integers otherwise; or, given ell and
+        tables mod ell, of residues mod ell, with the projection and the
+        lifts reduced too, so that every sum stays on int64 wherever
+        _exact_dtype allows.
         """
         n, k1, dim = self.level, self.weight - 1, self.dim
         ncos, nsupp = len(self.table), len(self._sup_exp)
@@ -259,41 +283,66 @@ class _Ambient:
         # the image of each support symbol s is one contraction of W[s] with
         # the projection rows of its target cosets; then the images of the
         # basis through the lifts, which are sparse
-        dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
+        if ell is None:
+            dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
+            # on Python integers, one conversion of the projection serves
+            # every product below
+            proj = self._proj.astype(dtype, copy=False)
+            coef = self._lift_coef
+        else:
+            dtype, proj, coef = self._reduced_mod(ell)
+            w %= ell
         w = w.astype(dtype, copy=False)
-        # on Python integers, one conversion of the projection serves every
-        # product below
-        proj = self._proj.astype(dtype, copy=False)
         ss, xs = np.divmod(key[first], ncos)
         images = np.zeros((nsupp, dim), dtype=dtype)
         bounds = np.append(np.flatnonzero(np.diff(ss, prepend=-1)), len(ss))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             images[ss[lo]] = (w[lo:hi].ravel()
                               @ proj[xs[lo:hi]].reshape(-1, dim))
+        if ell is not None:
+            images %= ell
         out = np.zeros((dim, dim), dtype=dtype)
         ptr = self._lift_ptr
         for col in range(dim):
             lo, hi = ptr[col], ptr[col + 1]
-            out[col] = self._lift_coef[lo:hi] @ images[self._lift_row[lo:hi]]
-        return out.T.tolist()
+            out[col] = coef[lo:hi] @ images[self._lift_row[lo:hi]]
+        return out.T if ell is None else out.T % ell
+
+    def _reduced_mod(self, ell):
+        """(dtype, projection, lift coefficients) mod ell, kept per ell.
+        A contraction or a lift sums at most nsym products of residues."""
+        if ell not in self._reduced:
+            dtype = _exact_dtype(self.nsym, ell)
+            self._reduced[ell] = (dtype, (self._proj % ell).astype(dtype),
+                                  (self._lift_coef % ell).astype(dtype))
+        return self._reduced[ell]
+
+    def hecke_array(self, p, ell=None):
+        """T_p on the lattice basis as an array, over Z or, given ell, over
+        F_ell: a sum over Cremona's Heilbronn matrices."""
+        mats = self._recall(("heilbronn", p), lambda: heilbronn_cremona(p))
+        return self._apply(mats, _monomial_tables(
+            mats, self.weight, self._exponents, ell), ell)
 
     def hecke_on_basis(self, p):
-        """T_p on the lattice basis, a sum over Cremona's Heilbronn matrices."""
-        mats = heilbronn_cremona(p)
-        return self._apply(mats, _monomial_tables(mats, self.weight,
-                                                  self._exponents))
+        """T_p on the lattice basis over Z, as a list of rows."""
+        return self.hecke_array(p).tolist()
 
-    def diamond_on_basis(self, d):
+    def diamond_array(self, d, ell=None):
+        """<d> on the lattice basis as an array, over Z or over F_ell."""
         n, k = self.level, self.weight
         if gcd(d, n) != 1:
             raise ValueError("%d is not a unit modulo %d" % (d, n))
         return self._apply([(d, 0, 0, d)], np.eye(
-            self._exponents, k - 1, dtype=np.int64)[None])
+            self._exponents, k - 1, dtype=np.int64)[None], ell)
+
+    def diamond_on_basis(self, d):
+        return self.diamond_array(d).tolist()
 
     def star_on_basis(self):
         mats = [(-1, 0, 0, 1)]
         return self._apply(mats, _monomial_tables(mats, self.weight,
-                                                  self._exponents))
+                                                  self._exponents)).tolist()
 
     def boundary_matrix(self):
         """Boundary map to the cusp module, on the lattice basis.
@@ -340,6 +389,7 @@ class ModularSymbolSpace:
         self.root = self if parent is None else parent.root
         self.basis = basis  # list of vectors in parent coordinates
         self._ops = {}
+        self._mod = {}  # ell -> {p for T_p, -d for <d>: array mod ell}
         # the root's operators go to and from the cache's directory, if any
         self._disk = cache if cache is not None and cache.directory else None
 
@@ -392,6 +442,60 @@ class ModularSymbolSpace:
             self._ops[label] = mat
         return self._ops[label]
 
+    def operators_mod(self, ell, primes, units=()):
+        """T_p for each prime p of primes and <d> for each unit d of units,
+        on this space's lattice basis over F_ell, as arrays of residues
+        under the labels T{p} and d{d}.
+
+        The root computes its operators mod ell with the one kernel, or
+        reads them from the cache's one entry for (its ambient, ell), and
+        keeps them.  A subspace restricts them as X = D (T B) mod ell, which
+        is exact because D B = I over Z, and checks B X = T B mod ell only:
+        weaker than the exact check over Z that hecke_matrix makes.
+        """
+        for p in primes:
+            if not is_prime(p):
+                raise ValueError("T_p needs a prime p, got %d" % p)
+        keys = list(primes) + [-d for d in units]
+        held = self._mod.setdefault(ell, {})
+        missing = [key for key in keys if key not in held]
+        if missing and not self.dim:
+            held.update((key, np.zeros((0, 0), np.int64)) for key in missing)
+        elif missing and self.parent is None:
+            self._ambient_mod(ell, missing)
+        elif missing:
+            ts = self.root.operators_mod(
+                ell, [p for p in missing if p > 0],
+                [-d for d in missing if d < 0])
+            held.update(zip(missing, self._restrict_mod(
+                [ts[_label(key)] for key in missing], ell)))
+        return {_label(key): held[key] for key in keys}
+
+    def _ambient_mod(self, ell, missing):
+        """Hold the root's operators of the keys in missing mod ell: read
+        the cache's entry for (this ambient, ell) the first time, compute
+        what it lacks, and then rewrite the entry with every operator held
+        for ell, one row [key, entries row by row] per operator."""
+        held = self._mod[ell]
+        label = self.ambient.cache_prefix + "mod%d" % ell
+        if self._disk is not None and not held:
+            stacked = self._disk.load(self.level, self.weight, label,
+                                      self.ambient.fingerprint)
+            if stacked is not None:
+                held.update((int(row[0]), row[1:].reshape(self.dim, -1))
+                            for row in stacked)
+                missing = [key for key in missing if key not in held]
+        for key in missing:
+            held[key] = (self.ambient.hecke_array(key, ell) if key > 0
+                         else self.ambient.diamond_array(-key, ell))
+        if self._disk is not None and missing:
+            keys = sorted(held)
+            stacked = np.hstack([np.array(keys, dtype=np.int64)[:, None],
+                                 np.stack([held[key].reshape(-1)
+                                           for key in keys])])
+            self._disk.store(self.level, self.weight, label, stacked,
+                             self.ambient.fingerprint)
+
     @cached_property
     def _bases(self):
         """(B, (row maxima, column maxima of B), D, column maxima of D): the
@@ -417,6 +521,22 @@ class ModularSymbolSpace:
         if (_product(b, b_cols, x, _abs_max(x, 1)) != tb).any():
             raise SaturationError("operator does not preserve the subspace")
         return x.tolist()
+
+    def _restrict_mod(self, ts, ell):
+        """X = D (T B) mod ell for each ambient operator T mod ell of ts,
+        checked as B X = T B mod ell."""
+        b, _, d, _ = self._bases
+        dtype = _exact_dtype(self.ambient.dim, ell)
+        b, d = (b % ell).astype(dtype), (d % ell).astype(dtype)
+        out = []
+        for t in ts:
+            tb = t.astype(dtype, copy=False) @ b % ell
+            x = d @ tb % ell
+            if ((b @ x - tb) % ell).any():
+                raise SaturationError(
+                    "operator does not preserve the subspace")
+            out.append(x)
+        return out
 
     def hecke_matrix(self, p):
         """Integer matrix of T_p, p prime, on this space's lattice basis."""
@@ -474,6 +594,11 @@ class ModularSymbolSpace:
             self.level, self.weight, self.dim)
 
 
+def _label(key):
+    """The ReducedSpace label of a key: T{p} for p > 0, d{d} for -d."""
+    return "T%d" % key if key > 0 else "d%d" % -key
+
+
 def _array(rows, nrows, ncols):
     """An integer matrix (list of rows) as an int64 array, or on Python
     integers where int64 cannot hold an entry."""
@@ -514,15 +639,22 @@ def build_space(level, weight, cache=None, subgroup=None):
     cache = MatrixCache() if cache is None else cache
     key = ("ambient", level, weight, plus_minus(level, subgroup))
     return cache.recall(key, lambda: ModularSymbolSpace(
-        _Ambient(level, weight, subgroup), cache=cache))
+        _Ambient(level, weight, subgroup, cache), cache=cache))
 
 
 CACHE_FORMAT = "MSYMMAT 3"
 
 
 class MatrixCache:
-    """A run's spaces and decompositions in memory, and integral operator
-    matrices on disk when it has a directory.
+    """A run's spaces, decompositions and Heilbronn matrices in memory, and
+    the root spaces' operator matrices on disk when it has a directory.
+
+    On disk are the integer operators an ambient computed over Z, one entry
+    each under the labels T{p}, d{d} and star, and its operators over F_ell,
+    all in one stacked entry per ell under the label mod{ell}: one row per
+    operator, its key (p for T_p, -d for <d>) and then its residues row by
+    row.  A run reads the stacked entry once, computes what it lacks, and
+    rewrites it with everything it holds for that ell.
 
     Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, the label
     prefixed by H{generators of +-H, joined by "-"}/ on Gamma_H for +-H

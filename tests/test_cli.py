@@ -193,6 +193,22 @@ def test_realize_command_runs():
     assert doc["weight2_level"] == 11
 
 
+def test_audit_command_matches_exactly_inside_h():
+    # row (6, 7): i = 4, and H has order 4 in (Z/42)*, which has order 12;
+    # the subgroups of order 3, 6 and 12 are not inside H and match nothing
+    code, doc = run_command(
+        ["--no-cache", "audit", "--level", "6", "--weight", "12", "--ell",
+         "7", "--a", "2=-32", "--a", "3=-243", "--truncate-bound", "50"])
+    assert code == 0, doc
+    assert (doc["level"], doc["twist_exponent"]) == (42, 4)
+    assert doc["consistent"] and doc["heuristic"]
+    assert len(doc["kernel_subgroup"]) == 4
+    rows = doc["rows"]
+    assert [r["match"] for r in rows] == [r["contained_in_h"] for r in rows]
+    assert sorted(r["order"] for r in rows if not r["match"]) == [3, 6, 6, 6,
+                                                                  12]
+
+
 def test_tables_command_matches_reference_exponents():
     code, doc = run_command(
         ["--no-cache", "tables", "--max-ell", "7", "--truncate-bound", "50"])
@@ -265,6 +281,8 @@ COMMAND_PINS = [
       "--truncate-bound", "50"], "4949bb960560740e"),
     (["realize", "--level", "6", "--weight", "12", "--ell", "7", "--a",
       "2=-32", "--a", "3=-243", "--truncate-bound", "50"], "7e00385a7114f3ed"),
+    (["audit", "--level", "6", "--weight", "12", "--ell", "7", "--a",
+      "2=-32", "--a", "3=-243", "--truncate-bound", "50"], "4629ff7a6908e170"),
 ]
 
 

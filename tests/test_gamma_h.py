@@ -146,9 +146,9 @@ def test_realize_on_a_trivial_plus_minus_h_reuses_the_gamma1_space(
     built = []
     ambient = modsym._Ambient
 
-    def counted(level, weight, subgroup=None):
+    def counted(level, weight, subgroup=None, cache=None):
         built.append((level, weight))
-        return ambient(level, weight, subgroup)
+        return ambient(level, weight, subgroup, cache)
 
     monkeypatch.setattr(modsym, "_Ambient", counted)
     cache = MatrixCache()

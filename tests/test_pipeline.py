@@ -177,6 +177,21 @@ def test_realization_report_document_shape():
     assert doc["match"]["verdict"] is True
 
 
+def test_untruncated_row_1_11():
+    """Row (1, 11) at its rigorous bound of 1,320, with no heuristic flag.
+    This pins the computed i = 0; the table's reference_i is 1, and which
+    of the two the paper's convention gives is still open."""
+    row = next(r for r in TABLE_ROWS if (r["N"], r["ell"]) == (1, 11))
+    cache = MatrixCache()
+    form = select_input_form(1, 12, 11, table_row_selector(row), cache=cache)
+    assert form.bound == 1320
+    rep = realize(form, 11, cache=cache)
+    assert (rep.i, rep.d1, rep.dh, rep.system_level) == (0, 1, 1, 11)
+    assert not rep.twist.heuristic and not rep.warnings
+    assert "heuristic" not in rep.report.to_dict()
+    assert rep.report.bound == 1320
+
+
 def test_audit_delta_mod11():
     form = select_input_form(1, 12, 11, {"ap": {2: -24}}, bound=50)
     audit = largest_subgroup_audit(form, 11, 0, truncate=50)
