@@ -1,6 +1,6 @@
-"""Mod-ell eigensystems: reduction of integral Hecke matrices, simultaneous
-generalized-eigenspace decomposition, and the twist-matching predicate with
-its determinant check.
+"""Mod-ell eigensystems: the Hecke and diamond operators of a space over
+F_ell, simultaneous generalized-eigenspace decomposition, and the
+twist-matching predicate with its determinant check.
 
 decompose works in two steps.  It first splits the space over F_ell, on
 numpy arrays of residues, taking the operators in turn (Hecke at good

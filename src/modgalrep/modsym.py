@@ -310,11 +310,18 @@ class _Ambient:
 
     def _reduced_mod(self, ell):
         """(dtype, projection, lift coefficients) mod ell, kept per ell.
-        A contraction or a lift sums at most nsym products of residues."""
+        A contraction or a lift sums at most nsym products of two numbers
+        below ell in absolute value, so arrays already below ell (the
+        projection at weight 2, say) are used as they are."""
         if ell not in self._reduced:
             dtype = _exact_dtype(self.nsym, ell)
-            self._reduced[ell] = (dtype, (self._proj % ell).astype(dtype),
-                                  (self._lift_coef % ell).astype(dtype))
+            proj, coef = self._proj, self._lift_coef
+            if self._proj_max >= ell:
+                proj = proj % ell
+            if self._lift_sum >= ell:
+                coef = coef % ell
+            self._reduced[ell] = (dtype, proj.astype(dtype, copy=False),
+                                  coef.astype(dtype, copy=False))
         return self._reduced[ell]
 
     def hecke_array(self, p, ell=None):
