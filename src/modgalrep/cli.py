@@ -101,10 +101,9 @@ def _build_parser():
     p.add_argument("--subgroup", default=None,
                    help="comma-separated residues of H")
 
-    for name, text in (("twist", None), ("realize", None),
-                       ("audit", "check that the weight-2 match exists "
-                        "exactly on the subgroups inside H")):
-        p = sub.add_parser(name, help=text)
+    # audit: the weight-2 match exists exactly on the subgroups inside H
+    for name in ("twist", "realize", "audit"):
+        p = sub.add_parser(name)
         p.add_argument("--level", type=int, required=True)
         p.add_argument("--weight", type=int, required=True)
         p.add_argument("--ell", type=int, required=True)
