@@ -46,6 +46,30 @@ def _exact_dtype(n, ell):
     return exact_dtype((n + 2) * ell * ell)
 
 
+def _mul_dtype(n, ell):
+    """The dtype _mul_mod multiplies in for inner dimension n: float64 while
+    n (ell - 1)^2 < 2^53, then as _exact_dtype."""
+    return np.float64 if n * (ell - 1) ** 2 < 2 ** 53 else _exact_dtype(n, ell)
+
+
+def _mul_mod(a, b, ell):
+    """a @ b mod ell, exactly, for integer arrays whose entries are below
+    ell in absolute value; int64 residues, or Python integers past int64.
+
+    While every partial sum n (ell - 1)^2 of an entry stays below 2^53, a
+    float64 product on BLAS is exact (the FFLAS-FFPACK rule: J.-G. Dumas,
+    P. Giorgi and C. Pernet, ACM TOMS 35(3), 2008); past it the product
+    runs on int64 while _exact_dtype allows, and on Python integers beyond.
+    """
+    dtype = _mul_dtype(a.shape[-1], ell)
+    c = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if dtype is np.float64:
+        # exact integers; the remainder is several times faster on int64
+        c = c.astype(np.int64)
+    c %= ell
+    return c
+
+
 def _rref_mod(a, ell):
     """Reduced row echelon form of a mod ell, and its pivot columns."""
     a = a % ell

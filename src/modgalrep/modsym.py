@@ -13,21 +13,30 @@ integer matrices on the dual basis.  A fingerprint of these coordinates
 identifies the basis in the disk cache.
 
 Every ambient operator is a sum over integer matrices g acting on symbols,
-and one numpy kernel (_Ambient._apply) computes them all: T_p, p prime,
-sums over Cremona's Heilbronn matrices of determinant p (J. Cremona,
-Algorithms for Modular Elliptic Curves, 2nd ed., 1997), kept once per run
-in its cache, each g with the table of its action on the monomials; the
-diamond <d> is the one matrix (d, 0, 0, d) with the identity table; the
-star involution is (-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.
-Over Z the kernel works on int64 arrays when a bound from its inputs shows
-no overflow and on Python integers otherwise, in the same code.  The sum is
-a ring computation, so it can also run mod ell term by term (W. Stein,
-Modular Forms: A Computational Approach, GSM 79, 2007, ch. 8): tables,
-projection and lifts reduced mod ell, and int64 wherever _exact_dtype
-allows, at every weight and p.  The eigensystems need the operators mod ell
-only, and get them that way (operators_mod); over Z the kernel computes the
+and one numpy kernel (_Ambient._apply) computes them all, several in one
+pass: T_p, p prime, sums over Cremona's Heilbronn matrices of determinant p
+(J. Cremona, Algorithms for Modular Elliptic Curves, 2nd ed., 1997), kept
+once per run in its cache at their narrowest width, each g with the table
+of its action on the monomials; the diamond <d> is the one matrix
+(d, 0, 0, d) with the identity table; the star involution is
+(-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  A pass tags each g
+with its operator, sorts the keys (operator, symbol, target coset) once and
+sums the table rows of each key with one reduceat into a dense W,
+(operator, symbol) x (coset, exponent); the images of the symbols the lifts
+use are then one product W P with the projection P, and each operator one
+product of its images with the lifts.  _Ambient.operator_arrays makes one
+pass per chunk of the operators asked for, each chunk capped by its largest
+transients (_CHUNK).  Over Z each product runs on the dtype a bound from
+its inputs allows: float64 on BLAS below 2^53, where it is exact, then int64
+or Python integers.  The sum is a ring computation, so it can also run mod
+ell term by term (W. Stein, Modular Forms: A Computational Approach, GSM 79,
+2007, ch. 8): tables, projection and lifts reduced mod ell, and every
+product through gf._mul_mod, on float64 BLAS while n (ell - 1)^2 < 2^53 and
+on int64 or Python integers beyond.  The eigensystems need the operators
+mod ell only, and get them that way (operators_mod), in one kernel pass per
+(ambient, ell, missing operators) and chunk; over Z the kernel computes the
 star involution, which cuts the plus space, and T_p and <d> for `mgr hecke`
-and the tests' oracles.
+and the tests' oracles, one operator per pass.
 
 A subspace is an integer kernel in the coordinates of the space it is cut
 from, its parent, hence a saturated sublattice.  The cuspidal subspace is
@@ -42,8 +51,8 @@ ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
 subspace in one step, X = D (T B): over Z checked exactly against
-T B = B X, over F_ell checked mod ell only.  A space between the two
-computes the operator only when asked for it.
+T B = B X, over F_ell through _mul_mod and checked mod ell only.  A space
+between the two computes the operator only when asked for it.
 
 A run keeps its spaces in one MatrixCache, one presentation for each
 (level, weight, +-H), and nothing outlives it.  The root space keeps its
@@ -58,14 +67,14 @@ import hashlib
 import os
 import sys
 import tempfile
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, gcd
 
 import numpy as np
 
 from .congruence import coset_table, plus_minus
 from .exactalg.arith import is_prime
-from .exactalg.gf import _exact_dtype
+from .exactalg.gf import _exact_dtype, _mul_dtype, _mul_mod
 from .exactalg.intmat import (
     dual_basis,
     exact_dtype,
@@ -79,24 +88,30 @@ from .exactalg.intmat import (
 )
 
 
+# the most entries a chunk of operator_arrays may hold in one transient
+_CHUNK = 2 ** 14
+
+
 def heilbronn_cremona(p):
     """Cremona's Heilbronn matrices of determinant p, as rows (a, b, c, d).
 
     Their sum gives T_p on Manin symbols of any level.  Besides (1, 0, 0, p),
     each r with |r| <= p/2 contributes the matrices met along the continued
     fraction of -p/r with nearest-integer quotients, halves rounded away
-    from zero; all r are expanded at once.
+    from zero; all r are expanded at once.  No entry exceeds p in absolute
+    value, so they are kept as int16 for p < 2^15 and as int32 beyond.
     """
+    dtype = np.int16 if p < 2 ** 15 else np.int32
     if p == 2:
         return np.array([(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1),
-                         (1, 0, 1, 2)], dtype=np.int64)
+                         (1, 0, 1, 2)], dtype=dtype)
     r = np.arange(-(p // 2), p // 2 + 1, dtype=np.int64)
     a, b = np.full_like(r, -p), r
     x1, x2 = np.full_like(r, p), -r
     y1, y2 = np.zeros_like(r), np.ones_like(r)
-    out = [np.array([(1, 0, 0, p)], dtype=np.int64)]
+    out = [np.array([(1, 0, 0, p)], dtype=dtype)]
     while True:
-        out.append(np.stack([x1, x2, y1, y2], axis=1))
+        out.append(np.stack([x1, x2, y1, y2], axis=1).astype(dtype))
         live = b != 0
         if not live.any():
             return np.concatenate(out)
@@ -192,14 +207,15 @@ class _Ambient:
         self.proj_rows = qm.proj_rows
         self.lifts = qm.lifts
         self._boundary = None
-        # what _apply reads: the projection as (ncos, k-1, dim), the coset
-        # index of (c:d) at c * level + d (-1 off the table), the cosets and
-        # exponents of the symbols the lifts use, and the lifts as (support
-        # row, coefficient) pairs, basis column by column
+        # what _apply reads: the projection rows as (coset, exponent) x dim,
+        # the coset index of (c:d) at c * level + d (-1 off the table), the
+        # cosets and exponents of the symbols the lifts use, and the lifts as
+        # a (support symbol) x dim matrix
         self._proj_max = max_abs(qm.proj_rows)
         self._proj = np.ascontiguousarray(np.array(
-            qm.proj_rows, dtype=exact_dtype(self._proj_max)
-        ).reshape(k - 1, ncos, self.dim).transpose(1, 0, 2))
+            qm.proj_rows, dtype=_narrow_dtype(self._proj_max)
+        ).reshape(k - 1, ncos, self.dim).transpose(1, 0, 2)).reshape(
+            self.nsym, self.dim)
         self._lookup = np.full(level * level, -1, dtype=np.int64)
         for (c, d), i in self.table.index_of.items():
             self._lookup[c * level + d] = i
@@ -210,15 +226,13 @@ class _Ambient:
         reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
         self._sup_c, self._sup_d = reps[sup_cos, 0], reps[sup_cos, 1]
         self._exponents = int(self._sup_exp.max(initial=-1)) + 1
-        self._lift_sum = max((sum(abs(c) for _, c in lift)
-                              for lift in qm.lifts), default=0)
-        self._lift_row = np.array([row_of[sym] for lift in qm.lifts
-                                   for sym, _ in lift], dtype=np.int64)
-        self._lift_coef = np.array(
-            [c for lift in qm.lifts for _, c in lift],
-            dtype=exact_dtype(self._lift_sum))
-        self._lift_ptr = np.cumsum([0] + [len(lift) for lift in qm.lifts])
-        self._reduced = {}
+        self._lift_max = max((abs(c) for lift in qm.lifts for _, c in lift),
+                             default=0)
+        self._lift = np.zeros((len(support), self.dim),
+                              dtype=_narrow_dtype(self._lift_max))
+        self._lift[[row_of[sym] for lift in qm.lifts for sym, _ in lift],
+                   [col for col, lift in enumerate(qm.lifts)
+                    for _ in lift]] = [c for lift in qm.lifts for _, c in lift]
 
     @cached_property
     def fingerprint(self):
@@ -228,25 +242,32 @@ class _Ambient:
 
     # -- operators on the lattice basis ------------------------------------
 
-    def _apply(self, mats, tables, ell=None):
-        """Matrix of the operator sum_g g on the lattice basis.
+    def _apply(self, mats, tables, ell=None, counts=None):
+        """The operators sum_g g on the lattice basis, one for each group of
+        counts[i] consecutive matrices of mats (one group of them all for
+        None), as a list of arrays.
 
         Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
         (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
         the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j),
-        for the exponents e < self._exponents that the lifts use.
-        Returns an array of integers, int64 when a bound from the inputs
-        shows no overflow and Python integers otherwise; or, given ell and
-        tables mod ell, of residues mod ell, with the projection and the
-        lifts reduced too, so that every sum stays on int64 wherever
-        _exact_dtype allows.
+        for the exponents e < self._exponents that the lifts use.  One sort
+        and one reduceat over every g give the dense W[(i, s), (x, j)]: the
+        coefficients summed over the g of group i that send the support
+        symbol s to the coset x.  The images of the support symbols are then
+        one product W P with the projection rows, and each operator one
+        product of its images with the lifts.  Over Z each product runs on
+        the dtype a bound from its inputs allows (_product), int64 or Python
+        integers; given ell and tables mod ell, W, the projection and the
+        lifts are residues and the products go through _mul_mod.
         """
-        n, k1, dim = self.level, self.weight - 1, self.dim
+        n, k1 = self.level, self.weight - 1
         ncos, nsupp = len(self.table), len(self._sup_exp)
         g = np.array(mats, dtype=np.int64).reshape(-1, 4)
-        # the target coset x of each support symbol s under each g, as the
-        # key s * ncos + x, -1 off the table; these g x support arrays set
-        # the peak memory, so each goes as soon as it is used
+        counts = [len(g)] if counts is None else counts
+        # the target coset x of each support symbol s under each g of group
+        # i, as the key (i * nsupp + s) * ncos + x, -1 off the table; these
+        # g x support arrays set the peak memory, so each goes as soon as it
+        # is used
         c1 = np.multiply.outer(g[:, 0], self._sup_c)
         c1 += np.multiply.outer(g[:, 2], self._sup_d)
         c1 %= n
@@ -260,6 +281,8 @@ class _Ambient:
         del c1
         off = key < 0
         key += np.arange(0, nsupp * ncos, ncos)
+        key += np.repeat(np.arange(0, len(counts) * nsupp * ncos,
+                                   nsupp * ncos), counts)[:, None]
         key[off] = -1
         del off
         key = key.ravel()
@@ -268,8 +291,9 @@ class _Ambient:
         start = np.searchsorted(key, 0)
         key, order = key[start:], order[start:]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        # W[s, x, j]: the table rows g * self._exponents + (exponent of s),
-        # summed over the g of each key; g_sum bounds sum_j |W[s, x, j]|
+        # the rows of W: the table rows g * self._exponents + (exponent of
+        # s), summed over the g of each key; g_sum bounds the sum of the
+        # absolute values in a row
         s = order % nsupp
         order //= nsupp
         order *= self._exponents
@@ -280,76 +304,95 @@ class _Ambient:
         rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
         w = np.add.reduceat(rows[order], first, axis=0)
         del order
-        # the image of each support symbol s is one contraction of W[s] with
-        # the projection rows of its target cosets; then the images of the
-        # basis through the lifts, which are sparse
         if ell is None:
-            dtype = exact_dtype(g_sum * self._proj_max * self._lift_sum)
-            # on Python integers, one conversion of the projection serves
-            # every product below
-            proj = self._proj.astype(dtype, copy=False)
-            coef = self._lift_coef
+            dtype, proj, lift = w.dtype, self._proj, self._lift
+
+            def mul(a, b):
+                return _product(a, _abs_max(a, 0), b, _abs_max(b, 1))
         else:
-            dtype, proj, coef = self._reduced_mod(ell)
             w %= ell
-        w = w.astype(dtype, copy=False)
-        ss, xs = np.divmod(key[first], ncos)
-        images = np.zeros((nsupp, dim), dtype=dtype)
-        bounds = np.append(np.flatnonzero(np.diff(ss, prepend=-1)), len(ss))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            images[ss[lo]] = (w[lo:hi].ravel()
-                              @ proj[xs[lo:hi]].reshape(-1, dim))
-        if ell is not None:
-            images %= ell
-        out = np.zeros((dim, dim), dtype=dtype)
-        ptr = self._lift_ptr
-        for col in range(dim):
-            lo, hi = ptr[col], ptr[col + 1]
-            out[col] = coef[lo:hi] @ images[self._lift_row[lo:hi]]
-        return out.T if ell is None else out.T % ell
+            dtype, proj, lift = self._reduced_mod(ell)
+
+            def mul(a, b):
+                return _mul_mod(a, b, ell)
+        dense = np.zeros((len(counts) * nsupp * ncos, k1), dtype=dtype)
+        dense[key[first]] = w
+        del w
+        images = mul(dense.reshape(-1, self.nsym), proj)
+        del dense
+        return [mul(images[i * nsupp:(i + 1) * nsupp].T, lift)
+                for i in range(len(counts))]
 
     def _reduced_mod(self, ell):
-        """(dtype, projection, lift coefficients) mod ell, kept per ell.
-        A contraction or a lift sums at most nsym products of two numbers
-        below ell in absolute value, so arrays already below ell (the
-        projection at weight 2, say) are used as they are."""
-        if ell not in self._reduced:
-            dtype = _exact_dtype(self.nsym, ell)
-            proj, coef = self._proj, self._lift_coef
-            if self._proj_max >= ell:
-                proj = proj % ell
-            if self._lift_sum >= ell:
-                coef = coef % ell
-            self._reduced[ell] = (dtype, proj.astype(dtype, copy=False),
-                                  coef.astype(dtype, copy=False))
-        return self._reduced[ell]
+        """(dtype, projection, lifts) mod ell, converted once per kernel
+        pass to the dtype _mul_mod multiplies them in.  Its products are
+        exact for entries below ell in absolute value, so arrays already
+        below ell (both at weight 2, say) need no reduction."""
+        dtype = _mul_dtype(self.nsym, ell)
+        proj = self._proj if self._proj_max < ell else self._proj % ell
+        lift = self._lift if self._lift_max < ell else self._lift % ell
+        return dtype, proj.astype(dtype), lift.astype(dtype)
 
-    def hecke_array(self, p, ell=None):
-        """T_p on the lattice basis as an array, over Z or, given ell, over
-        F_ell: a sum over Cremona's Heilbronn matrices."""
-        mats = self._recall(("heilbronn", p), lambda: heilbronn_cremona(p))
-        return self._apply(mats, _monomial_tables(
-            mats, self.weight, self._exponents, ell), ell)
+    def operator_arrays(self, keys, ell=None):
+        """T_p for each key p > 0 and <d> for each key -d on the lattice
+        basis, over Z or, given ell, over F_ell, as arrays in the order of
+        keys.
+
+        T_p sums Cremona's Heilbronn matrices of determinant p, and <d> is
+        the one matrix (d, 0, 0, d) with the identity table.  The keys go
+        through the kernel in chunks, T_p before <d>, each chunk one table
+        build over its Heilbronn matrices and one _apply.  A chunk takes keys
+        while its largest transients stay within _CHUNK entries: the
+        g x support key arrays, the g x (k-1) x (k-1) monomial powers, and
+        the dense W, (operator, support symbol) x (coset, exponent).  It
+        always takes at least one key.
+        """
+        k, rows, nsupp = self.weight, self._exponents, len(self._sup_exp)
+        mats = {}
+        for key in keys:
+            if key > 0:
+                mats[key] = self._recall(("heilbronn", key),
+                                         partial(heilbronn_cremona, key))
+            elif gcd(key, self.level) != 1:
+                raise ValueError("%d is not a unit modulo %d"
+                                 % (-key, self.level))
+            else:
+                mats[key] = np.array([(-key, 0, 0, -key)], dtype=np.int64)
+        per_g, per_op = max(nsupp, (k - 1) ** 2), nsupp * self.nsym
+        chunks = []
+        for key in sorted(mats, key=lambda key: (key < 0, abs(key))):
+            size = len(mats[key])
+            if chunks and max((used + size) * per_g,
+                              (len(chunks[-1]) + 1) * per_op) <= _CHUNK:
+                chunks[-1].append(key)
+                used += size
+            else:
+                chunks.append([key])
+                used = size
+        eye = np.eye(rows, k - 1, dtype=np.int64)[None]
+        out = {}
+        for chunk in chunks:
+            hecke = [mats[key] for key in chunk if key > 0]
+            tables = ([_monomial_tables(np.concatenate(hecke), k, rows, ell)]
+                      if hecke else [])
+            tables += [eye] * (len(chunk) - len(hecke))
+            group = [mats[key] for key in chunk]
+            out.update(zip(chunk, self._apply(
+                np.concatenate(group), np.concatenate(tables), ell,
+                [len(g) for g in group])))
+        return [out[key] for key in keys]
 
     def hecke_on_basis(self, p):
         """T_p on the lattice basis over Z, as a list of rows."""
-        return self.hecke_array(p).tolist()
-
-    def diamond_array(self, d, ell=None):
-        """<d> on the lattice basis as an array, over Z or over F_ell."""
-        n, k = self.level, self.weight
-        if gcd(d, n) != 1:
-            raise ValueError("%d is not a unit modulo %d" % (d, n))
-        return self._apply([(d, 0, 0, d)], np.eye(
-            self._exponents, k - 1, dtype=np.int64)[None], ell)
+        return self.operator_arrays([p])[0].tolist()
 
     def diamond_on_basis(self, d):
-        return self.diamond_array(d).tolist()
+        return self.operator_arrays([-d])[0].tolist()
 
     def star_on_basis(self):
         mats = [(-1, 0, 0, 1)]
-        return self._apply(mats, _monomial_tables(mats, self.weight,
-                                                  self._exponents)).tolist()
+        return self._apply(mats, _monomial_tables(
+            mats, self.weight, self._exponents))[0].tolist()
 
     def boundary_matrix(self):
         """Boundary map to the cusp module, on the lattice basis.
@@ -492,9 +535,7 @@ class ModularSymbolSpace:
                 held.update((int(row[0]), row[1:].reshape(self.dim, -1))
                             for row in stacked)
                 missing = [key for key in missing if key not in held]
-        for key in missing:
-            held[key] = (self.ambient.hecke_array(key, ell) if key > 0
-                         else self.ambient.diamond_array(-key, ell))
+        held.update(zip(missing, self.ambient.operator_arrays(missing, ell)))
         if self._disk is not None and missing:
             keys = sorted(held)
             stacked = np.hstack([np.array(keys, dtype=np.int64)[:, None],
@@ -531,15 +572,18 @@ class ModularSymbolSpace:
 
     def _restrict_mod(self, ts, ell):
         """X = D (T B) mod ell for each ambient operator T mod ell of ts,
-        checked as B X = T B mod ell."""
+        checked as B X = T B mod ell.  X is exact, because D B = I over Z;
+        the check is weaker than the exact one over Z that _restrict makes.
+        Every product goes through _mul_mod, so it runs on float64 BLAS
+        while that is exact; B and D are reduced and converted once."""
         b, _, d, _ = self._bases
-        dtype = _exact_dtype(self.ambient.dim, ell)
+        dtype = _mul_dtype(self.ambient.dim, ell)
         b, d = (b % ell).astype(dtype), (d % ell).astype(dtype)
         out = []
         for t in ts:
-            tb = t.astype(dtype, copy=False) @ b % ell
-            x = d @ tb % ell
-            if ((b @ x - tb) % ell).any():
+            tb = _mul_mod(t, b, ell)
+            x = _mul_mod(d, tb, ell)
+            if (_mul_mod(b, x, ell) != tb).any():
                 raise SaturationError(
                     "operator does not preserve the subspace")
             out.append(x)
@@ -616,13 +660,21 @@ def _array(rows, nrows, ncols):
     return a.reshape(nrows, ncols)
 
 
+def _narrow_dtype(bound):
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer of absolute value at most bound; Python integers beyond."""
+    return next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max), object)
+
+
 def _abs_max(a, axis):
     """The largest absolute values of an integer array along axis (0: of
     each column, 1: of each row), as Python integers in an object array."""
     a = np.abs(a)
     if a.dtype != object:
-        # np.abs leaves -2^63 as it is, which reads as 2^63 in uint64
-        a = a.view(np.uint64)
+        # np.abs leaves the least value of a signed type as it is, -2^63
+        # say, which reads as its absolute value unsigned
+        a = a.view("u%d" % a.itemsize)
     return a.max(axis, initial=0).astype(object)
 
 
@@ -630,9 +682,13 @@ def _product(a, a_cols, b, b_rows):
     """a @ b for integer arrays, given the largest absolute value in each
     column of a and in each row of b.  Every partial sum of an entry is at
     most a_cols . b_rows, so that bound and the inputs' own entries set the
-    dtype."""
-    dtype = exact_dtype(max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
-                            b_rows.max(initial=0)))
+    dtype of the result, int64 or Python integers.  Below 2^53 the product
+    runs on float64 BLAS, where it is exact, as in gf._mul_mod."""
+    bound = max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
+                b_rows.max(initial=0))
+    dtype = exact_dtype(bound)
+    if bound < 2 ** 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(dtype)
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 

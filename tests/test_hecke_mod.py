@@ -178,17 +178,75 @@ def test_stacked_entry_grows_by_the_missing_operators(tmp_path, monkeypatch):
     computed = []
     apply = modsym._Ambient._apply
 
-    def counted(self, mats, *args):
-        computed.append(len(mats))
-        return apply(self, mats, *args)
+    def counted(self, mats, tables, ell=None, counts=None):
+        computed.append((len(mats), counts))
+        return apply(self, mats, tables, ell, counts)
 
     monkeypatch.setattr(modsym._Ambient, "_apply", counted)
     fresh = plus_cuspidal_space(11, 2, MatrixCache(root))
     ops = reduce_space_mod(fresh, 5, [2, 3, 5]).ops
-    assert computed == [len(modsym.heilbronn_cremona(5))]
+    # one kernel pass, with one group: the Heilbronn matrices of T_5
+    five = len(modsym.heilbronn_cremona(5))
+    assert computed == [(five, [five])]
     assert ops["T5"].tolist() == _reduced(fresh.hecke_matrix(5), 5)
     stacked = MatrixCache(root).load(11, 2, "mod5", fresh.ambient.fingerprint)
     assert sorted(stacked[:, 0].tolist()) == [-2, 2, 3, 5]
+
+
+def _batching_cases():
+    """(space, ell): the weight-2 Gamma_H plus spaces that realize uses at
+    levels 35 and 28, weight 12 at levels 3, 4 and 5, weight 6, ell past
+    int64, and a zero-dimensional plus space."""
+    for row in TABLE_ROWS:
+        if row["N"] * row["ell"] in (35, 28):
+            eps = (parse_character(row["eps"]) if "eps" in row
+                   else trivial_character(row["N"]))
+            h = h_from_eigenform(eps, 12, row["reference_i"], row["ell"])
+            yield (lambda h=h: plus_cuspidal_space(h.level, 2, subgroup=h),
+                   row["ell"])
+    for n, ell in [(3, 5), (4, 7), (5, 11)]:
+        yield lambda n=n: plus_cuspidal_space(n, 12), ell
+    yield lambda: plus_cuspidal_space(10, 6), 7
+    yield lambda: plus_cuspidal_space(11, 2), 2 ** 61 - 1
+    yield lambda: plus_cuspidal_space(1, 10), 7
+
+
+@pytest.mark.parametrize("cap", [1, 3000, 2 ** 14])
+def test_batched_operators_equal_one_key_per_call(monkeypatch, cap):
+    """All the operators one operators_mod call is missing, computed in
+    chunks of the kernel's cap, equal those computed one key per call on a
+    fresh space, on the root and on the plus space.  The middle cap splits
+    some calls into several chunks of several operators each."""
+    groups = []
+    apply = modsym._Ambient._apply
+
+    def spy(self, mats, tables, ell=None, counts=None):
+        groups.append(1 if counts is None else len(counts))
+        return apply(self, mats, tables, ell, counts)
+
+    monkeypatch.setattr(modsym._Ambient, "_apply", spy)
+    primes = list(primes_up_to(50))
+    cases = list(_batching_cases())
+    assert len(cases) == 8
+    for make, ell in cases:
+        space, one = make(), make()
+        units = unit_group(space.level).generators
+        monkeypatch.setattr(modsym, "_CHUNK", cap)
+        batched = space.operators_mod(ell, primes, units)
+        root = space.root.operators_mod(ell, primes, units)
+        monkeypatch.setattr(modsym, "_CHUNK", 2 ** 14)
+        keys = ([("T%d" % p, [p], []) for p in primes]
+                + [("d%d" % d, [], [d]) for d in units])
+        for label, ps, ds in keys:
+            assert one.operators_mod(ell, ps, ds)[label].tolist() \
+                == batched[label].tolist(), (one, ell, label, cap)
+            assert one.root.operators_mod(ell, ps, ds)[label].tolist() \
+                == root[label].tolist(), (one, ell, label, cap)
+    if cap == 1:
+        assert set(groups) == {1}
+    if cap == 3000:
+        assert max(groups) > 1
+        assert 1 < len(groups)
 
 
 def test_mod_ell_restriction_checks_the_subspace():

@@ -72,6 +72,20 @@ def test_heilbronn_cremona_matrices():
         assert (a * d - b * c == p).all(), p
 
 
+def test_heilbronn_matrices_at_the_narrowest_width():
+    """Every entry is at most p in absolute value, so int16 holds the
+    matrices of p < 2^15 and int32 those beyond."""
+    for p in primes_up_to(3000):
+        mats = heilbronn_cremona(p)
+        assert mats.dtype == np.int16, p
+        assert np.abs(mats.astype(np.int64)).max() <= p, p
+    big = heilbronn_cremona(32771)
+    assert big.dtype == np.int32
+    a, b, c, d = big.astype(np.int64).T
+    assert (a * d - b * c == 32771).all()
+    assert np.abs(big.astype(np.int64)).max() <= 32771
+
+
 def test_hecke_matches_merel_family(monkeypatch):
     """T_p equals the operator of Merel's family, entry for entry, for every
     prime p <= 100, with p | N and p^2 | N among the levels.  A spy on
@@ -92,7 +106,7 @@ def test_hecke_matches_merel_family(monkeypatch):
             mats = merel_family(p)
             tables = modsym._monomial_tables(mats, k, ambient._exponents)
             assert ambient.hecke_on_basis(p) == ambient._apply(
-                mats, tables).tolist(), (n, k, p)
+                mats, tables)[0].tolist(), (n, k, p)
     for name in ("_monomial_tables", "_apply"):
         assert {d for f, d in picked if f == name} == {np.int64, object}
 
