@@ -22,10 +22,12 @@ eigensystem code find their roots with it.
 Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
 the one elimination over a finite field in the package; the eigensystem
 code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
-coefficient vectors of an element's powers with it.  `FqElem.inverse`
-alone works on coefficient lists of ints: it runs extended Euclid against
-the modulus, which is several times faster per element than Fermat
-inversion through the field's own multiplication.
+coefficient vectors of an element's powers with it.  `_mul_mod` multiplies
+them exactly, on float64 BLAS while that is exact; the Hecke operator
+kernel and the restriction to subspaces use it.  `FqElem.inverse` alone
+works on coefficient lists of ints: it runs extended Euclid against the
+modulus, which is several times faster per element than Fermat inversion
+through the field's own multiplication.
 """
 
 import random
