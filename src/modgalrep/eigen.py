@@ -154,12 +154,12 @@ def reduce_space_mod(space, ell, primes):
     """The Hecke operators T_p, p in primes, and the diamonds of the unit
     group's generators on a space, over F_ell.
 
-    They are computed mod ell, never over Z: the ambient operators by the
-    operator kernel on residues, restricted to the space mod ell through
-    its saturated bases, so they are the reductions of the integral
-    matrices, and commutativity is preserved.  The restriction is checked
-    mod ell only (`ModularSymbolSpace.operators_mod`), which is weaker than
-    the exact check over Z that `hecke_matrix` makes.
+    They are computed mod ell, never over Z, by the one operator path of
+    `ModularSymbolSpace.operators` with the ring F_ell: the ambient
+    operators by the operator kernel on residues, restricted to the space
+    mod ell through its saturated bases, so they are the reductions of the
+    integral matrices, and commutativity is preserved.  The restriction is
+    checked mod ell only, which is weaker than the exact check over Z.
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %d" % ell)

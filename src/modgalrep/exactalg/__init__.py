@@ -24,7 +24,6 @@ from .gf import (
 from .intmat import (
     dual_basis,
     exact_dtype,
-    identity_matrix,
     kernel_int,
     mat_mul,
     QuotientMap,
@@ -39,6 +38,6 @@ __all__ = [
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
     "FqField", "irreducible_roots", "poly_factor_fq", "poly_from_ints",
     "poly_roots",
-    "dual_basis", "exact_dtype", "identity_matrix", "kernel_int", "mat_mul",
+    "dual_basis", "exact_dtype", "kernel_int", "mat_mul",
     "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",
 ]

@@ -22,12 +22,12 @@ eigensystem code find their roots with it.
 Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
 the one elimination over a finite field in the package; the eigensystem
 code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
-coefficient vectors of an element's powers with it.  `_mul_mod` multiplies
-them exactly, on float64 BLAS while that is exact; the Hecke operator
-kernel and the restriction to subspaces use it.  `FqElem.inverse` alone
-works on coefficient lists of ints: it runs extended Euclid against the
-modulus, which is several times faster per element than Fermat inversion
-through the field's own multiplication.
+coefficient vectors of an element's powers with it.  The Hecke operator
+kernel and the restriction to subspaces multiply them with
+`intmat.product`, the one exact product over Z and over F_l.
+`FqElem.inverse` alone works on coefficient lists of ints: it runs
+extended Euclid against the modulus, which is several times faster per
+element than Fermat inversion through the field's own multiplication.
 """
 
 import random
@@ -46,30 +46,6 @@ def _exact_dtype(n, ell):
     """int64 while a sum of n + 2 products of two residues fits in it,
     Python integers beyond that."""
     return exact_dtype((n + 2) * ell * ell)
-
-
-def _mul_dtype(n, ell):
-    """The dtype _mul_mod multiplies in for inner dimension n: float64 while
-    n (ell - 1)^2 < 2^53, then as _exact_dtype."""
-    return np.float64 if n * (ell - 1) ** 2 < 2 ** 53 else _exact_dtype(n, ell)
-
-
-def _mul_mod(a, b, ell):
-    """a @ b mod ell, exactly, for integer arrays whose entries are below
-    ell in absolute value; int64 residues, or Python integers past int64.
-
-    While every partial sum n (ell - 1)^2 of an entry stays below 2^53, a
-    float64 product on BLAS is exact (the FFLAS-FFPACK rule: J.-G. Dumas,
-    P. Giorgi and C. Pernet, ACM TOMS 35(3), 2008); past it the product
-    runs on int64 while _exact_dtype allows, and on Python integers beyond.
-    """
-    dtype = _mul_dtype(a.shape[-1], ell)
-    c = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    if dtype is np.float64:
-        # exact integers; the remainder is several times faster on int64
-        c = c.astype(np.int64)
-    c %= ell
-    return c
 
 
 def _rref_mod(a, ell):

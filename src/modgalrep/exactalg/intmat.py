@@ -1,13 +1,15 @@
 """Exact integer linear algebra: products, kernels, dual bases and free
 quotients.
 
-Matrices are lists of rows of Python ints.  exact_dtype is the one rule for
-numpy work on them: int64 while a bound computed from the inputs shows that
-no value can overflow, Python integers (dtype object) otherwise, so results
-are always exact.  mat_mul applies it once to its inputs; elimination
-applies it to the entries it starts from and then before every row update,
-to a bound on the entries that update makes, and turns its array into
-Python integers in place the first time int64 cannot hold them.
+Matrices are lists of rows of Python ints, or integer numpy arrays.
+exact_dtype is the one rule for numpy work on them: int64 while a bound
+computed from the inputs shows that no value can overflow, Python integers
+(dtype object) otherwise, so results are always exact.  Elimination applies
+it to the entries it starts from and then before every row update, to a
+bound on the entries that update makes, and turns its array into Python
+integers in place the first time int64 cannot hold them.  product, the one
+matrix product over Z and over F_ell, puts float64 before it: below 2^53
+BLAS on float64 is exact.  mat_mul is product on lists of rows.
 
 Kernels are computed with a tracked unimodular row transform, which makes
 the returned basis generate the full integer kernel lattice; in particular
@@ -47,19 +49,69 @@ def exact_dtype(bound):
     return np.int64 if bound < 2 ** 63 else object
 
 
+def product_dtype(bound):
+    """The dtype product multiplies in when no partial sum exceeds bound:
+    float64 below 2^53, then as exact_dtype."""
+    return np.float64 if bound < 2 ** 53 else exact_dtype(bound)
+
+
+def abs_max(a, axis=None):
+    """The largest absolute values of an integer array, or of a float64 one
+    of integers, along axis, as Python integers in an object array."""
+    a = np.abs(a)
+    if a.dtype.kind == "i":
+        # np.abs leaves -2^63 as it is, which reads as 2^63 unsigned
+        a = a.view("u%d" % a.itemsize)
+    m = np.asarray(a.max(axis, initial=0))
+    return (m.astype(np.uint64) if m.dtype.kind == "f" else m).astype(object)
+
+
+def as_operand(a):
+    """a as float64, which product takes without a copy, if its entries lie
+    below 2^53: an operand of several products is converted once."""
+    return a.astype(product_dtype(int(abs_max(a))), copy=False)
+
+
+def product(a, b, ell=None):
+    """a @ b for integer arrays, exactly; given ell, its residues mod ell,
+    for entries below ell in absolute value.
+
+    No partial sum of an entry exceeds a bound: over Z the column maxima of
+    |a| dotted with the row maxima of |b|, or an entry of either if larger;
+    mod ell, n (ell - 1)^2 for inner dimension n.  The product runs in the
+    dtype product_dtype gives it, on float64 BLAS below 2^53, where it is
+    exact (the FFLAS-FFPACK rule: J.-G. Dumas, P. Giorgi and C. Pernet,
+    ACM TOMS 35(3), 2008), on int64 below 2^63 and on Python integers
+    beyond.  The result is int64, or Python integers past int64.
+    """
+    if ell is None:
+        a_cols, b_rows = abs_max(a, 0), abs_max(b, 1)
+        bound = max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
+                    b_rows.max(initial=0))
+    else:
+        bound = a.shape[-1] * (ell - 1) ** 2
+    dtype = product_dtype(bound)
+    if dtype is object:
+        # float64 operands (as_operand) reach Python integers through int64
+        a, b = (m.astype(np.int64) if m.dtype.kind == "f" else m
+                for m in (a, b))
+    c = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if dtype is np.float64:
+        # exact integers; the remainder is several times faster on int64
+        c = c.astype(np.int64)
+    if ell is not None:
+        c %= ell
+    return c
+
+
 def mat_mul(a, b):
-    """Exact product of two integer matrices (lists of rows)."""
+    """Exact product of two integer matrices (lists of rows), by product."""
     if not a:
         return []
     if not b:
         return [[] for _ in a]
-    ma, mb = max_abs(a), max_abs(b)
-    dtype = exact_dtype(max(ma, mb, ma * mb * len(b)))
-    return (np.array(a, dtype=dtype) @ np.array(b, dtype=dtype)).tolist()
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a, b = (np.array(m, dtype=exact_dtype(max_abs(m))) for m in (a, b))
+    return product(a, b).tolist()
 
 
 def transpose(a):

@@ -26,17 +26,14 @@ sums the table rows of each key with one reduceat into a dense W,
 use are then one product W P with the projection P, and each operator one
 product of its images with the lifts.  _Ambient.operator_arrays makes one
 pass per chunk of the operators asked for, each chunk capped by its largest
-transients (_CHUNK).  Over Z each product runs on the dtype a bound from
-its inputs allows: float64 on BLAS below 2^53, where it is exact, then int64
-or Python integers.  The sum is a ring computation, so it can also run mod
-ell term by term (W. Stein, Modular Forms: A Computational Approach, GSM 79,
-2007, ch. 8): tables, projection and lifts reduced mod ell, and every
-product through gf._mul_mod, on float64 BLAS while n (ell - 1)^2 < 2^53 and
-on int64 or Python integers beyond.  The eigensystems need the operators
-mod ell only, and get them that way (operators_mod), in one kernel pass per
-(ambient, ell, missing operators) and chunk; over Z the kernel computes the
-star involution, which cuts the plus space, and T_p and <d> for `mgr hecke`
-and the tests' oracles, one operator per pass.
+transients (_CHUNK).  The sum is a ring computation, so it runs over Z or,
+term by term, mod ell (W. Stein, Modular Forms: A Computational Approach,
+GSM 79, 2007, ch. 8), with tables, projection and lifts reduced mod ell.
+Either way every product goes through intmat.product, on float64 BLAS
+below 2^53, where it is exact, and on int64 or Python integers beyond.
+The eigensystems need the operators mod ell only, and get them that way;
+over Z the kernel computes the star involution, which cuts the plus space,
+and T_p and <d> for `mgr hecke` and the tests' oracles.
 
 A subspace is an integer kernel in the coordinates of the space it is cut
 from, its parent, hence a saturated sublattice.  The cuspidal subspace is
@@ -50,23 +47,25 @@ tests' oracle for the Gamma_H ambient, is one kernel of M - I stacked over
 ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
-subspace in one step, X = D (T B): over Z checked exactly against
-T B = B X, over F_ell through _mul_mod and checked mod ell only.  A space
-between the two computes the operator only when asked for it.
+subspace in one step, X = D (T B), checked as T B = B X: exactly over Z,
+and mod ell only over F_ell.  A space between the two computes the
+operator only when asked for it.
 
 A run keeps its spaces in one MatrixCache, one presentation for each
-(level, weight, +-H), and nothing outlives it.  The root space keeps its
-ambient operators as numpy arrays, which subspaces restrict directly; with
-a directory, the cache writes them to disk as fixed-width binary integers
-and reads them back as arrays, so a warm run parses no decimal text.  On
-disk, each integer operator has its own entry, and the operators mod ell
-of an ambient share one stacked entry per ell (see MatrixCache).
+(level, weight, +-H), and nothing outlives it.  Each space keeps its
+operators in one store, ring -> {key: array}, keyed p for T_p, -d for <d>
+and 0 for the star involution; operators(keys, ell) is the one way to
+them, and hecke_matrix, diamond_matrix, star_matrix and operators_mod are
+views of it.  With a directory, the cache keeps the root's operators over
+each ring in one stacked entry of fixed-width binary integers (see
+MatrixCache), so a warm run parses no decimal text.
 """
 
 import hashlib
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from functools import cached_property, partial
 from math import comb, gcd
 
@@ -74,14 +73,15 @@ import numpy as np
 
 from .congruence import coset_table, plus_minus
 from .exactalg.arith import is_prime
-from .exactalg.gf import _exact_dtype, _mul_dtype, _mul_mod
+from .exactalg.gf import _exact_dtype
 from .exactalg.intmat import (
+    as_operand,
     dual_basis,
     exact_dtype,
-    identity_matrix,
     kernel_int,
-    mat_mul,
     max_abs,
+    product,
+    product_dtype,
     quotient_by_relations,
     SaturationError,
     transpose,
@@ -255,10 +255,9 @@ class _Ambient:
         coefficients summed over the g of group i that send the support
         symbol s to the coset x.  The images of the support symbols are then
         one product W P with the projection rows, and each operator one
-        product of its images with the lifts.  Over Z each product runs on
-        the dtype a bound from its inputs allows (_product), int64 or Python
-        integers; given ell and tables mod ell, W, the projection and the
-        lifts are residues and the products go through _mul_mod.
+        product of its images with the lifts, each through
+        intmat.product, over Z or, given ell and tables mod ell, on
+        residues mod ell.
         """
         n, k1 = self.level, self.weight - 1
         ncos, nsupp = len(self.table), len(self._sup_exp)
@@ -304,45 +303,36 @@ class _Ambient:
         rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
         w = np.add.reduceat(rows[order], first, axis=0)
         del order
-        if ell is None:
-            dtype, proj, lift = w.dtype, self._proj, self._lift
-
-            def mul(a, b):
-                return _product(a, _abs_max(a, 0), b, _abs_max(b, 1))
-        else:
+        proj, lift, w_max = self._proj, self._lift, g_sum
+        if ell is not None:
+            # the products take entries below ell, which the projection and
+            # the lifts often have already (both at weight 2, say)
             w %= ell
-            dtype, proj, lift = self._reduced_mod(ell)
-
-            def mul(a, b):
-                return _mul_mod(a, b, ell)
-        dense = np.zeros((len(counts) * nsupp * ncos, k1), dtype=dtype)
+            w_max = ell - 1
+            proj = proj if self._proj_max < ell else proj % ell
+            lift = lift if self._lift_max < ell else lift % ell
+        dense = np.zeros((len(counts) * nsupp * ncos, k1),
+                         dtype=product_dtype(w_max))
         dense[key[first]] = w
         del w
-        images = mul(dense.reshape(-1, self.nsym), proj)
+        images = product(dense.reshape(-1, self.nsym), proj, ell)
         del dense
-        return [mul(images[i * nsupp:(i + 1) * nsupp].T, lift)
+        # the lifts go into one product per group, so they are converted once
+        lift = as_operand(lift)
+        return [product(images[i * nsupp:(i + 1) * nsupp].T, lift, ell)
                 for i in range(len(counts))]
 
-    def _reduced_mod(self, ell):
-        """(dtype, projection, lifts) mod ell, converted once per kernel
-        pass to the dtype _mul_mod multiplies them in.  Its products are
-        exact for entries below ell in absolute value, so arrays already
-        below ell (both at weight 2, say) need no reduction."""
-        dtype = _mul_dtype(self.nsym, ell)
-        proj = self._proj if self._proj_max < ell else self._proj % ell
-        lift = self._lift if self._lift_max < ell else self._lift % ell
-        return dtype, proj.astype(dtype), lift.astype(dtype)
-
     def operator_arrays(self, keys, ell=None):
-        """T_p for each key p > 0 and <d> for each key -d on the lattice
-        basis, over Z or, given ell, over F_ell, as arrays in the order of
-        keys.
+        """T_p for each key p > 0, <d> for each key -d and the star
+        involution for the key 0 on the lattice basis, over Z or, given
+        ell, over F_ell, as arrays in the order of keys.
 
-        T_p sums Cremona's Heilbronn matrices of determinant p, and <d> is
-        the one matrix (d, 0, 0, d) with the identity table.  The keys go
-        through the kernel in chunks, T_p before <d>, each chunk one table
-        build over its Heilbronn matrices and one _apply.  A chunk takes keys
-        while its largest transients stay within _CHUNK entries: the
+        T_p sums Cremona's Heilbronn matrices of determinant p, <d> is the
+        one matrix (d, 0, 0, d) with the identity table, and the star the
+        one matrix (-1, 0, 0, 1).  The keys go through the kernel in
+        chunks, the star and T_p before <d>, each chunk one table build
+        over its matrices but the diamonds' and one _apply.  A chunk takes
+        keys while its largest transients stay within _CHUNK entries: the
         g x support key arrays, the g x (k-1) x (k-1) monomial powers, and
         the dense W, (operator, support symbol) x (coset, exponent).  It
         always takes at least one key.
@@ -353,9 +343,8 @@ class _Ambient:
             if key > 0:
                 mats[key] = self._recall(("heilbronn", key),
                                          partial(heilbronn_cremona, key))
-            elif gcd(key, self.level) != 1:
-                raise ValueError("%d is not a unit modulo %d"
-                                 % (-key, self.level))
+            elif key == 0:
+                mats[key] = np.array([(-1, 0, 0, 1)], dtype=np.int64)
             else:
                 mats[key] = np.array([(-key, 0, 0, -key)], dtype=np.int64)
         per_g, per_op = max(nsupp, (k - 1) ** 2), nsupp * self.nsym
@@ -372,7 +361,7 @@ class _Ambient:
         eye = np.eye(rows, k - 1, dtype=np.int64)[None]
         out = {}
         for chunk in chunks:
-            hecke = [mats[key] for key in chunk if key > 0]
+            hecke = [mats[key] for key in chunk if key >= 0]
             tables = ([_monomial_tables(np.concatenate(hecke), k, rows, ell)]
                       if hecke else [])
             tables += [eye] * (len(chunk) - len(hecke))
@@ -390,9 +379,7 @@ class _Ambient:
         return self.operator_arrays([-d])[0].tolist()
 
     def star_on_basis(self):
-        mats = [(-1, 0, 0, 1)]
-        return self._apply(mats, _monomial_tables(
-            mats, self.weight, self._exponents))[0].tolist()
+        return self.operator_arrays([0])[0].tolist()
 
     def boundary_matrix(self):
         """Boundary map to the cusp module, on the lattice basis.
@@ -438,8 +425,9 @@ class ModularSymbolSpace:
         self.parent = parent
         self.root = self if parent is None else parent.root
         self.basis = basis  # list of vectors in parent coordinates
-        self._ops = {}
-        self._mod = {}  # ell -> {p for T_p, -d for <d>: array mod ell}
+        # ring (None for Z, ell for F_ell) -> {key: operator as an array},
+        # keyed p for T_p, -d for <d> and 0 for the star involution
+        self._store = {}
         # the root's operators go to and from the cache's directory, if any
         self._disk = cache if cache is not None and cache.directory else None
 
@@ -463,160 +451,120 @@ class ModularSymbolSpace:
 
     # -- operator matrices --------------------------------------------------
 
-    def _operator(self, label, compute_ambient):
-        """The operator on this space's lattice basis, as a list of rows.
-        A zero-dimensional space has nothing to compute or load."""
-        if not self.dim:
-            return []
-        if self.parent is None:
-            return self._ambient_operator(label, compute_ambient).tolist()
-        if label not in self._ops:
-            self._ops[label] = self._restrict(
-                self.root._ambient_operator(label, compute_ambient))
-        return self._ops[label]
-
-    def _ambient_operator(self, label, compute_ambient):
-        """An operator of the root as an array, kept in memory: read from
-        the cache's directory, or computed and converted once."""
-        if label not in self._ops:
-            mat = None
-            name = self.ambient.cache_prefix + label
-            if self._disk is not None:
-                mat = self._disk.load(self.level, self.weight, name,
-                                      self.ambient.fingerprint)
-            if mat is None:
-                mat = _array(compute_ambient(), self.dim, self.dim)
-                if self._disk is not None:
-                    self._disk.store(self.level, self.weight, name, mat,
-                                     self.ambient.fingerprint)
-            self._ops[label] = mat
-        return self._ops[label]
-
-    def operators_mod(self, ell, primes, units=()):
-        """T_p for each prime p of primes and <d> for each unit d of units,
-        on this space's lattice basis over F_ell, as arrays of residues
-        under the labels T{p} and d{d}.
-
-        The root computes its operators mod ell with the one kernel, or
-        reads them from the cache's one entry for (its ambient, ell), and
-        keeps them.  A subspace restricts them as X = D (T B) mod ell, which
-        is exact because D B = I over Z, and checks B X = T B mod ell only:
-        weaker than the exact check over Z that hecke_matrix makes.
-        """
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError("T_p needs a prime p, got %d" % p)
-        keys = list(primes) + [-d for d in units]
-        held = self._mod.setdefault(ell, {})
-        missing = [key for key in keys if key not in held]
+    def operators(self, keys, ell=None):
+        """The operators of keys (p for T_p, p prime, -d for <d>, d a unit
+        modulo the level, 0 for the star involution) on this space's
+        lattice basis, over Z or, given ell, over F_ell, as arrays in the
+        order of keys.  The keys are checked before any cache is read, which
+        may hold T_n for composite n from older builds.  The root computes
+        what it lacks (_fill), a subspace restricts the root's operators,
+        and both keep them; a zero-dimensional space computes nothing."""
+        for key in keys:
+            if key > 0 and not is_prime(key):
+                raise ValueError("T_p needs a prime p, got %d" % key)
+            if key < 0 and gcd(key, self.level) != 1:
+                raise ValueError("%d is not a unit modulo %d"
+                                 % (-key, self.level))
+        held = self._store.setdefault(ell, {})
+        missing = [key for key in dict.fromkeys(keys) if key not in held]
         if missing and not self.dim:
             held.update((key, np.zeros((0, 0), np.int64)) for key in missing)
         elif missing and self.parent is None:
-            self._ambient_mod(ell, missing)
+            self._fill(missing, ell)
         elif missing:
-            ts = self.root.operators_mod(
-                ell, [p for p in missing if p > 0],
-                [-d for d in missing if d < 0])
-            held.update(zip(missing, self._restrict_mod(
-                [ts[_label(key)] for key in missing], ell)))
-        return {_label(key): held[key] for key in keys}
+            held.update(zip(missing, self._restrict(
+                self.root.operators(missing, ell), ell)))
+        return [held[key] for key in keys]
 
-    def _ambient_mod(self, ell, missing):
-        """Hold the root's operators of the keys in missing mod ell: read
-        the cache's entry for (this ambient, ell) the first time, compute
-        what it lacks, and then rewrite the entry with every operator held
-        for ell, one row [key, entries row by row] per operator."""
-        held = self._mod[ell]
-        label = self.ambient.cache_prefix + "mod%d" % ell
+    def _fill(self, missing, ell):
+        """Hold the root's operators of the keys in missing over Z or F_ell:
+        read the cache's entry for (this ambient, the ring) the first time,
+        compute what it lacks in one operator_arrays call, and rewrite the
+        entry with every operator held, one row [key, entries] each."""
+        held = self._store[ell]
+        label = self.ambient.cache_prefix + ("Z" if ell is None
+                                             else "mod%d" % ell)
         if self._disk is not None and not held:
             stacked = self._disk.load(self.level, self.weight, label,
                                       self.ambient.fingerprint)
             if stacked is not None:
-                held.update((int(row[0]), row[1:].reshape(self.dim, -1))
+                held.update((int(row[0]), _array(row[1:], self.dim, self.dim))
                             for row in stacked)
                 missing = [key for key in missing if key not in held]
         held.update(zip(missing, self.ambient.operator_arrays(missing, ell)))
         if self._disk is not None and missing:
-            keys = sorted(held)
-            stacked = np.hstack([np.array(keys, dtype=np.int64)[:, None],
-                                 np.stack([held[key].reshape(-1)
-                                           for key in keys])])
+            stacked = np.stack([np.append(key, held[key])
+                                for key in sorted(held)])
             self._disk.store(self.level, self.weight, label, stacked,
                              self.ambient.fingerprint)
 
     @cached_property
     def _bases(self):
-        """(B, (row maxima, column maxima of B), D, column maxima of D): the
-        basis as columns and its dual basis in ambient coordinates, D B = I,
-        with the largest absolute values that bound products with them.
-        B = B_parent B_local is saturated, as a composite of saturated
-        bases, so D = D_local D_parent is integral."""
-        b, d = transpose(self.basis), dual_basis(self.basis, self.parent.dim)
+        """(B, D): the basis as columns and its dual basis in ambient
+        coordinates, D B = I.  B = B_parent B_local is saturated, as a
+        composite of saturated bases, so D = D_local D_parent is
+        integral."""
+        n = self.parent.dim
+        b = _array(transpose(self.basis), n, self.dim)
+        d = _array(dual_basis(self.basis, n), self.dim, n)
         if self.parent.parent is not None:
-            pb, _, pd, _ = self.parent._bases
-            b, d = mat_mul(pb.tolist(), b), mat_mul(d, pd.tolist())
-        n = self.ambient.dim
-        b, d = _array(b, n, self.dim), _array(d, self.dim, n)
-        return b, (_abs_max(b, 1), _abs_max(b, 0)), d, _abs_max(d, 0)
+            pb, pd = self.parent._bases
+            b, d = product(pb, b), product(d, pd)
+        return b, d
 
-    def _restrict(self, t):
-        """X with T B = B X for an ambient operator T (an array), computed
-        as X = D (T B) through the composed bases.  Each of the three
-        products runs on the dtype a bound from its own inputs allows."""
-        b, (b_rows, b_cols), d, d_cols = self._bases
-        tb = _product(t, _abs_max(t, 0), b, b_rows)
-        x = _product(d, d_cols, tb, _abs_max(tb, 1))
-        if (_product(b, b_cols, x, _abs_max(x, 1)) != tb).any():
-            raise SaturationError("operator does not preserve the subspace")
-        return x.tolist()
-
-    def _restrict_mod(self, ts, ell):
-        """X = D (T B) mod ell for each ambient operator T mod ell of ts,
-        checked as B X = T B mod ell.  X is exact, because D B = I over Z;
-        the check is weaker than the exact one over Z that _restrict makes.
-        Every product goes through _mul_mod, so it runs on float64 BLAS
-        while that is exact; B and D are reduced and converted once."""
-        b, _, d, _ = self._bases
-        dtype = _mul_dtype(self.ambient.dim, ell)
-        b, d = (b % ell).astype(dtype), (d % ell).astype(dtype)
+    def _restrict(self, ts, ell=None):
+        """X with T B = B X for each ambient operator T of ts, over Z or,
+        given ell, mod ell: X = D (T B) through the composed bases, checked
+        as B X = T B.  Mod ell, X is exact because D B = I over Z, but the
+        check is weaker than the exact one over Z.  B and D are reduced and
+        converted for the products once per call."""
+        b, d = self._bases
+        if ell is not None:
+            b, d = b % ell, d % ell
+        b, d = as_operand(b), as_operand(d)
         out = []
         for t in ts:
-            tb = _mul_mod(t, b, ell)
-            x = _mul_mod(d, tb, ell)
-            if (_mul_mod(b, x, ell) != tb).any():
-                raise SaturationError(
-                    "operator does not preserve the subspace")
+            tb = product(t, b, ell)
+            x = product(d, tb, ell)
+            if (product(b, x, ell) != tb).any():
+                raise SaturationError("operator does not preserve the subspace")
             out.append(x)
         return out
 
+    def _keys(self, primes=(), units=()):
+        """The keys of T_p for the p of primes and of <d> for the d of units,
+        which operators checks; below 1, p would name the star or a <d>.
+        <d> takes the residue of d in 1..level, the level itself for d = 0
+        modulo it, which is no unit unless the level is 1."""
+        if min(primes, default=1) < 1:
+            raise ValueError("T_p needs a prime p, got %d" % min(primes))
+        return list(primes) + [-(d % self.level or self.level)
+                               for d in units]
+
     def hecke_matrix(self, p):
         """Integer matrix of T_p, p prime, on this space's lattice basis."""
-        # checked before the cache, which may hold T_n for composite n from
-        # builds that computed it
-        if not is_prime(p):
-            raise ValueError("T_p needs a prime p, got %d" % p)
-        return self._operator("T%d" % p, lambda: self.ambient.hecke_on_basis(p))
+        return self.operators(self._keys([p]))[0].tolist()
 
     def diamond_matrix(self, d):
-        d %= self.level if self.level > 1 else 1
-        if self.level == 1:
-            return identity_matrix(self.dim)
-        return self._operator("d%d" % d, lambda: self.ambient.diamond_on_basis(d))
+        return self.operators(self._keys(units=[d]))[0].tolist()
 
     def star_matrix(self):
-        return self._operator("star", self.ambient.star_on_basis)
+        return self.operators([0])[0].tolist()
+
+    def operators_mod(self, ell, primes, units=()):
+        """T_p for each prime p of primes and <d> for each unit d of units
+        over F_ell, as arrays of residues under the labels T{p} and d{d}."""
+        labels = ["T%d" % p for p in primes] + ["d%d" % d for d in units]
+        return dict(zip(labels, self.operators(self._keys(primes, units),
+                                               ell)))
 
     # -- subspaces ------------------------------------------------------------
 
     def _fixed_space(self, mats):
         """The saturated sublattice fixed by every matrix in mats: one
         kernel of M - I stacked over them, the whole space for none."""
-        rows = []
-        for mat in mats:
-            for i, row in enumerate(mat):
-                row = row[:]
-                row[i] -= 1
-                rows.append(row)
+        rows = [[x - (i == j) for j, x in enumerate(row)]
+                for mat in mats for i, row in enumerate(mat)]
         return ModularSymbolSpace(self.ambient, parent=self,
                                   basis=kernel_int(rows, self.dim))
 
@@ -645,11 +593,6 @@ class ModularSymbolSpace:
             self.level, self.weight, self.dim)
 
 
-def _label(key):
-    """The ReducedSpace label of a key: T{p} for p > 0, d{d} for -d."""
-    return "T%d" % key if key > 0 else "d%d" % -key
-
-
 def _array(rows, nrows, ncols):
     """An integer matrix (list of rows) as an int64 array, or on Python
     integers where int64 cannot hold an entry."""
@@ -665,31 +608,6 @@ def _narrow_dtype(bound):
     integer of absolute value at most bound; Python integers beyond."""
     return next((t for t in (np.int8, np.int16, np.int32, np.int64)
                  if bound <= np.iinfo(t).max), object)
-
-
-def _abs_max(a, axis):
-    """The largest absolute values of an integer array along axis (0: of
-    each column, 1: of each row), as Python integers in an object array."""
-    a = np.abs(a)
-    if a.dtype != object:
-        # np.abs leaves the least value of a signed type as it is, -2^63
-        # say, which reads as its absolute value unsigned
-        a = a.view("u%d" % a.itemsize)
-    return a.max(axis, initial=0).astype(object)
-
-
-def _product(a, a_cols, b, b_rows):
-    """a @ b for integer arrays, given the largest absolute value in each
-    column of a and in each row of b.  Every partial sum of an entry is at
-    most a_cols . b_rows, so that bound and the inputs' own entries set the
-    dtype of the result, int64 or Python integers.  Below 2^53 the product
-    runs on float64 BLAS, where it is exact, as in gf._mul_mod."""
-    bound = max(np.dot(a_cols, b_rows), a_cols.max(initial=0),
-                b_rows.max(initial=0))
-    dtype = exact_dtype(bound)
-    if bound < 2 ** 53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(dtype)
-    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def build_space(level, weight, cache=None, subgroup=None):
@@ -712,12 +630,14 @@ class MatrixCache:
     """A run's spaces, decompositions and Heilbronn matrices in memory, and
     the root spaces' operator matrices on disk when it has a directory.
 
-    On disk are the integer operators an ambient computed over Z, one entry
-    each under the labels T{p}, d{d} and star, and its operators over F_ell,
-    all in one stacked entry per ell under the label mod{ell}: one row per
-    operator, its key (p for T_p, -d for <d>) and then its residues row by
-    row.  A run reads the stacked entry once, computes what it lacks, and
-    rewrites it with everything it holds for that ell.
+    On disk, the operators an ambient computed over one ring share one
+    stacked entry: under the label Z over the integers, and under mod{ell}
+    over F_ell.  It has one row per operator, its key (p for T_p, -d for
+    <d>, 0 for the star involution) and then its entries row by row.  A
+    run reads the entry of a ring once, computes what it lacks, and
+    rewrites it with everything it holds for that ring.  Entries of one
+    operator each, under T{p}, d{d} and star, are left from older builds
+    and never read.
 
     Disk layout: <dir>/msym_v1/L{level}_W{weight}/{label}.mat, the label
     prefixed by H{generators of +-H, joined by "-"}/ on Gamma_H for +-H
@@ -756,6 +676,7 @@ class MatrixCache:
         data = ("%s %d %d %d %s\n" % (CACHE_FORMAT, rows, cols, width,
                                        fingerprint)).encode() + entries
         path = self._path(level, weight, label)
+        tmp = None
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
@@ -764,6 +685,9 @@ class MatrixCache:
                 fh.write(hashlib.sha256(data).digest())
             os.replace(tmp, path)
         except OSError as exc:
+            if tmp is not None:
+                with suppress(OSError):
+                    os.unlink(tmp)
             print("warning: cache write failed: %s" % exc, file=sys.stderr)
 
     def load(self, level, weight, label, fingerprint):
@@ -787,10 +711,8 @@ class MatrixCache:
                 raise ValueError("shape mismatch")
             return _decode(entries, width).reshape(rows, cols)
         except (ValueError, IndexError):
-            try:
+            with suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
             return None
 
 

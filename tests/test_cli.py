@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -49,6 +50,38 @@ def test_cache_round_trip_of_an_empty_matrix(tmp_path, shape):
     assert mat.shape == shape and mat.dtype == np.int64
 
 
+class _FullDisk:
+    """A file object whose writes fail as on a full disk."""
+
+    def __init__(self, fd, mode):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch,
+                                                capsys, failing):
+    cache = MatrixCache(str(tmp_path))
+    if failing == "write":
+        monkeypatch.setattr(os, "fdopen", _FullDisk)
+    else:
+        def replace(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(os, "replace", replace)
+    cache.store(6, 12, "Z", _array(MAT, 2, 3), "fp")
+    assert "cache write failed" in capsys.readouterr().err
+    assert os.listdir(os.path.dirname(cache._path(6, 12, "Z"))) == []
+    assert cache.load(6, 12, "Z", "fp") is None
+
+
 def _damage_and_load(tmp_path, damage):
     cache = MatrixCache(str(tmp_path))
     cache.store(6, 12, "T5", _array(MAT, 2, 3), "fp")
@@ -96,17 +129,19 @@ def test_cache_keeps_each_plus_minus_h_apart(tmp_path):
     one = build_space(35, 2, cache, first)
     other = build_space(35, 2, MatrixCache(str(tmp_path)), second)
     one.hecke_matrix(2)
-    label = one.ambient.cache_prefix + "T2"
+    label = one.ambient.cache_prefix + "Z"
     assert cache.load(35, 2, label, one.ambient.fingerprint) is not None
     for fingerprint in (one.ambient.fingerprint, other.ambient.fingerprint):
-        assert cache.load(35, 2, other.ambient.cache_prefix + "T2",
+        assert cache.load(35, 2, other.ambient.cache_prefix + "Z",
                           fingerprint) is None
-    cache.store(35, 2, label, np.zeros((other.dim, other.dim), np.int64),
-                other.ambient.fingerprint)
+    # a zero T_2 in the stacked entry: row [key 2, entries row by row]
+    zero = np.zeros((1, 1 + other.dim ** 2), np.int64)
+    zero[0, 0] = 2
+    cache.store(35, 2, label, zero, other.ambient.fingerprint)
     assert other.hecke_matrix(2) == build_space(
         35, 2, subgroup=second).hecke_matrix(2)
     # and neither is Gamma_1's
-    assert cache.load(35, 2, "T2", one.ambient.fingerprint) is None
+    assert cache.load(35, 2, "Z", one.ambient.fingerprint) is None
 
 
 def _write_text_entry(path, body):
@@ -127,12 +162,13 @@ def test_cache_recomputes_a_decimal_text_entry_once(tmp_path, monkeypatch):
     from modgalrep import modsym
     space = modsym.build_space(11, 2, MatrixCache(str(tmp_path)))
     t2 = modsym.build_space(11, 2).hecke_matrix(2)
-    # the decimal text format that preceded the binary one, with T_2 + 1
-    path = space._disk._path(11, 2, "T2")
+    # the decimal text format that preceded the binary one, with T_2 + 1 in
+    # the stacked layout: one row, the key 2 and then the entries
+    path = space._disk._path(11, 2, "Z")
     _write_text_entry(path, "\n".join(
-        ["MSYMMAT 2 %d %d %s" % (space.dim, space.dim,
-                                 space.ambient.fingerprint)]
-        + [" ".join(str(x + 1) for x in row) for row in t2]))
+        ["MSYMMAT 2 1 %d %s" % (1 + space.dim ** 2,
+                                space.ambient.fingerprint),
+         " ".join(["2"] + [str(x + 1) for row in t2 for x in row])]))
     calls = []
     apply = modsym._Ambient._apply
 
@@ -162,11 +198,14 @@ def test_hecke_command_rejects_p_not_prime(tmp_path):
                                  "--weight", "2", "--p", p])
         assert code == 2, doc
         assert "matrix" not in doc
-    # nor is a T_4 that an older build left in the cache served
+    # nor is a T_4 that an older build left in the cache served: the row
+    # [key 4, entries] in the stacked entry of the integer operators
     from modgalrep.modsym import build_space
-    cache = MatrixCache(str(tmp_path))
-    cache.store(11, 2, "T4", np.array([[2]]),
-                build_space(11, 2).ambient.fingerprint)
+    space = build_space(11, 2)
+    four = np.full((1, 1 + space.dim ** 2), 2, np.int64)
+    four[0, 0] = 4
+    MatrixCache(str(tmp_path)).store(11, 2, "Z", four,
+                                     space.ambient.fingerprint)
     code, doc = run_command(["--cache-dir", str(tmp_path), "hecke", "--level",
                              "11", "--weight", "2", "--p", "4", "--full"])
     assert code == 2, doc

@@ -23,9 +23,7 @@ from modgalrep.exactalg import (
 )
 from modgalrep.exactalg import intmat
 from modgalrep.exactalg.arith import factorint, is_prime
-from modgalrep.exactalg import gf
 from modgalrep.exactalg.gf import (
-    _mul_mod,
     element_of_order,
     embed_field,
     irreducible_roots,
@@ -262,19 +260,33 @@ def _exact_product(a, b, ell):
              for col in zip(*b.tolist())] for row in a.tolist()]
 
 
-def test_mul_mod_exact_on_both_sides_of_two_to_the_53():
+def _record_product_dtypes(monkeypatch):
+    """The dtypes intmat.product multiplies in, in call order."""
+    picked = []
+    plain = intmat.product_dtype
+
+    def spy(bound):
+        picked.append(plain(bound))
+        return picked[-1]
+
+    monkeypatch.setattr(intmat, "product_dtype", spy)
+    return picked
+
+
+def test_mul_mod_exact_on_both_sides_of_two_to_the_53(monkeypatch):
     """Every entry ell - 1 makes each sum n (ell - 1)^2, the largest one:
     below 2^53 for n = 2, where BLAS on float64 is exact, and above it for
     n = 3, where the product falls back to int64."""
     ell = 2 ** 26 - 5
     assert is_prime(ell)
     assert 2 * (ell - 1) ** 2 < 2 ** 53 <= 3 * (ell - 1) ** 2
-    assert gf._mul_dtype(2, ell) is np.float64
-    assert gf._mul_dtype(3, ell) is np.int64
-    for n in (2, 3):
+    picked = _record_product_dtypes(monkeypatch)
+    for n, dtype in ((2, np.float64), (3, np.int64)):
         for a, b in [(np.full((4, n), ell - 1), np.full((n, 5), ell - 1)),
                      (np.full((4, n), 1 - ell), np.full((n, 5), ell - 1))]:
-            c = _mul_mod(a, b, ell)
+            picked.clear()
+            c = intmat.product(a, b, ell)
+            assert picked == [dtype]
             assert c.dtype == np.int64
             assert c.tolist() == _exact_product(a, b, ell), n
     # the float64 rounding the bound keeps out
@@ -285,8 +297,8 @@ def test_mul_mod_exact_on_both_sides_of_two_to_the_53():
 @pytest.mark.parametrize("ell, n, dtype", [
     (1000003, 10 ** 4, np.int64), (2 ** 31 - 1, 4, object),
     (2 ** 61 - 1, 3, object), (13, 50, np.float64)])
-def test_mul_mod_on_each_path(ell, n, dtype):
-    assert gf._mul_dtype(n, ell) is dtype
+def test_mul_mod_on_each_path(monkeypatch, ell, n, dtype):
+    picked = _record_product_dtypes(monkeypatch)
     rng = np.random.default_rng(ell % 1000)
     a = np.array([[int(x) for x in row]
                   for row in rng.integers(0, 2 ** 62, (3, n)) % ell],
@@ -295,20 +307,22 @@ def test_mul_mod_on_each_path(ell, n, dtype):
                   for row in rng.integers(0, 2 ** 62, (n, 2)) % ell],
                  dtype=object)
     a[0, 0], b[0, 0] = ell - 1, 1 - ell
-    c = _mul_mod(a, b, ell)
+    c = intmat.product(a, b, ell)
+    assert picked == [dtype]
     assert c.dtype == (object if dtype is object else np.int64)
     assert c.tolist() == _exact_product(a, b, ell)
 
 
 @pytest.mark.parametrize("ell", [13, 2 ** 61 - 1])
 def test_mul_mod_empty_and_one_row_shapes(ell):
-    assert _mul_mod(np.zeros((0, 5), np.int64), np.ones((5, 3), np.int64),
-                    ell).shape == (0, 3)
-    assert _mul_mod(np.ones((4, 0), np.int64), np.zeros((0, 3), np.int64),
-                    ell).tolist() == [[0] * 3] * 4
+    product = intmat.product
+    assert product(np.zeros((0, 5), np.int64), np.ones((5, 3), np.int64),
+                   ell).shape == (0, 3)
+    assert product(np.ones((4, 0), np.int64), np.zeros((0, 3), np.int64),
+                   ell).tolist() == [[0] * 3] * 4
     row = np.array([[1, 2, 3]], dtype=np.int64)
-    assert _mul_mod(row, row.T, ell).tolist() == [[14 % ell]]
-    assert _mul_mod(row.T, row, ell).shape == (3, 3)
+    assert product(row, row.T, ell).tolist() == [[14 % ell]]
+    assert product(row.T, row, ell).shape == (3, 3)
 
 
 def test_irreducible_roots_rejects_degree_not_dividing():

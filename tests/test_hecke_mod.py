@@ -111,13 +111,19 @@ def test_mod_ell_operators_beyond_int64():
 def test_reduction_never_computes_an_integer_operator(monkeypatch):
     space = plus_cuspidal_space(6, 12)
 
-    def refuse(self, *args):
-        raise AssertionError("an integer operator on the mod-ell path")
+    plain = modsym._Ambient.operator_arrays
+    rings = []
 
-    for name in ("hecke_on_basis", "diamond_on_basis", "star_on_basis"):
-        monkeypatch.setattr(modsym._Ambient, name, refuse)
+    def refuse_z(self, keys, ell=None):
+        rings.append(ell)
+        if ell is None:
+            raise AssertionError("an integer operator on the mod-ell path")
+        return plain(self, keys, ell)
+
+    monkeypatch.setattr(modsym._Ambient, "operator_arrays", refuse_z)
     assert reduce_space_mod(space, 7, [2, 3, 5, 53]).ops["d5"].shape \
         == (space.dim, space.dim)
+    assert rings == [7]
 
 
 def test_heilbronn_matrices_once_per_run(monkeypatch):
@@ -149,12 +155,13 @@ def test_one_stacked_entry_per_ambient_and_ell(tmp_path, monkeypatch):
     gamma_h = SubgroupH.from_generators(15, [2])
     decompose_level(15, 2, 5, 30, cache, gamma_h)
     prefix = build_space(15, 2, cache, gamma_h).ambient.cache_prefix
+    # the integer operators, the star alone here, in one entry Z as well
     assert _entries(root) == [
+        os.path.join("msym_v1", "L15_W2", prefix + "Z.mat"),
         os.path.join("msym_v1", "L15_W2", prefix + "mod5.mat"),
-        os.path.join("msym_v1", "L15_W2", prefix + "star.mat"),
+        os.path.join("msym_v1", "L3_W12", "Z.mat"),
         os.path.join("msym_v1", "L3_W12", "mod5.mat"),
-        os.path.join("msym_v1", "L3_W12", "mod7.mat"),
-        os.path.join("msym_v1", "L3_W12", "star.mat")]
+        os.path.join("msym_v1", "L3_W12", "mod7.mat")]
     # T_p for the 15 primes up to 50 and <2>, one row each, in MSYMMAT 3
     space = build_space(3, 12, cache)
     stacked = cache.load(3, 12, "mod5", space.ambient.fingerprint)
@@ -169,6 +176,24 @@ def test_one_stacked_entry_per_ambient_and_ell(tmp_path, monkeypatch):
         systems = decompose_level(3, 12, ell, 30, warm)
         assert [s.value_tuple() for s in systems] \
             == [s.value_tuple() for s in cold[ell]]
+
+
+def test_stacked_integer_entry_past_int64(tmp_path, monkeypatch):
+    """T_53 on M_12(SL_2(Z)) has the Eisenstein eigenvalue 1 + 53^11 > 2^63,
+    so the stacked Z entry holds Python integers; a warm cache serves T_53
+    and the star from it and computes nothing."""
+    root = str(tmp_path)
+    space = build_space(1, 12, MatrixCache(root))
+    t53, star = space.hecke_matrix(53), space.star_matrix()
+    assert 1 + 53 ** 11 in [x for row in t53 for x in row]
+    assert 1 + 53 ** 11 > 2 ** 63
+    stacked = MatrixCache(root).load(1, 12, "Z", space.ambient.fingerprint)
+    assert stacked.dtype == object
+    assert sorted(stacked[:, 0].tolist()) == [0, 53]
+    monkeypatch.setattr(modsym._Ambient, "_apply", _refuse)
+    warm = build_space(1, 12, MatrixCache(root))
+    assert warm.hecke_matrix(53) == t53
+    assert warm.star_matrix() == star
 
 
 def test_stacked_entry_grows_by_the_missing_operators(tmp_path, monkeypatch):

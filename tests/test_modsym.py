@@ -16,6 +16,7 @@ from modgalrep.congruence import (
 )
 from modgalrep.dirichlet import trivial_character
 from modgalrep import modsym
+from modgalrep.exactalg import intmat
 from modgalrep.exactalg import (
     exact_dtype,
     kernel_int,
@@ -27,6 +28,7 @@ from modgalrep.exactalg import (
 from modgalrep.modsym import (
     build_space,
     heilbronn_cremona,
+    MatrixCache,
     ModularSymbolSpace,
 )
 
@@ -150,15 +152,15 @@ def test_restriction_matches_level_by_level_oracle():
                     space, ambient.diamond_on_basis(d)), (space, d)
         assert space.star_matrix() == restrict_level_by_level(
             space, ambient.star_on_basis()), space
-        b, _, d, _ = space._bases
+        b, d = space._bases
         assert (d @ b == np.eye(space.dim, dtype=np.int64)).all(), space
 
 
 def test_restriction_skips_intermediate_spaces():
     plus = plus_cuspidal(11, 2)
     plus.hecke_matrix(2)
-    assert "T2" not in plus.parent._ops
-    assert "T2" in plus.root._ops
+    assert 2 not in plus.parent._store.get(None, {})
+    assert 2 in plus.root._store[None]
 
 
 def test_restrict_raises_outside_subspace():
@@ -183,25 +185,28 @@ def test_restrict_raises_outside_subspace():
 
 def test_restriction_dtype_follows_each_product(monkeypatch):
     # T_5 on plus-cuspidal S_12(Gamma_1(6)): an a-priori bound over all three
-    # products is 2^88, but T B, X and B X all fit int64
+    # products is 2^88, but B and D, converted once, and T B, X and B X all
+    # lie below 2^53, so each product runs on float64
     plus = plus_cuspidal(6, 12)
     plus.root.hecke_matrix(5)
+    plus.hecke_matrix(2)
     picked = []
+    plain = intmat.product_dtype
 
     def spy(bound):
-        picked.append(exact_dtype(bound))
+        picked.append(plain(bound))
         return picked[-1]
 
-    monkeypatch.setattr(modsym, "exact_dtype", spy)
+    monkeypatch.setattr(intmat, "product_dtype", spy)
     plus.hecke_matrix(5)
-    assert picked == [np.int64] * 3
+    assert picked == [np.float64] * 5
 
 
 def test_restriction_on_python_integers():
     cusp = build_space(23, 2).cuspidal_subspace()
     x = cusp.hecke_matrix(2)
-    t = cusp.root._ambient_operator("T2", None)
-    big = cusp._restrict(t.astype(object) * 2 ** 62)
+    t = cusp.root.operators([2])[0]
+    big = cusp._restrict([t.astype(object) * 2 ** 62])[0].tolist()
     assert big == [[2 ** 62 * v for v in row] for row in x]
     assert any(v >= 2 ** 63 for row in big for v in map(abs, row))
 
@@ -209,17 +214,31 @@ def test_restriction_on_python_integers():
 def test_zero_dimensional_space_computes_no_operator(monkeypatch):
     # S_2(Gamma_1(5)) = 0: no ambient T_7 is computed for it
     calls = []
-    plain = modsym._Ambient.hecke_on_basis
+    plain = modsym._Ambient.operator_arrays
 
-    def spy(self, p):
-        calls.append(p)
-        return plain(self, p)
+    def spy(self, keys, ell=None):
+        calls.append(keys)
+        return plain(self, keys, ell)
 
-    monkeypatch.setattr(modsym._Ambient, "hecke_on_basis", spy)
+    monkeypatch.setattr(modsym._Ambient, "operator_arrays", spy)
     space = plus_cuspidal(5, 2)
     assert space.dim == 0
     assert space.hecke_matrix(7) == []
     assert calls == []
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_diamond_of_a_non_unit_is_refused(tmp_path, cached):
+    # d = 12 is 0 modulo the level, the residue that would name the star
+    cache = MatrixCache(str(tmp_path)) if cached else None
+    root = build_space(12, 4, cache)
+    plus = root.cuspidal_subspace().star_plus_subspace()
+    assert plus.dim
+    for space in (root, plus):
+        for d in (12, 2, 3):
+            with pytest.raises(ValueError):
+                space.diamond_matrix(d)
+    assert root.diamond_matrix(5) != root.star_matrix()
 
 
 def test_odd_weight_rejected():
@@ -411,7 +430,7 @@ def test_h_invariant_space_is_one_kernel(level):
         h = trivial_subgroup(13)
     space = base.h_invariant_subspace(h)
     assert space.parent is base
-    b, _, d, _ = space._bases
+    b, d = space._bases
     assert (d @ b == np.eye(space.dim, dtype=np.int64)).all()
     for g in h.generators():
         assert space.diamond_matrix(g) == [
