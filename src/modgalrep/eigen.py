@@ -6,7 +6,10 @@ decompose works in two steps.  It first splits the space over F_ell, on
 numpy arrays of residues, taking the operators in turn (Hecke at good
 primes in order, then diamonds): a block is cut into ker g(T)^e for the
 irreducible factors g^e of the operator's characteristic polynomial on it.
-Two rules spare most of that work.  A block whose dimension equals the
+A block is its dimension, every operator restricted to it and the factors
+that cut it, not a basis: the kernel basis K of a cut is the identity on
+its free rows, so X restricts to (X K)[free], checked by K X' = X K.  Two
+rules spare most of the work.  A block whose dimension equals the
 degree of a factor it already carries is simple, and no operator of the
 commutative Hecke algebra splits it, so it is cut no further.  An operator
 that acts on a block as a scalar c, as every operator does on a line, has
@@ -19,8 +22,9 @@ largest degree and reads off or splits out the other values.  Its pieces
 are subspaces over F_{ell^d}, but each is held as a span over F_ell: F_{ell^d}
 is a d-dimensional F_ell-space, an operator acts on each coefficient of an
 entry, and a root acts on each entry through its regular representation,
-the d x d matrix of multiplication by it.  So both steps run on the one
-numpy backend over F_ell.  The roots of a factor are those of
+the d x d matrix of multiplication by it; a piece keeps its free rows too.
+So both steps run on the one numpy backend over F_ell, with every product
+through `intmat.product`.  The roots of a factor are those of
 `irreducible_roots`: one root by equal-degree splitting and its Frobenius
 conjugates, since every root of a polynomial irreducible over F_ell is a
 conjugate of any one.  A block may hold more than one Frobenius orbit: the
@@ -28,10 +32,11 @@ systems (a, b) and (a, b^ell) have the same factors over F_ell.
 
 The result is one representative per Frobenius orbit; the multiplicity of
 a system times the degree of its value field, summed over representatives,
-is the dimension of the input space.  Values at primes dividing the level
-or ell are recorded when the operator has a single eigenvalue on the
-system's generalized eigenspace, and flagged; they never split blocks and
-never enter match verdicts.
+is the dimension of the input space; with no operator it is one system
+with no values.  Values at primes dividing the level or ell are recorded
+when the operator has a single eigenvalue on the system's generalized
+eigenspace, and flagged; they never split blocks and never enter match
+verdicts.
 """
 
 from math import lcm
@@ -49,28 +54,29 @@ from .exactalg.gf import (
     poly_factor_fq,
     poly_from_ints,
 )
+from .exactalg.intmat import product
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_ell on numpy arrays of residues
 
 def _kernel_mod(a, ell):
-    """Basis of the kernel of a mod ell, as the columns of an array."""
+    """Basis K of the kernel of a mod ell, as the columns of an array, and
+    its free rows, on which K is the identity."""
     r, pivots = _rref_mod(a, ell)
     free = [j for j in range(a.shape[1]) if j not in pivots]
     ker = np.zeros((a.shape[1], len(free)), dtype=a.dtype)
     ker[free, range(len(free))] = 1
     ker[pivots, :] = -r[:, free] % ell
-    return ker
+    return ker, free
 
 
-def _solve_mod(b, y, ell):
-    """X with b X = y mod ell, for b of full column rank."""
-    s = b.shape[1]
-    r, pivots = _rref_mod(np.hstack([b, y]), ell)
-    if pivots != list(range(s)):
+def _restrict(xk, ker, free, ell):
+    """X' with K X' = X K mod ell, from X K and the free rows of K."""
+    x = xk[free]
+    if not np.array_equal(product(ker, x, ell), xk):
         raise AssertionError("target outside the span of a basis")
-    return r[:, s:]
+    return x
 
 
 def charpoly_mod(a, ell):
@@ -87,7 +93,7 @@ def charpoly_mod(a, ell):
         h[:, [i, j + 1]] = h[:, [j + 1, i]]
         u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, ell) % ell
         h[j + 2:] = (h[j + 2:] - np.outer(u, h[j + 1])) % ell
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % ell
+        h[:, j + 1] = (h[:, j + 1] + product(h[:, j + 2:], u, ell)) % ell
     # p_i = (x - h[i-1,i-1]) p_{i-1}
     #       - sum_{m<i} h[m,m-1] ... h[i-1,i-2] h[m-1,i-1] p_{m-1}
     p = np.zeros((n + 1, n + 1), dtype=h.dtype)
@@ -115,7 +121,7 @@ def _poly_at(g, x, ell):
     eye = np.eye(len(x), dtype=x.dtype)
     acc = np.zeros_like(x)
     for c in reversed(g):
-        acc = (acc @ x + c * eye) % ell
+        acc = (product(acc, x, ell) + c * eye) % ell
     return acc
 
 
@@ -124,7 +130,7 @@ def _square_up(a, e, ell):
     when e bounds the nilpotency index."""
     covered = 1
     while covered < e:
-        a = a @ a % ell
+        a = product(a, a, ell)
         covered *= 2
     return a
 
@@ -250,16 +256,16 @@ def decompose(rspace, primes):
     good = ["T%d" % p for p in primes if (rspace.level * ell) % p]
     good += ["d%d" % d for d in rspace.diamond_gens]
     bad = ["T%d" % p for p in primes if (rspace.level * ell) % p == 0]
-    dtype = _exact_dtype(n, ell)
-    ops = {lbl: np.array(rspace.ops[lbl], dtype=dtype) for lbl in good + bad}
-    blocks = [(np.eye(n, dtype=dtype), {})]
+    ops = {lbl: np.array(rspace.ops[lbl], dtype=_exact_dtype(n, ell)) % ell
+           for lbl in good + bad}
+    blocks = [(n, ops, {})]
     for label in good:
         blocks = [split for block in blocks
                   for split in ([block] if _is_simple(*block) else
-                                _split_mod(block, label, ops[label], ell))]
+                                _split_mod(block, label, ell))]
     systems = []
-    for basis, factors in blocks:
-        field, found = _finish_block(basis, factors, good, ops, bad, ell)
+    for block in blocks:
+        field, found = _finish_block(block, good, bad, ell)
         for values, mult in found:
             a = {int(k[1:]): v for k, v in values.items() if k[0] == "T"}
             diamond = {int(k[1:]): v for k, v in values.items() if k[0] == "d"}
@@ -273,45 +279,48 @@ def decompose(rspace, primes):
     return systems
 
 
-def _is_simple(basis, factors):
+def _is_simple(dim, ops, factors):
     """Whether an operator already acts on the block with an irreducible
     characteristic polynomial: the block is then a simple module, and no
     operator of the algebra splits it."""
-    return any(len(g) - 1 == basis.shape[1] for g in factors.values())
+    return any(len(g) - 1 == dim for g in factors.values())
 
 
-def _split_mod(block, label, op, ell):
-    """Split a block over F_ell into the generalized eigenspaces of one
-    operator, one for each irreducible factor of its characteristic
-    polynomial on the block.  An operator that acts as a scalar c has the
-    one factor T - c, and needs no characteristic polynomial."""
-    basis, factors = block
-    x = _solve_mod(basis, op @ basis % ell, ell)
+def _split_mod(block, label, ell):
+    """Split a block (dimension, restricted operators, factors) over F_ell
+    into the generalized eigenspaces of one operator, one for each
+    irreducible factor of its characteristic polynomial on the block, and
+    restrict every operator to each.  An operator that acts as a scalar c
+    has the one factor T - c, and needs no characteristic polynomial."""
+    dim, ops, factors = block
+    x = ops[label]
     c = int(x[0, 0])
-    if np.array_equal(x, c * np.eye(len(x), dtype=x.dtype)):
-        return [(basis, {**factors, label: [-c % ell, 1]})]
+    if np.array_equal(x, c * np.eye(dim, dtype=x.dtype)):
+        return [(dim, ops, {**factors, label: [-c % ell, 1]})]
     split = _factor_mod(charpoly_mod(x, ell), ell)
     if len(split) == 1:
-        return [(basis, {**factors, label: split[0][0]})]
+        return [(dim, ops, {**factors, label: split[0][0]})]
     out = []
     for g, e in split:
-        power = _square_up(_poly_at(g, x, ell), e, ell)
-        out.append((basis @ _kernel_mod(power, ell) % ell,
-                    {**factors, label: g}))
+        ker, free = _kernel_mod(_square_up(_poly_at(g, x, ell), e, ell), ell)
+        restricted = {lbl: _restrict(product(op, ker, ell), ker, free, ell)
+                      for lbl, op in ops.items()}
+        out.append((len(free), restricted, {**factors, label: g}))
     return out
 
 
-def _finish_block(basis, factors, good, ops, bad, ell):
+def _finish_block(block, good, bad, ell):
     """The systems of one block, with their values in F_{ell^d}.
 
-    Pieces of the block are F_{ell^d}-subspaces of F_{ell^d}^s, s the
-    block's dimension, in coordinates on its basis.  A piece of dimension m
-    over F_{ell^d} is held as an F_ell basis, an array of shape (s*d, m*d)
-    whose row i*d + j holds coefficient j of entry i.  The operator whose
-    factor has the largest degree goes first, and only one of its roots is
-    followed: every Frobenius orbit in the block has members with that
-    value, and `_dedupe_orbits` keeps one.  A later value is read off a
-    one-dimensional piece, or a piece is split by the roots of the
+    The block is its dimension s, its restricted operators and its factors.
+    Its pieces are F_{ell^d}-subspaces of F_{ell^d}^s.  A piece of dimension
+    m over F_{ell^d} is held as an F_ell basis, an array of shape (s*d, m*d)
+    whose row i*d + j holds coefficient j of entry i, with the free rows on
+    which it is the identity; coordinates on it are read off them.  The
+    operator whose factor has the largest degree goes first, and only one of
+    its roots is followed: every Frobenius orbit in the block has members
+    with that value, and `_dedupe_orbits` keeps one.  A later value is read
+    off a one-dimensional piece, or a piece is split by the roots of the
     operator's factor.  A good label with no recorded factor was never split
     on, because the block is simple: its pieces are one-dimensional once the
     lead is followed.  Values at bad labels are read off one-dimensional
@@ -319,33 +328,31 @@ def _finish_block(basis, factors, good, ops, bad, ell):
     polynomial.
     Returns the field and a list of (label -> value, multiplicity).
     """
-    s = basis.shape[1]
+    s, mats, factors = block
     field = fq_field(ell, lcm(1, *(len(g) - 1 for g in factors.values())))
     d = field.r
-    labels = good + bad
-    coords = _solve_mod(
-        basis, np.hstack([ops[lbl] @ basis % ell for lbl in labels]), ell)
-    mats = {lbl: coords[:, i * s:(i + 1) * s] for i, lbl in enumerate(labels)}
     lead = max(factors, key=lambda lbl: len(factors[lbl]), default=None)
-    pieces = [(np.eye(s * d, dtype=_exact_dtype(s * d, ell)), {})]
+    pieces = [(np.eye(s * d, dtype=_exact_dtype(s * d, ell)),
+               np.arange(s * d), {})]
     for label in sorted(good, key=lambda lbl: lbl != lead):
         g, roots = factors.get(label), None
         split = []
-        for cols, values in pieces:
+        for cols, free, values in pieces:
             if g is not None and len(g) == 2:
-                found = [(field.from_int(-g[0]), cols)]
+                found = [(field.from_int(-g[0]), cols, free)]
             elif cols.shape[1] == d:
-                found = [(_read_value(field, mats[label], cols), cols)]
+                found = [(_read_value(field, mats[label], cols), cols, free)]
             else:
                 if roots is None:
                     roots = irreducible_roots(field, g)
-                found = _eigenspaces(field, mats[label], cols,
+                found = _eigenspaces(field, mats[label], cols, free,
                                      roots[:1] if label == lead else roots)
-            split += [(sub, {**values, label: v}) for v, sub in found]
+            split += [(sub, rows, {**values, label: v})
+                      for v, sub, rows in found]
         pieces = split
     for label in bad:
         facs = roots = None
-        for cols, values in pieces:
+        for cols, free, values in pieces:
             if cols.shape[1] == d:
                 values[label] = _read_value(field, mats[label], cols)
                 continue
@@ -357,10 +364,10 @@ def _finish_block(basis, factors, good, ops, bad, ell):
                 if roots is None:
                     roots = [r for g, _ in facs if d % (len(g) - 1) == 0
                              for r in irreducible_roots(field, g)]
-                found = _eigenspaces(field, mats[label], cols, roots)
+                found = _eigenspaces(field, mats[label], cols, free, roots)
                 if len(found) == 1 and found[0][1].shape == cols.shape:
                     values[label] = found[0][0]
-    return field, [(values, cols.shape[1] // d) for cols, values in pieces]
+    return field, [(values, cols.shape[1] // d) for cols, _, values in pieces]
 
 
 def _read_value(field, x, cols):
@@ -368,12 +375,13 @@ def _read_value(field, x, cols):
     of x w over entry i of w, for w spanning the piece and w_i nonzero."""
     w = cols[:, 0].reshape(len(x), field.r)
     i = np.flatnonzero(cols[:, 0])[0] // field.r
-    return field(x[i] @ w % field.ell) / field(w[i])
+    return field(product(x[i], w, field.ell)) / field(w[i])
 
 
-def _eigenspaces(field, x, cols, roots):
+def _eigenspaces(field, x, cols, free, roots):
     """Generalized eigenspaces of x inside a piece, for those of the
-    candidate eigenvalues that have one: a list of (root, sub-piece).
+    candidate eigenvalues that have one: a list of (root, sub-piece, its
+    free rows).
 
     In the F_ell coordinates of the piece, x acts by y and a root by r, the
     matrix of its regular representation on each entry.  Both commute with
@@ -382,20 +390,19 @@ def _eigenspaces(field, x, cols, roots):
     """
     ell, d = field.ell, field.r
     s, m = len(x), cols.shape[1] // d
-    y = _solve_mod(cols, (x @ cols.reshape(s, -1)).reshape(cols.shape) % ell,
-                   ell)
+    y = _restrict(product(x, cols.reshape(s, -1), ell).reshape(cols.shape),
+                  cols, free, ell)
     out = []
     for root in roots:
-        regular = [root]
-        for _ in range(d - 1):
-            regular.append(regular[-1] * field.gen())
-        mult = np.array([c.coeffs for c in regular], dtype=cols.dtype).T
-        r = _solve_mod(cols, (mult @ cols.reshape(s, d, -1)).reshape(
-            cols.shape) % ell, ell)
-        ker = _kernel_mod(_square_up((y - r) % ell, m, ell), ell)
+        mult = np.array([(root * field.gen() ** j).coeffs for j in range(d)],
+                        dtype=cols.dtype).T
+        r = _restrict(product(mult, cols.reshape(s, d, -1), ell).reshape(
+            cols.shape), cols, free, ell)
+        ker, rows = _kernel_mod(_square_up((y - r) % ell, m, ell), ell)
         if ker.shape[1]:
-            out.append((root, cols @ ker % ell))
-        if sum(sub.shape[1] for _, sub in out) == cols.shape[1]:
+            # cols K is the identity on the free rows of K among those of cols
+            out.append((root, product(cols, ker, ell), free[rows]))
+        if sum(sub.shape[1] for _, sub, _ in out) == cols.shape[1]:
             break
     return out
 
@@ -485,31 +492,18 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False):
             raise AssertionError(
                 "eigensystem values missing at prime %d" % p)
         checked.append(p)
-    best_fail, best_progress, best_j = None, -1, None
-    verdict = False
-    embedding = None
-    # with no prime checked there is no evidence, so no embedding is tried
+    verdict, embedding, best_fail, best_progress = False, None, None, -1
+    # with no prime checked there is no evidence, so no embedding is tried;
+    # a failed search reports the embedding that matched longest
     for j in range(sys_g.field.r if checked else 0):
-        ok = True
-        progress = 0
-        fail = None
-        for p in checked:
-            lhs = phi_f(sys_f.a[p])
-            factor = big.from_int(pow(p, i % (ell - 1), ell))
-            rhs = factor * phi_g(_frob_iter(sys_g.a[p], j))
-            if lhs != rhs:
-                ok = False
-                fail = p
-                break
-            progress += 1
-        if ok:
-            verdict = True
-            embedding = j
+        fail = next((p for p in checked if phi_f(sys_f.a[p])
+                     != big.from_int(pow(p, i % (ell - 1), ell))
+                     * phi_g(_frob_iter(sys_g.a[p], j))), None)
+        if fail is None:
+            verdict, embedding = True, j
             break
-        if progress > best_progress:
-            best_progress, best_fail, best_j = progress, fail, j
-    if not verdict:
-        embedding = best_j
+        if checked.index(fail) > best_progress:
+            best_progress, best_fail, embedding = checked.index(fail), fail, j
     same_level = (sys_f.level == sys_g.level
                   and _same_diamond(sys_f, sys_g, phi_f, phi_g,
                                     embedding or 0))

@@ -23,8 +23,8 @@ Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
 the one elimination over a finite field in the package; the eigensystem
 code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
 coefficient vectors of an element's powers with it.  The Hecke operator
-kernel and the restriction to subspaces multiply them with
-`intmat.product`, the one exact product over Z and over F_l.
+kernel, the restriction to subspaces and every product of the eigensystem
+code go through `intmat.product`, the one exact product over Z and F_l.
 `FqElem.inverse` alone works on coefficient lists of ints: it runs
 extended Euclid against the modulus, which is several times faster per
 element than Fermat inversion through the field's own multiplication.

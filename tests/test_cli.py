@@ -354,6 +354,23 @@ def test_unreadable_form_file_is_a_domain_error():
     assert "/nonexistent" in doc["error"]
 
 
+def test_eigensys_without_an_operator_is_one_system():
+    # no prime up to the bound and no diamond generator: the whole space is
+    # one system over F_ell with no values, as with diamonds alone
+    from modgalrep.pipeline import decompose_level
+    [system] = decompose_level(1, 12, 5, 1)
+    assert (system.field.r, system.multiplicity, system.a, system.diamond) \
+        == (1, 1, {}, {})
+    for level, ell, bound in [(1, 5, 1), (2, 7, 0)]:
+        code, doc = run_command(
+            ["--no-cache", "eigensys", "--level", str(level), "--weight",
+             "12", "--ell", str(ell), "--primes-up-to", str(bound)])
+        assert code == 0
+        assert [(s["field_degree"], s["multiplicity"], s["a"], s["diamond"])
+                for s in doc["systems"]] == [(1, doc["dim"], {}, {})]
+    assert doc["dim"] == 2
+
+
 @pytest.mark.parametrize("level, truncate", [(6, 3), (3, 1), (3, 0)])
 def test_realize_with_no_good_prime_below_the_truncation_fails(
         monkeypatch, level, truncate):

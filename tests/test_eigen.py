@@ -253,3 +253,12 @@ def test_decompose_beyond_int64():
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (ell, 3 + 2 * ell))]
+
+
+def test_decompose_refuses_an_operator_that_leaves_a_block():
+    # T3 swaps the eigenlines of T2, so it leaves each block that T2 cuts;
+    # the restriction of T3 to a block must be checked, not only read off
+    rspace = ReducedSpace(1, 2, 5, 2, {"T2": [[1, 0], [0, 2]],
+                                       "T3": [[0, 1], [1, 0]]}, ())
+    with pytest.raises(AssertionError, match="outside the span of a basis"):
+        decompose(rspace, [2, 3])

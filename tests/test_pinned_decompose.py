@@ -31,6 +31,7 @@ PINNED = {
     (33, 2, 11): (15, 2, 2, "2cef5e4deb60d147"),
     (37, 2, 5): (10, 18, 1, "efa2c39222168ef6"),
     (40, 2, 13): (14, 4, 2, "2d660567d250110d"),
+    (78, 2, 13): (59, 2, 6, "1f0831348afde47e"),
 }
 
 
