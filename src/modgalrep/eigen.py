@@ -25,10 +25,12 @@ entry, and a root acts on each entry through its regular representation,
 the d x d matrix of multiplication by it; a piece keeps its free rows too.
 So both steps run on the one numpy backend over F_ell, with every product
 through `intmat.product`.  The roots of a factor are those of
-`irreducible_roots`: one root by equal-degree splitting and its Frobenius
-conjugates, since every root of a polynomial irreducible over F_ell is a
-conjugate of any one.  A block may hold more than one Frobenius orbit: the
-systems (a, b) and (a, b^ell) have the same factors over F_ell.
+`irreducible_roots`: one root by equal-degree splitting, with h^e modulo
+the factor computed on the same backend, and its Frobenius conjugates by
+the field's Frobenius matrix, since every root of a polynomial irreducible
+over F_ell is a conjugate of any one.  A block may hold more than one
+Frobenius orbit: the systems (a, b) and (a, b^ell) have the same factors
+over F_ell, and the Frobenius matrix maps a system to its conjugate.
 
 The result is one representative per Frobenius orbit; the multiplicity of
 a system times the degree of its value field, summed over representatives,
@@ -222,11 +224,9 @@ class Eigensystem:
             self.multiplicity, self.provenance, self.bad_primes)
 
     def frobenius_orbit(self):
-        orbit = [self]
-        cur = self.frobenius()
-        while cur.value_tuple() != self.value_tuple():
+        orbit, key = [self], self.value_tuple()
+        while (cur := orbit[-1].frobenius()).value_tuple() != key:
             orbit.append(cur)
-            cur = cur.frobenius()
         return orbit
 
     def digest(self):
@@ -414,11 +414,12 @@ def _dedupe_orbits(systems):
     out = []
     seen = set()
     for sys in systems:
+        # seen holds whole orbits, so a system in it has its orbit there
+        if sys.value_tuple() in seen:
+            continue
         orbit = sys.frobenius_orbit()
         keys = [s.value_tuple() for s in orbit]
         canon = min(range(len(keys)), key=lambda i: keys[i])
-        if min(keys) in seen:
-            continue
         seen.update(keys)
         out.append(orbit[canon])
     return out

@@ -19,7 +19,6 @@ from .gf import (
     irreducible_roots,
     poly_factor_fq,
     poly_from_ints,
-    poly_roots,
 )
 from .intmat import (
     dual_basis,
@@ -37,7 +36,6 @@ __all__ = [
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
     "FqField", "irreducible_roots", "poly_factor_fq", "poly_from_ints",
-    "poly_roots",
     "dual_basis", "exact_dtype", "kernel_int", "mat_mul",
     "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",
 ]

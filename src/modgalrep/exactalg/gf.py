@@ -11,23 +11,30 @@ Factorization is squarefree decomposition, then distinct-degree splitting,
 then equal-degree splitting with a pseudo-random source seeded to 0, so
 factor lists come out in a fixed order.  The modulus search runs the same
 distinct-degree split over F_l: a candidate of degree r is irreducible
-exactly when its least-degree factor has degree r.
+exactly when its least-degree factor has degree r.  Both splits spend their
+time on h^e modulo a polynomial (D. G. Cantor and H. Zassenhaus, Math.
+Comp. 36, 1981; J. von zur Gathen and V. Shoup, Comput. Complexity 2,
+1992), and `poly_powmod` computes it with F_l-linear maps on the numpy
+backend: F_q[x]/(f) as arrays of residues, each product through the
+multiplication tensor each field keeps, a block-Toeplitz matrix and the
+map that reduces modulo f.  Each field also keeps its Frobenius matrix,
+row i the coefficients of (a^i)^l, which `FqElem.frobenius` applies.
 
 The roots of a polynomial irreducible over F_l whose degree d divides r
 need no factoring: `irreducible_roots` splits off one linear factor by
 equal-degree splitting alone, with no squarefree or distinct-degree pass,
-and returns that root's d Frobenius conjugates.  Field embeddings and the
-eigensystem code find their roots with it.
+and returns that root's d Frobenius conjugates, by the Frobenius matrix.
+Field embeddings and the eigensystem code find their roots with it.
 
 Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
 the one elimination over a finite field in the package; the eigensystem
 code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
 coefficient vectors of an element's powers with it.  The Hecke operator
-kernel, the restriction to subspaces and every product of the eigensystem
-code go through `intmat.product`, the one exact product over Z and F_l.
-`FqElem.inverse` alone works on coefficient lists of ints: it runs
-extended Euclid against the modulus, which is several times faster per
-element than Fermat inversion through the field's own multiplication.
+kernel, the restriction to subspaces, every product of the eigensystem
+code and of `poly_powmod` go through `intmat.product`, the one exact
+product over Z and F_l.  `FqElem.inverse` runs extended Euclid against
+the modulus on coefficient lists of ints, which is several times faster
+per element than Fermat inversion through the field's own multiplication.
 """
 
 import random
@@ -36,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorint, is_prime
-from .intmat import exact_dtype
+from .intmat import exact_dtype, product
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +81,25 @@ def _rref_mod(a, ell):
 class FqField:
     """The finite field with ell^r elements, ell prime."""
 
-    __slots__ = ("ell", "r", "modulus", "_xpows", "_primitive", "_card_factors")
+    __slots__ = ("ell", "r", "modulus", "_pows", "_mul", "_frob",
+                 "_primitive", "_card_factors")
 
     def __init__(self, ell, r, modulus):
         self.ell = ell
         self.r = r
         self.modulus = modulus
-        # reductions of a^r .. a^(2r-2) modulo the defining polynomial
-        xpows = []
-        cur = [(-c) % ell for c in modulus[:-1]]
-        xpows.append(tuple(cur))
-        for _ in range(r - 2):
-            cur = [0] + cur
-            lead = cur.pop()
-            if lead:
-                cur = [(c - lead * m) % ell for c, m in zip(cur, modulus[:-1])]
-            xpows.append(tuple(cur))
-        self._xpows = tuple(xpows)
+        # a^0 .. a^(2r-2) modulo the defining polynomial; _mul[i, j] is
+        # a^(i+j), so b @ _mul[j] is b a^j; row i of _frob is (a^i)^ell
+        pows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        for _ in range(r - 1):
+            lead = pows[-1][-1]
+            pows.append(tuple((c - lead * m) % ell for c, m in
+                              zip((0,) + pows[-1][:-1], modulus)))
+        self._pows = pows
+        self._mul = np.array(pows, exact_dtype(ell))[
+            np.add.outer(range(r), range(r))]
+        x = self.gen() ** ell
+        self._frob = tuple((x ** i).coeffs for i in range(r))
         self._primitive = None
         self._card_factors = None
 
@@ -243,7 +252,7 @@ class FqElem:
         for i in range(r, 2 * r - 1):
             c = prod[i]
             if c:
-                red = f._xpows[i - r]
+                red = f._pows[i]
                 for j in range(r):
                     out[j] += c * red[j]
         return FqElem(f, tuple(c % ell for c in out))
@@ -307,8 +316,11 @@ class FqElem:
         return self * other.inverse()
 
     def frobenius(self):
-        """The image under x -> x^ell."""
-        return self ** self.field.ell
+        """The image under x -> x^ell: the coefficients times the field's
+        Frobenius matrix, on Python ints, faster than numpy for one element."""
+        f = self.field
+        return f([sum(c * row[j] for c, row in zip(self.coeffs, f._frob))
+                  for j in range(f.r)])
 
     def multiplicative_order(self):
         if self.is_zero():
@@ -384,17 +396,11 @@ def poly_monic(f):
     return [c * inv for c in f]
 
 
-def poly_add(f, g):
-    field = (f or g)[0].field
-    n = max(len(f), len(g))
-    zero = field.zero()
-    out = [(f[i] if i < len(f) else zero) + (g[i] if i < len(g) else zero)
-           for i in range(n)]
-    return poly_trim(out)
-
-
 def poly_sub(f, g):
-    return poly_add(f, [-c for c in g])
+    zero = (f or g)[0].field.zero()
+    return poly_trim([(f[i] if i < len(f) else zero)
+                      - (g[i] if i < len(g) else zero)
+                      for i in range(max(len(f), len(g)))])
 
 
 def poly_mul(f, g):
@@ -439,15 +445,65 @@ def poly_gcd(f, g):
 
 
 def poly_powmod(f, e, mod):
+    """f^e modulo a nonzero polynomial mod of degree n over F_q, q = ell^r.
+
+    Modulo mod, a polynomial is n r residues, coefficient j of its entry at
+    x^i at i r + j.  A product takes three F_ell-linear steps, each through
+    intmat.product: the field's multiplication tensor makes each entry of
+    one factor the r x r matrix that multiplies by it; these fill a
+    block-Toeplitz matrix, which sends the other factor to the 2n - 1
+    entries of the product; and the reduction map of mod folds the top
+    n - 1 back.  Modulo a constant everything is 0, so that gives [].
+    """
     field = mod[0].field
-    result = [field.one()]
-    base = poly_mod(f, mod)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base), mod)
-        base = poly_mod(poly_mul(base, base), mod)
-        e >>= 1
-    return result
+    ell, r, n = field.ell, field.r, poly_degree(mod)
+    if n == 0:
+        return []
+    if e == 0:
+        return [field.one()]
+    red = _reduction_map(poly_monic(mod))
+    i = np.arange(n)[:, None]
+
+    def mul(a, b):
+        blocks = product(a.reshape(n, r), field._mul.reshape(r, -1), ell)
+        toep = np.zeros((n, r, 2 * n - 1, r), dtype=blocks.dtype)
+        toep[i, :, i + i.T, :] = blocks.reshape(n, r, r)
+        c = product(b[None], toep.reshape(n * r, -1), ell)[0]
+        return (c[:n * r] + product(c[None, n * r:], red, ell)[0]) % ell
+
+    result = base = _residues(poly_mod(f, mod), field, n).ravel()
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return poly_trim([field(c) for c in result.reshape(n, r)])
+
+
+def _residues(f, field, n):
+    # the coefficients of a polynomial of degree below n, as n x r residues
+    return np.array([c.coeffs for c in f] + [(0,) * field.r] * (n - len(f)),
+                    dtype=field._mul.dtype)
+
+
+def _reduction_map(mod):
+    """The (n - 1) r x n r matrix over F_ell whose row i r + j is a^j x^(n+i)
+    modulo a monic polynomial of degree n >= 1 over F_{ell^r}.  Its rows for
+    i < m give those for m <= i < 2m: x^m times a row of degree below n has
+    its entries at x^n .. x^(n+m-1) folded back by them."""
+    field = mod[0].field
+    ell, r, n = field.ell, field.r, poly_degree(mod)
+    low = -_residues(mod[:n], field, n) % ell
+    red = product(low, field._mul, ell).reshape(r, n * r)
+    m = 1
+    while m < n - 1:
+        rows = red.reshape(m * r, n, r)
+        shifted = np.zeros_like(rows)
+        shifted[:, m:] = rows[:, :n - m]
+        folded = product(rows[:, n - m:].reshape(m * r, m * r), red, ell)
+        red = np.concatenate(
+            [red, (shifted.reshape(m * r, n * r) + folded) % ell])
+        m *= 2
+    return red[:(n - 1) * r]
 
 
 def poly_deriv(f):
@@ -463,12 +519,11 @@ def poly_from_ints(field, coeffs):
 
 
 def _poly_pth_root(f, field):
-    # f = g(x^ell) over F_{ell^r}; return g (ell-th root of each coefficient)
-    ell, r = field.ell, field.r
-    root_exp = ell ** (r - 1) if r > 1 else 1
-    out = []
-    for i in range(0, len(f), ell):
-        out.append(f[i] ** root_exp if r > 1 else f[i])
+    # f = g(x^ell) over F_{ell^r}; return g, whose coefficients are the
+    # ell-th roots of those of f, their images under the Frobenius r - 1 times
+    out = f[::field.ell]
+    for _ in range(field.r - 1):
+        out = [c.frobenius() for c in out]
     return poly_trim(out)
 
 
@@ -502,15 +557,9 @@ def squarefree_decomposition(f):
         if poly_degree(c) > 0:
             sff(c, mult)
 
+    # each irreducible factor of f lies in one of the factors found
     sff(f, 1)
-    merged = {}
-    for g, m in out:
-        key = tuple(c.coeffs for c in g)
-        if key in merged:
-            merged[key] = (g, merged[key][1] + m)
-        else:
-            merged[key] = (g, m)
-    return sorted(merged.values(), key=lambda gm: (poly_degree(gm[0]), [c.encoding() for c in gm[0]]))
+    return sorted(out, key=lambda gm: (poly_degree(gm[0]), [c.encoding() for c in gm[0]]))
 
 
 def _distinct_degree(f):
@@ -591,23 +640,14 @@ def poly_factor_fq(f):
     return factors
 
 
-def poly_roots(f):
-    """Roots of f in its coefficient field, sorted by encoding."""
-    roots = []
-    for g, _ in poly_factor_fq(f):
-        if poly_degree(g) == 1:
-            roots.append(-g[0] * g[1].inverse())
-    return sorted(roots, key=lambda x: x.encoding())
-
-
 def irreducible_roots(field, g):
     """Roots in field of a monic polynomial g, irreducible over F_ell, whose
     degree d divides field.r; g is given by its integer coefficients, lowest
     degree first.
 
     One root comes from equal-degree splitting alone, always keeping one
-    factor; the roots are its d Frobenius conjugates, sorted by encoding,
-    which is the list poly_roots returns.
+    factor; the roots are its d Frobenius conjugates, by the field's
+    Frobenius matrix, sorted by encoding.
     """
     f = poly_from_ints(field, g)
     d = poly_degree(f)

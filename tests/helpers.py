@@ -12,10 +12,12 @@ from modgalrep.eigen import Eigensystem
 from modgalrep.exactalg import (
     dual_basis,
     mat_mul,
+    poly_factor_fq,
     transpose,
     unit_group,
     xgcd,
 )
+from modgalrep.exactalg.gf import poly_degree, poly_mod, poly_mul
 
 
 def naive_is_irreducible(coeffs, p):
@@ -57,6 +59,28 @@ def least_irreducible(p, r):
         if naive_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError
+
+
+def poly_roots(f):
+    """Roots of f in its coefficient field by full factorization, sorted by
+    encoding."""
+    roots = [-g[0] * g[1].inverse() for g, _ in poly_factor_fq(f)
+             if poly_degree(g) == 1]
+    return sorted(roots, key=lambda x: x.encoding())
+
+
+def naive_powmod(f, e, mod):
+    """f^e modulo mod by square-and-multiply on lists of FqElem, one
+    product of field elements per pair of coefficients; 0 modulo a unit."""
+    if poly_degree(mod) == 0:
+        return []
+    result, base = [mod[0].field.one()], poly_mod(f, mod)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base), mod)
+        base = poly_mod(poly_mul(base, base), mod)
+        e >>= 1
+    return result
 
 
 def naive_euler_phi(n):

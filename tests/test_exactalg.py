@@ -24,14 +24,23 @@ from modgalrep.exactalg import (
 from modgalrep.exactalg import intmat
 from modgalrep.exactalg.arith import factorint, is_prime
 from modgalrep.exactalg.gf import (
+    _poly_pth_root,
     element_of_order,
     embed_field,
+    FqElem,
     irreducible_roots,
     poly_mul,
-    poly_roots,
+    poly_powmod,
+    poly_trim,
 )
 
-from helpers import least_irreducible, naive_euler_phi, project_vector
+from helpers import (
+    least_irreducible,
+    naive_euler_phi,
+    naive_powmod,
+    poly_roots,
+    project_vector,
+)
 
 
 def test_euler_phi_examples():
@@ -323,6 +332,84 @@ def test_mul_mod_empty_and_one_row_shapes(ell):
     row = np.array([[1, 2, 3]], dtype=np.int64)
     assert product(row, row.T, ell).tolist() == [[14 % ell]]
     assert product(row.T, row, ell).shape == (3, 3)
+
+
+POWMOD_FIELDS = [(5, 1), (13, 1), (13, 2), (13, 4), (7, 6), (5, 8),
+                 (2 ** 61 - 1, 1), (2 ** 61 - 1, 2)]
+
+
+def _random_poly(field, rng, length):
+    return [field.from_encoding(rng.randrange(field.order))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("ell, r", POWMOD_FIELDS)
+def test_poly_powmod_matches_square_and_multiply(ell, r):
+    field = fq_field(ell, r)
+    q = field.order
+    rng = random.Random(ell * r)
+    for n in range(9):
+        # a modulus of degree n, monic or not, and a base of degree up to
+        # 2n + 1, so that the base itself needs reducing
+        mod = _random_poly(field, rng, n) + [
+            field.from_encoding(rng.choice([1, rng.randrange(1, q)]))]
+        f = poly_trim(_random_poly(field, rng, rng.randrange(2 * n + 3)))
+        # (q^d - 1) / 2 splits products of irreducibles of degree d
+        for e in (0, 1, 2, q, (q - 1) // 2, (q ** 2 - 1) // 2,
+                  rng.randrange(q ** 2)):
+            assert poly_powmod(f, e, mod) == naive_powmod(f, e, mod), (n, e)
+
+
+def test_poly_powmod_is_zero_modulo_a_unit():
+    field = fq_field(13, 2)
+    f = [field.gen(), field.one()]
+    for c in (field.one(), field.gen()):
+        for e in (0, 1, 2, 169):
+            assert poly_powmod(f, e, [c]) == []
+
+
+@pytest.mark.parametrize("ell, r", POWMOD_FIELDS)
+def test_frobenius_matrix_and_pth_root(ell, r):
+    field = fq_field(ell, r)
+    rng = random.Random(r)
+    for x in [field.zero(), field.one(), field.gen()] + _random_poly(
+            field, rng, 5):
+        assert x.frobenius() == x ** ell
+    # h^ell = sum h_i^ell x^(i ell), whose ell-th root is h again
+    for deg in range(4) if ell < 100 else [0]:
+        h = _random_poly(field, rng, deg) + [field.from_int(1 + deg)]
+        f = [field.zero()] * (deg * ell + 1)
+        f[::ell] = [c ** ell for c in h]
+        if ell < 100:
+            power = [field.one()]
+            for _ in range(ell):
+                power = poly_mul(power, h)
+            assert power == f
+        assert _poly_pth_root(f, field) == h
+
+
+def test_poly_powmod_multiplies_no_elements_per_bit(monkeypatch):
+    """Field elements are multiplied only to reduce the base and to make the
+    modulus monic, never once per bit of the exponent."""
+    field = fq_field(13, 4)
+    q = field.order
+    rng = random.Random(4)
+    mod = _random_poly(field, rng, 5) + [field.from_int(3)]
+    f = _random_poly(field, rng, 7)
+    calls = []
+    plain = FqElem.__mul__
+
+    def spy(a, b):
+        calls.append(1)
+        return plain(a, b)
+
+    monkeypatch.setattr(FqElem, "__mul__", spy)
+    counts = []
+    for e in (q, q ** 4):
+        calls.clear()
+        poly_powmod(f, e, mod)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
 
 
 def test_irreducible_roots_rejects_degree_not_dividing():
