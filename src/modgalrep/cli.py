@@ -197,6 +197,9 @@ def _run_char(args):
 
 def _run_subgroup(args):
     eps = parse_character(args.char) if args.char else trivial_character(args.level)
+    if eps.modulus != args.level:
+        raise ValueError("the character has modulus %d, not the level %d"
+                         % (eps.modulus, args.level))
     h = h_from_eigenform(eps, args.weight, args.i, args.ell)
     doc = {
         "level": h.level,

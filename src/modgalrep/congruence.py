@@ -10,7 +10,7 @@ coset table holds each coset's cusp, its orbit under T.
 
 from math import gcd
 
-from .dirichlet import induce, place_above
+from .dirichlet import induce, reduce_at_ell
 from .exactalg.arith import euler_phi, is_prime, unit_group
 
 
@@ -114,7 +114,8 @@ def h_from_eigenform(eps, k, i, ell):
     """Kernel subgroup attached to an eigenform datum.
 
     For weight k > 2 this is the set of units x modulo N' = N*ell with
-    eps(x) * x^(k-2-2i) = 1 at the canonical place above ell; for k = 2 it
+    eps(x) * x^(k-2-2i) = 1 at the canonical place above ell (that of
+    dirichlet.reduce_at_ell); for k = 2 it
     is the kernel of the reduction of eps, at N' = N.
     """
     n = eps.modulus
@@ -124,24 +125,12 @@ def h_from_eigenform(eps, k, i, ell):
         raise ValueError("ell must not divide the level")
     if not 0 <= i <= ell - 1:
         raise ValueError("twist exponent out of range")
-    if k == 2:
-        nprime = n
-        e = 0
-    else:
-        nprime = n * ell
-        e = k - 2 - 2 * i
-    eps_ind = induce(eps, nprime)
-    place = place_above(ell, eps_ind.zeta_order)
-    field = place.field
-    one = field.one()
-    elems = []
-    for x in unit_group(nprime).elements():
-        val = place.reduce_value(eps_ind.zeta_order, eps_ind.exponent_at(x))
-        if e:
-            val = val * field.from_int(x) ** (e % (ell - 1))
-        if val == one:
-            elems.append(x)
-    return SubgroupH(nprime, elems)
+    nprime, e = (n, 0) if k == 2 else (n * ell, (k - 2 - 2 * i) % (ell - 1))
+    red = reduce_at_ell(induce(eps, nprime), ell)
+    one = red.field.one()
+    return SubgroupH(nprime, [
+        x for x in unit_group(nprime).elements()
+        if red.value(x) * red.field.from_int(x) ** e == one])
 
 
 class CosetTable:

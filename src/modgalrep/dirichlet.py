@@ -5,6 +5,11 @@ Characters never touch complex numbers.  A character mod n is stored as an
 exponent vector against a fixed root of unity zeta_m: its value on the j-th
 canonical generator of (Z/nZ)* is zeta_m^(e_j).  Reduction mod a place
 turns zeta_m into a concrete element of a finite field.
+
+Characters with values in a finite field are evaluated here only: the
+kernel subgroup and the selection of an input form reduce a character by
+`reduce_at_ell`, at the canonical place for its order, and the diamond
+character of an eigensystem is a `ResidualCharacter` too.
 """
 
 from math import gcd, lcm
@@ -20,6 +25,9 @@ class DirichletCharacter:
     __slots__ = ("modulus", "zeta_order", "exponents")
 
     def __init__(self, modulus, zeta_order, exponents):
+        if zeta_order < 1:
+            raise ValueError("root-of-unity order must be positive, got %d"
+                             % zeta_order)
         group = unit_group(modulus)
         exponents = tuple(e % zeta_order for e in exponents)
         if len(exponents) != len(group.generators):
@@ -149,10 +157,6 @@ class PlaceAboveEll:
             raise ValueError("place only covers orders dividing %d" % self.m_max)
         return self.base ** (self.m_max // m1)
 
-    def reduce_value(self, m, e):
-        """Image of zeta_m^e."""
-        return self.root_image(m) ** e
-
     def __repr__(self):
         return "PlaceAboveEll(%d, m_max=%d)" % (self.ell, self.m_max)
 
@@ -228,8 +232,17 @@ class ResidualCharacter:
 
 def reduce_mod(chi, place):
     """Reduction of a character at a place above ell."""
-    values = tuple(place.reduce_value(chi.zeta_order, e) for e in chi.exponents)
-    return ResidualCharacter(chi.modulus, place.field, values)
+    root = place.root_image(chi.zeta_order)
+    return ResidualCharacter(chi.modulus, place.field,
+                             [root ** e for e in chi.exponents])
+
+
+def reduce_at_ell(chi, ell):
+    """Reduction of a character at the canonical place above ell, the one
+    for its order: equal characters reduce alike, whatever root of unity
+    they are written against."""
+    chi = chi.normalized()
+    return reduce_mod(chi, place_above(ell, chi.zeta_order))
 
 
 def parse_character(text):

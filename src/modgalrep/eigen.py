@@ -39,17 +39,23 @@ with no values.  Values at primes dividing the level or ell are recorded
 when the operator has a single eigenvalue on the system's generalized
 eigenspace, and flagged; they never split blocks and never enter match
 verdicts.
+
+`match_twist` embeds the value fields in their compositum by the F_ell-linear
+maps of `exactalg.gf.embeddings`, trying each map for g against map 0 for f.
+Under the chosen maps it compares the diamond characters, the
+`dirichlet.ResidualCharacter`s of `Eigensystem.character`, by their values.
 """
 
 from math import lcm
 
 import numpy as np
 
+from .dirichlet import ResidualCharacter
 from .exactalg.arith import is_prime, primes_up_to, unit_group
 from .exactalg.gf import (
     _exact_dtype,
     _rref_mod,
-    embed_field,
+    embeddings,
     fq_field,
     fq_str,
     irreducible_roots,
@@ -201,19 +207,16 @@ class Eigensystem:
         return tuple(self.a[p].encoding() for p in sorted(self.a)) + tuple(
             self.diamond[d].encoding() for d in sorted(self.diamond))
 
+    def character(self):
+        """The diamond character, a residual character at the level with
+        the diamond values on the generators of the unit group."""
+        return ResidualCharacter(
+            self.level, self.field,
+            [self.diamond[g] for g in unit_group(self.level).generators])
+
     def diamond_value(self, x):
         """Diamond character value at any unit x modulo the level."""
-        group = unit_group(self.level)
-        dlog = group.dlog(x)
-        acc = self.field.one()
-        for g, e in zip(group.generators, dlog):
-            if e:
-                acc = acc * self.diamond[g] ** e
-        return acc
-
-    def diamond_is_trivial(self):
-        one = self.field.one()
-        return all(v == one for v in self.diamond.values())
+        return self.character().value(x)
 
     def frobenius(self):
         """The conjugate system with every value raised to the ell-th power."""
@@ -469,21 +472,22 @@ class MatchReport:
 def match_twist(sys_f, sys_g, i, bound, heuristic=False):
     """Test a_p(f) = p^i a_p(g) for all good primes up to the bound.
 
-    All embeddings of the two value fields into their compositum are tried;
-    the verdict is true if one embedding matches at every checked prime,
-    and at least one prime is checked.  Primes dividing either level or
-    ell are skipped (recorded).  When the systems share level and diamond
-    character the weight congruence k = k' + 2i (mod ell-1) is reported;
-    otherwise the diamond values are tested against the determinant
-    relation eps_g = eps_f * chi^(k_f - k_g - 2i).
+    The value field of f is embedded into the compositum once, and each
+    embedding of that of g is tried; the verdict is true if one embedding
+    matches at every checked prime, and at least one prime is checked.
+    Primes dividing either level or ell are skipped (recorded).  Under the
+    matching embedding, or the one that matched longest, the diamond
+    characters are tested against the determinant relation
+    eps_g = eps_f * chi^(k_f - k_g - 2i), and when the systems share level
+    and diamond character the weight congruence k = k' + 2i (mod ell-1) is
+    reported too.
     """
     ell = sys_f.ell
     if sys_g.ell != ell:
         raise ValueError("systems live over different characteristics")
-    r = lcm(sys_f.field.r, sys_g.field.r)
-    big = fq_field(ell, r)
-    phi_f = embed_field(sys_f.field, big)
-    phi_g = embed_field(sys_g.field, big)
+    big = fq_field(ell, lcm(sys_f.field.r, sys_g.field.r))
+    phi_f = embeddings(sys_f.field, big)[0]
+    maps_g = embeddings(sys_g.field, big)
     checked, skipped = [], []
     for p in primes_up_to(bound):
         if (sys_f.level * sys_g.level * ell) % p == 0:
@@ -496,52 +500,33 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False):
     verdict, embedding, best_fail, best_progress = False, None, None, -1
     # with no prime checked there is no evidence, so no embedding is tried;
     # a failed search reports the embedding that matched longest
-    for j in range(sys_g.field.r if checked else 0):
+    for j, phi_g in enumerate(maps_g if checked else []):
         fail = next((p for p in checked if phi_f(sys_f.a[p])
                      != big.from_int(pow(p, i % (ell - 1), ell))
-                     * phi_g(_frob_iter(sys_g.a[p], j))), None)
+                     * phi_g(sys_g.a[p])), None)
         if fail is None:
             verdict, embedding = True, j
             break
         if checked.index(fail) > best_progress:
             best_progress, best_fail, embedding = checked.index(fail), fail, j
-    same_level = (sys_f.level == sys_g.level
-                  and _same_diamond(sys_f, sys_g, phi_f, phi_g,
-                                    embedding or 0))
+    phi_g = maps_g[embedding or 0]
+    e = (sys_f.weight - sys_g.weight - 2 * i) % (ell - 1)
+    eps_f, eps_g = sys_f.character(), sys_g.character()
     weight_congruence = None
-    if same_level:
-        weight_congruence = (sys_f.weight - sys_g.weight - 2 * i) % (ell - 1) == 0
-    det = _determinant_check(sys_f, sys_g, i, big, phi_f, phi_g,
-                             embedding or 0)
+    if sys_f.level == sys_g.level and ([phi_f(v) for v in eps_f.values]
+                                       == [phi_g(v) for v in eps_g.values]):
+        weight_congruence = e == 0
+    det = _determinant_check(eps_f, eps_g, e, phi_f, phi_g)
     return MatchReport(sys_f, sys_g, i, bound, checked, skipped, verdict,
                        None if verdict else best_fail, embedding,
                        weight_congruence, det, heuristic)
 
 
-def _frob_iter(x, j):
-    for _ in range(j):
-        x = x.frobenius()
-    return x
-
-
-def _same_diamond(sys_f, sys_g, phi_f, phi_g, j):
-    if set(sys_f.diamond) != set(sys_g.diamond):
-        return False
-    return all(phi_f(v) == phi_g(_frob_iter(sys_g.diamond[d], j))
-               for d, v in sys_f.diamond.items())
-
-
-def _determinant_check(sys_f, sys_g, i, big, phi_f, phi_g, j):
-    """eps_g = eps_f * chi^(k_f - k_g - 2i) on the units of the lcm modulus."""
-    ell = sys_f.ell
-    e = (sys_f.weight - sys_g.weight - 2 * i) % (ell - 1)
-    modulus = lcm(sys_f.level, sys_g.level, ell)
-    for x in unit_group(modulus).generators:
-        lhs = phi_g(_frob_iter(sys_g.diamond_value(x % sys_g.level)
-                               if sys_g.level > 1 else sys_g.field.one(), j))
-        rhs = phi_f(sys_f.diamond_value(x % sys_f.level)
-                    if sys_f.level > 1 else sys_f.field.one())
-        rhs = rhs * big.from_int(pow(x, e, ell))
-        if lhs != rhs:
-            return False
-    return True
+def _determinant_check(eps_f, eps_g, e, phi_f, phi_g):
+    """eps_g = eps_f * chi^e under the chosen embeddings, chi the cyclotomic
+    character mod ell, on the units of the lcm of the moduli and ell."""
+    ell = eps_f.field.ell
+    return all(
+        phi_g(eps_g.value(x))
+        == phi_f(eps_f.value(x) * eps_f.field.from_int(pow(x, e, ell)))
+        for x in unit_group(lcm(eps_f.modulus, eps_g.modulus, ell)).generators)

@@ -11,7 +11,7 @@ from .arith import (
 )
 from .gf import (
     element_of_order,
-    embed_field,
+    embeddings,
     fq_field,
     fq_str,
     FqElem,
@@ -34,7 +34,7 @@ from .intmat import (
 __all__ = [
     "divisors", "euler_phi", "multiplicative_order",
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
-    "element_of_order", "embed_field", "fq_field", "fq_str", "FqElem",
+    "element_of_order", "embeddings", "fq_field", "fq_str", "FqElem",
     "FqField", "irreducible_roots", "poly_factor_fq", "poly_from_ints",
     "dual_basis", "exact_dtype", "kernel_int", "mat_mul",
     "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",

@@ -24,7 +24,9 @@ The roots of a polynomial irreducible over F_l whose degree d divides r
 need no factoring: `irreducible_roots` splits off one linear factor by
 equal-degree splitting alone, with no squarefree or distinct-degree pass,
 and returns that root's d Frobenius conjugates, by the Frobenius matrix.
-Field embeddings and the eigensystem code find their roots with it.
+Field embeddings and the eigensystem code find their roots with it.  The
+embeddings are F_l-linear maps too, applied like the Frobenius matrix; map
+j of `embeddings` is map 0 followed by the Frobenius j times.
 
 Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
 the one elimination over a finite field in the package; the eigensystem
@@ -39,6 +41,7 @@ per element than Fermat inversion through the field's own multiplication.
 
 import random
 from functools import lru_cache
+import operator
 
 import numpy as np
 
@@ -89,7 +92,8 @@ class FqField:
         self.r = r
         self.modulus = modulus
         # a^0 .. a^(2r-2) modulo the defining polynomial; _mul[i, j] is
-        # a^(i+j), so b @ _mul[j] is b a^j; row i of _frob is (a^i)^ell
+        # a^(i+j), so b @ _mul[j] is b a^j; _frob holds the columns of the
+        # Frobenius matrix, whose row i is (a^i)^ell
         pows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
         for _ in range(r - 1):
             lead = pows[-1][-1]
@@ -99,7 +103,7 @@ class FqField:
         self._mul = np.array(pows, exact_dtype(ell))[
             np.add.outer(range(r), range(r))]
         x = self.gen() ** ell
-        self._frob = tuple((x ** i).coeffs for i in range(r))
+        self._frob = tuple(zip(*((x ** i).coeffs for i in range(r))))
         self._primitive = None
         self._card_factors = None
 
@@ -316,11 +320,8 @@ class FqElem:
         return self * other.inverse()
 
     def frobenius(self):
-        """The image under x -> x^ell: the coefficients times the field's
-        Frobenius matrix, on Python ints, faster than numpy for one element."""
-        f = self.field
-        return f([sum(c * row[j] for c, row in zip(self.coeffs, f._frob))
-                  for j in range(f.r)])
+        """The image under x -> x^ell, by the field's Frobenius matrix."""
+        return _linear_image(self.coeffs, self.field._frob, self.field)
 
     def multiplicative_order(self):
         if self.is_zero():
@@ -676,29 +677,35 @@ def element_of_order(field, m):
     return field.primitive_element() ** (q1 // m)
 
 
-def embed_field(small, big):
-    """Embedding of one canonical field into a larger one.
+def _linear_image(coeffs, cols, field):
+    # the coefficient vector times the matrix with the given columns, as an
+    # element of field; on Python ints, faster than numpy for one element
+    ell = field.ell
+    return FqElem(field, tuple([sum(map(operator.mul, coeffs, col)) % ell
+                                for col in cols]))
 
-    Returns a function mapping elements of `small` into `big`, sending the
-    generator to the least root of the small modulus in the big field.
-    Requires small.r | big.r and equal characteristic.
+
+def embeddings(small, big):
+    """The small.r embeddings of one canonical field into another, as
+    F_ell-linear maps, each applied like the Frobenius: the coefficients
+    times a matrix whose row i is the image of a^i.
+
+    Map j sends the generator to root^(ell^j), root the least root of the
+    small modulus in big (the generator itself when the fields are equal),
+    so map j is map 0 followed by the Frobenius j times.  Requires
+    small.r | big.r and equal characteristic.
     """
     if small.ell != big.ell or big.r % small.r:
         raise ValueError("no embedding of %r into %r" % (small, big))
-    if small.r == 1:
-        return lambda x: big.from_int(x.coeffs[0])
-    if small == big:
-        return lambda x: x
-    root = irreducible_roots(big, small.modulus)[0]
-    powers = [big.one()]
-    for _ in range(small.r - 1):
-        powers.append(powers[-1] * root)
-
-    def phi(x):
-        acc = big.zero()
-        for c, pw in zip(x.coeffs, powers):
-            if c:
-                acc = acc + big.from_int(c) * pw
-        return acc
-
-    return phi
+    images = [big.one()]
+    if small.r > 1:
+        root = (big.gen() if small == big
+                else irreducible_roots(big, small.modulus)[0])
+        for _ in range(small.r - 1):
+            images.append(images[-1] * root)
+    maps = []
+    for _ in range(small.r):
+        cols = tuple(zip(*(x.coeffs for x in images)))
+        maps.append(lambda x, cols=cols: _linear_image(x.coeffs, cols, big))
+        images = [x.frobenius() for x in images]
+    return maps

@@ -26,16 +26,11 @@ from .congruence import (
     predicted_kernel_order,
     trivial_subgroup,
 )
-from .dirichlet import conductor, place_above, reduce_mod, trivial_character
-from .eigen import (
-    _frob_iter,
-    decompose,
-    match_twist,
-    reduce_space_mod,
-)
-from .exactalg.arith import divisors, factorint, primes_up_to, unit_group
+from .dirichlet import conductor, reduce_at_ell, trivial_character
+from .eigen import decompose, match_twist, reduce_space_mod
+from .exactalg.arith import divisors, factorint, primes_up_to
 from .exactalg.gf import (
-    embed_field,
+    embeddings,
     fq_field,
     fq_str,
     poly_from_ints,
@@ -128,13 +123,17 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
         raise ValueError("need a prime ell >= 5 not dividing the level")
     if eps is None:
         eps = trivial_character(level)
+    if eps.modulus != level:
+        raise ValueError("the character has modulus %d, not the level %d"
+                         % (eps.modulus, level))
     rigorous = sturm_bound(level if weight == 2 else level * ell, ell, weight)
     bound = rigorous if bound is None else min(bound, rigorous)
     systems = decompose_level(level, weight, ell, bound, cache)
-    candidates = [s for s in systems if _diamond_matches(s, eps)]
+    red = reduce_at_ell(eps, ell)
+    candidates = [s for s in systems if _diamond_matches(s, red)]
     if "index" in selector:
         j = selector["index"]
-        if j >= len(candidates):
+        if not 0 <= j < len(candidates):
             raise PipelineError("selector index %d out of range" % j)
         candidates = [candidates[j]]
     if "ap" in selector:
@@ -159,22 +158,15 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     return InputForm(level, weight, eps, selector, candidates[0], bound)
 
 
-def _diamond_matches(sys, eps):
-    if eps.is_trivial():
-        return sys.diamond_is_trivial()
-    # compare the reduction of eps with the system's diamond character
-    place = place_above(sys.ell, eps.order)
-    red = reduce_mod(eps, place)
-    big = fq_field(sys.ell, lcm(place.field.r, sys.field.r))
-    phi_e = embed_field(place.field, big)
-    phi_s = embed_field(sys.field, big)
-    gens = unit_group(sys.level).generators
-    targets = [phi_e(red.value(g)) for g in gens]
-    for j in range(sys.field.r):
-        vals = [phi_s(_frob_iter(sys.diamond[g], j)) for g in gens]
-        if vals == targets:
-            return True
-    return False
+def _diamond_matches(sys, red):
+    """Whether the system's diamond character is a reduced character red
+    under one of the embeddings of its value field."""
+    big = fq_field(sys.ell, lcm(red.field.r, sys.field.r))
+    phi_e = embeddings(red.field, big)[0]
+    target = [phi_e(v) for v in red.values]
+    chi = sys.character()
+    return any([phi(v) for v in chi.values] == target
+               for phi in embeddings(sys.field, big))
 
 
 def _minpoly_divides(value, coeffs, ell):

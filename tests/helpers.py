@@ -13,6 +13,7 @@ from modgalrep.exactalg import (
     dual_basis,
     mat_mul,
     poly_factor_fq,
+    poly_from_ints,
     transpose,
     unit_group,
     xgcd,
@@ -67,6 +68,29 @@ def poly_roots(f):
     roots = [-g[0] * g[1].inverse() for g, _ in poly_factor_fq(f)
              if poly_degree(g) == 1]
     return sorted(roots, key=lambda x: x.encoding())
+
+
+def embed_field(small, big):
+    """The embedding of one canonical field into a larger one that sends
+    the generator to the least root of the small modulus in big (to the
+    generator when the fields are equal), as a function summing the
+    coefficients times the powers of that root."""
+    if small.r == 1:
+        return lambda x: big.from_int(x.coeffs[0])
+    if small == big:
+        return lambda x: x
+    root = poly_roots(poly_from_ints(big, small.modulus))[0]
+    powers = [big.one()]
+    for _ in range(small.r - 1):
+        powers.append(powers[-1] * root)
+
+    def phi(x):
+        acc = big.zero()
+        for c, pw in zip(x.coeffs, powers):
+            acc = acc + big.from_int(c) * pw
+        return acc
+
+    return phi
 
 
 def naive_powmod(f, e, mod):

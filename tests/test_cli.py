@@ -293,9 +293,18 @@ def test_domain_error_exits_2():
      "ell must be prime, got 0"),
     (["subgroup", "--level", "3", "--weight", "12", "--ell", "-5"],
      "ell must be prime, got -5"),
+    (["char", "--char", "5:2^1@0"], "order must be positive, got 0"),
+    (["realize", "--level", "3", "--weight", "12", "--ell", "5", "--char",
+      "triv:1", "--a", "2=78", "--truncate-bound", "20"],
+     "the character has modulus 1, not the level 3"),
+    (["subgroup", "--level", "3", "--weight", "12", "--ell", "5", "--char",
+      "4:3^1@2"], "the character has modulus 4, not the level 3"),
+    (["realize", "--level", "3", "--weight", "12", "--ell", "5", "--index",
+      "-1", "--truncate-bound", "20"], "selector index -1 out of range"),
 ], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2",
         "eigensys-ell-1", "eigensys-ell-0", "subgroup-ell-0",
-        "subgroup-ell-minus-5"])
+        "subgroup-ell-minus-5", "char-order-0", "realize-char-modulus",
+        "subgroup-char-modulus", "realize-index-minus-1"])
 def test_limits_of_the_domain_exit_2(argv, message):
     code, doc = run_command(["--no-cache"] + argv)
     assert code == 2, doc

@@ -14,7 +14,11 @@ from modgalrep.congruence import (
     SubgroupH,
     trivial_subgroup,
 )
-from modgalrep.dirichlet import make_character, trivial_character
+from modgalrep.dirichlet import (
+    make_character,
+    parse_character,
+    trivial_character,
+)
 from modgalrep.exactalg import euler_phi, unit_group
 
 from helpers import naive_genus, psl2_index_gamma1
@@ -62,6 +66,15 @@ def test_h_from_eigenform_weight2_is_character_kernel():
     assert h.level == 13
     # order-6 character reduced at 5 keeps order 6 (gcd(5, 12) = 1)
     assert len(h) == 2
+
+
+def test_h_from_eigenform_is_one_for_equal_characters():
+    # one character written against zeta_6 and zeta_12: the second was
+    # reduced at a place for zeta_12, and most of the kernels differed
+    a, b = parse_character("9:2^1@6"), parse_character("9:2^2@12")
+    assert a == b
+    for i in range(7):
+        assert h_from_eigenform(a, 12, i, 7) == h_from_eigenform(b, 12, i, 7)
 
 
 def test_h_from_eigenform_rejects_bad_ell():

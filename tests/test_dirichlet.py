@@ -49,6 +49,14 @@ def test_make_character_rejects_incompatible_order():
         make_character(8, [1, 0], 4)
 
 
+def test_character_rejects_zero_root_of_unity_order():
+    # an order below 1 was a ZeroDivisionError, an internal fault
+    with pytest.raises(ValueError, match="order must be positive"):
+        parse_character("5:2^1@0")
+    with pytest.raises(ValueError, match="order must be positive"):
+        DirichletCharacter(5, -4, (1,))
+
+
 def test_induce_trivial():
     chi = induce(trivial_character(1), 20)
     assert chi.is_trivial() and chi.modulus == 20

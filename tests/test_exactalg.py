@@ -26,7 +26,7 @@ from modgalrep.exactalg.arith import factorint, is_prime
 from modgalrep.exactalg.gf import (
     _poly_pth_root,
     element_of_order,
-    embed_field,
+    embeddings,
     FqElem,
     irreducible_roots,
     poly_mul,
@@ -35,6 +35,7 @@ from modgalrep.exactalg.gf import (
 )
 
 from helpers import (
+    embed_field,
     least_irreducible,
     naive_euler_phi,
     naive_powmod,
@@ -225,11 +226,40 @@ def test_minpoly_divides_field_degree():
 def test_embed_field_is_homomorphism():
     small = fq_field(5, 2)
     big = fq_field(5, 4)
-    phi = embed_field(small, big)
+    phi = embeddings(small, big)[0]
     a, b = small.gen(), small.gen() + small.one()
     assert phi(a * b) == phi(a) * phi(b)
     assert phi(a + b) == phi(a) + phi(b)
     assert phi(small.one()) == big.one()
+
+
+@pytest.mark.parametrize("ell, s, r", [
+    (5, 1, 4), (5, 2, 4), (7, 2, 6), (7, 3, 6), (13, 2, 4), (13, 4, 4),
+    (2 ** 61 - 1, 1, 2)])
+def test_embeddings_match_embed_field(ell, s, r):
+    # map 0 is the oracle's embedding, map j is map 0 followed by the
+    # Frobenius j times, and every map is a ring homomorphism
+    small, big = fq_field(ell, s), fq_field(ell, r)
+    maps = embeddings(small, big)
+    assert len({phi(small.gen()).coeffs for phi in maps}) == s
+    oracle = embed_field(small, big)
+    basis = [small([int(i == j) for j in range(s)]) for i in range(s)]
+    for x in basis:
+        assert maps[0](x) == oracle(x), x
+    for j, phi in enumerate(maps):
+        for x in basis:
+            y = maps[0](x)
+            for _ in range(j):
+                y = y.frobenius()
+            assert phi(x) == y, (j, x)
+    rng = random.Random(ell * 100 + s * 10 + r)
+    for _ in range(10):
+        a, b = (small([rng.randrange(ell) for _ in range(s)])
+                for _ in range(2))
+        for phi in maps:
+            assert phi(a * b) == phi(a) * phi(b)
+            assert phi(a + b) == phi(a) + phi(b)
+            assert phi(small.one()) == big.one()
 
 
 @pytest.mark.parametrize("ell", [5, 7, 13])

@@ -65,6 +65,17 @@ def test_select_level5_quartic_rows():
         assert form.system.field.r == 2
 
 
+def test_select_input_form_takes_eps_at_any_root_of_unity_order():
+    # 5:2^2@4 is the quadratic character 5:2^1@2; its reduction needed a
+    # place for zeta_4 and was refused with "place only covers orders
+    # dividing 2"
+    row = next(r for r in TABLE_ROWS if r["N"] == 5 and r["ell"] == 7)
+    forms = [select_input_form(5, 12, 7, table_row_selector(row),
+                               eps=parse_character(text), bound=50)
+             for text in ("5:2^1@2", "5:2^2@4", "5:2^3@6")]
+    assert len({f.system.value_tuple() for f in forms}) == 1
+
+
 def test_find_twist_delta_mod13_immediate():
     form = select_input_form(1, 12, 13, {"ap": {2: -24}}, bound=50)
     tw = find_twist(form, 13, truncate=50)
