@@ -151,11 +151,12 @@ class PlaceAboveEll:
         self.base = element_of_order(self.field, m_max)
 
     def root_image(self, m):
-        """Image of zeta_m; the ell-part of m collapses to 1."""
+        """Image of zeta_m, m = m1 ell^k with m1 prime to ell: that of zeta_m1
+        to the power ell^(-k) mod m1, as zeta_m^(ell^k) = zeta_m1."""
         m1 = _prime_to_ell_part(m, self.ell)
         if self.m_max % m1:
             raise ValueError("place only covers orders dividing %d" % self.m_max)
-        return self.base ** (self.m_max // m1)
+        return self.base ** (self.m_max // m1 * pow(m // m1, -1, m1))
 
     def __repr__(self):
         return "PlaceAboveEll(%d, m_max=%d)" % (self.ell, self.m_max)
@@ -198,23 +199,6 @@ class ResidualCharacter:
             if t:
                 acc = acc * v ** t
         return acc
-
-    def kernel(self):
-        one = self.field.one()
-        return sorted(x for x in unit_group(self.modulus).elements()
-                      if self.value(x) == one)
-
-    @property
-    def order(self):
-        orders = [v.multiplicative_order() for v in self.values]
-        return lcm(*orders) if orders else 1
-
-    def __mul__(self, other):
-        if self.modulus != other.modulus or self.field != other.field:
-            raise ValueError("incompatible residual characters")
-        return ResidualCharacter(
-            self.modulus, self.field,
-            tuple(a * b for a, b in zip(self.values, other.values)))
 
     def __eq__(self, other):
         return (isinstance(other, ResidualCharacter)

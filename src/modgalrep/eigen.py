@@ -202,6 +202,7 @@ class Eigensystem:
         self.multiplicity = multiplicity
         self.provenance = provenance
         self.bad_primes = bad_primes
+        self._character = None
 
     def value_tuple(self):
         return tuple(self.a[p].encoding() for p in sorted(self.a)) + tuple(
@@ -209,14 +210,13 @@ class Eigensystem:
 
     def character(self):
         """The diamond character, a residual character at the level with
-        the diamond values on the generators of the unit group."""
-        return ResidualCharacter(
-            self.level, self.field,
-            [self.diamond[g] for g in unit_group(self.level).generators])
-
-    def diamond_value(self, x):
-        """Diamond character value at any unit x modulo the level."""
-        return self.character().value(x)
+        the diamond values on the generators of the unit group, built on
+        the first call."""
+        if self._character is None:
+            self._character = ResidualCharacter(
+                self.level, self.field,
+                [self.diamond[g] for g in unit_group(self.level).generators])
+        return self._character
 
     def frobenius(self):
         """The conjugate system with every value raised to the ell-th power."""
@@ -469,13 +469,14 @@ class MatchReport:
         return doc
 
 
-def match_twist(sys_f, sys_g, i, bound, heuristic=False):
+def match_twist(sys_f, sys_g, i, bound, heuristic=False, embed=embeddings):
     """Test a_p(f) = p^i a_p(g) for all good primes up to the bound.
 
     The value field of f is embedded into the compositum once, and each
-    embedding of that of g is tried; the verdict is true if one embedding
-    matches at every checked prime, and at least one prime is checked.
-    Primes dividing either level or ell are skipped (recorded).  Under the
+    embedding of that of g is tried, as embed (gf.embeddings or a caller's
+    memo of it) gives them; the verdict is true if one embedding matches at
+    every checked prime, and at least one prime is checked.  Primes
+    dividing either level or ell are skipped (recorded).  Under the
     matching embedding, or the one that matched longest, the diamond
     characters are tested against the determinant relation
     eps_g = eps_f * chi^(k_f - k_g - 2i), and when the systems share level
@@ -486,8 +487,8 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False):
     if sys_g.ell != ell:
         raise ValueError("systems live over different characteristics")
     big = fq_field(ell, lcm(sys_f.field.r, sys_g.field.r))
-    phi_f = embeddings(sys_f.field, big)[0]
-    maps_g = embeddings(sys_g.field, big)
+    phi_f = embed(sys_f.field, big)[0]
+    maps_g = embed(sys_g.field, big)
     checked, skipped = [], []
     for p in primes_up_to(bound):
         if (sys_f.level * sys_g.level * ell) % p == 0:

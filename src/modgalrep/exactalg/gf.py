@@ -445,7 +445,7 @@ def poly_gcd(f, g):
     return poly_monic(f)
 
 
-def poly_powmod(f, e, mod):
+def poly_powmod(f, e, mod, red=None):
     """f^e modulo a nonzero polynomial mod of degree n over F_q, q = ell^r.
 
     Modulo mod, a polynomial is n r residues, coefficient j of its entry at
@@ -453,8 +453,8 @@ def poly_powmod(f, e, mod):
     intmat.product: the field's multiplication tensor makes each entry of
     one factor the r x r matrix that multiplies by it; these fill a
     block-Toeplitz matrix, which sends the other factor to the 2n - 1
-    entries of the product; and the reduction map of mod folds the top
-    n - 1 back.  Modulo a constant everything is 0, so that gives [].
+    entries of the product; and red, the reduction map of mod, folds the
+    top n - 1 back.  Modulo a constant everything is 0, so that gives [].
     """
     field = mod[0].field
     ell, r, n = field.ell, field.r, poly_degree(mod)
@@ -462,7 +462,7 @@ def poly_powmod(f, e, mod):
         return []
     if e == 0:
         return [field.one()]
-    red = _reduction_map(poly_monic(mod))
+    red = _reduction_map(poly_monic(mod)) if red is None else red
     i = np.arange(n)[:, None]
 
     def mul(a, b):
@@ -573,18 +573,19 @@ def _distinct_degree(f):
     x = [field.zero(), field.one()]
     h = list(x)
     rest = list(f)
-    d = 0
+    d, red = 0, None
     while poly_degree(rest) > 0:
         d += 1
         if 2 * d > poly_degree(rest):
             out.append((rest, poly_degree(rest)))
             break
-        h = poly_powmod(h, q, rest)
+        red = _reduction_map(poly_monic(rest)) if red is None else red
+        h = poly_powmod(h, q, rest, red)
         g = poly_gcd(poly_sub(h, x), rest)
         if poly_degree(g) > 0:
             out.append((g, d))
             rest, _ = poly_divmod(rest, g)
-            h = poly_mod(h, rest)
+            h, red = poly_mod(h, rest), None
     return out
 
 
@@ -594,14 +595,14 @@ def _split_once(f, d, rng):
     field = f[0].field
     n = poly_degree(f)
     q = field.order
-    one = [field.one()]
+    one, red = [field.one()], _reduction_map(poly_monic(f))
     while True:
         h = poly_trim([field.from_encoding(rng.randrange(q)) for _ in range(n)])
         if poly_degree(h) < 1:
             continue
         g = poly_gcd(h, f)
         if not 0 < poly_degree(g) < n:
-            t = poly_powmod(h, (q ** d - 1) // 2, f)
+            t = poly_powmod(h, (q ** d - 1) // 2, f, red)
             g = poly_gcd(poly_sub(t, one), f)
         if 0 < poly_degree(g) < n:
             return g

@@ -21,13 +21,15 @@ D, and there is no solve.
 The free quotient of Z^n by integer relations is coordinatized by such a
 kernel: a saturated basis of the linear forms that vanish on every relation
 maps Z^n onto Z^dim, and its dual basis gives a preimage of each coordinate
-vector.  The torsion of the quotient comes from a diagonal form of the
-relations made by the same elimination: echelon the relation rows, then
-the transpose of the result, and so on until every row has one nonzero
-entry.  Each pass is a unimodular change of rows or of columns, so the
-diagonal presents the same torsion, which is split into prime powers;
-the Smith divisibility chain is never needed.
+vector.  Its torsion is computed on first read, from a diagonal form of
+the relations the sparse elimination leaves: echelon them, then the
+transpose of the result, and so on until every row has one nonzero entry.
+Each pass is a unimodular change of rows or of columns, so the diagonal
+presents the same torsion, which is split into prime powers; the Smith
+divisibility chain is never needed.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -234,14 +236,25 @@ class QuotientMap:
     """Free quotient of Z^n by a set of integer relation rows.
 
     proj_rows[i] is the class of the i-th generator in Z^dim, after
-    discarding torsion; lifts give one preimage per basis vector.
+    discarding torsion; lifts give one preimage per basis vector.  The
+    torsion is computed on first read, from the leftover relations.
     """
 
-    def __init__(self, dim, torsion, proj_rows, lifts):
+    def __init__(self, dim, leftovers, proj_rows, lifts):
         self.dim = dim
-        self.torsion = torsion
+        self.leftovers = leftovers
         self.proj_rows = proj_rows  # n rows, each of length dim
         self.lifts = lifts          # dim sparse vectors [(index, coeff), ...]
+
+    @cached_property
+    def torsion(self):
+        """The sorted prime-power elementary divisors of the quotient."""
+        rank, rows = _echelon(self.leftovers,
+                              max(map(len, self.leftovers), default=0))
+        rows = rows[:rank]
+        while any(sum(1 for x in row if x) > 1 for row in rows):
+            rows = _echelon(transpose(rows), rank)[1][:rank]
+        return elementary_divisors(x for row in rows for x in row)
 
 
 def quotient_by_relations(n, relation_rows):
@@ -251,8 +264,8 @@ def quotient_by_relations(n, relation_rows):
     Unit-coefficient pivots are eliminated sparsely first.  On the t
     generators left, the projection is a saturated basis of the linear
     forms vanishing on the leftover relations (kernel_int), and the lifts
-    are its dual basis.  Torsion is reported as sorted prime-power
-    elementary divisors and discarded from the projection.
+    are its dual basis.  Torsion is discarded from the projection; the
+    QuotientMap computes it when first read.
     """
     solved = {}       # col -> dict of remaining cols (the substitution)
 
@@ -325,17 +338,11 @@ def quotient_by_relations(n, relation_rows):
                 dense[j][pos[c]] = v
         forms = kernel_int(dense, t)
         dim = len(forms)
-        # row and column echelon in turn until the relations are diagonal
-        rank, rows = _echelon(dense, t)
-        rows = rows[:rank]
-        while any(sum(1 for x in row if x) > 1 for row in rows):
-            rows = _echelon(transpose(rows), rank)[1][:rank]
-        torsion = elementary_divisors(x for row in rows for x in row)
         proj_remaining = [[f[c] for f in forms] for c in range(t)]
         lifts = [[(remaining[r], v) for r, v in enumerate(vec) if v]
                  for vec in dual_basis(forms, t)]
     else:
-        torsion = []
+        dense = []
         dim = t
         proj_remaining = [[1 if i == j else 0 for j in range(dim)] for i in range(t)]
         lifts = [[(c, 1)] for c in remaining]
@@ -351,4 +358,4 @@ def quotient_by_relations(n, relation_rows):
                 row[j] += v * x
         proj_rows[c] = row
 
-    return QuotientMap(dim, torsion, proj_rows, lifts)
+    return QuotientMap(dim, dense, proj_rows, lifts)

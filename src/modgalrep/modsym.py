@@ -5,12 +5,14 @@ unimodular bottom rows (c:d) mod n up to +-H: Gamma_H(n) has bottom rows
 (0, h) mod n, so (c:d) ~ (hc:hd), with no character factor at the even
 weights supported (W. Stein, Modular Forms: A Computational Approach, GSM
 79, 2007, ch. 8).  The ambient lattice is the free part of the quotient of
-Z^symbols by the two- and three-term relations; its torsion is recorded
-and discarded.  The coordinates of a symbol are the values of a saturated
-basis of the integer linear forms that vanish on every relation
-(quotient_by_relations), which keeps them small, and all operators are
-integer matrices on the dual basis.  A fingerprint of these coordinates
-identifies the basis in the disk cache.
+Z^symbols by the two- and three-term relations, one block of each per orbit
+of S and of ST on the cosets: -I = S^2 = (ST)^3 acts trivially at even
+weight, so the blocks of x|S and x|ST are Z-combinations of those of x.
+Its torsion is computed on first read and discarded.  The coordinates of a
+symbol are the values of a saturated basis of the integer linear forms that
+vanish on every relation (quotient_by_relations), which keeps them small,
+and all operators are integer matrices on the dual basis.  A fingerprint of
+these coordinates identifies the basis in the disk cache.
 
 Every ambient operator is a sum over integer matrices g acting on symbols,
 and one numpy kernel (_Ambient._apply) computes them all, several in one
@@ -26,9 +28,10 @@ sums the table rows of each key with one reduceat into a dense W,
 use are then one product W P with the projection P, and each operator one
 product of its images with the lifts.  _Ambient.operator_arrays makes one
 pass per chunk of the operators asked for, each chunk capped by its largest
-transients (_CHUNK).  The sum is a ring computation, so it runs over Z or,
-term by term, mod ell (W. Stein, Modular Forms: A Computational Approach,
-GSM 79, 2007, ch. 8), with tables, projection and lifts reduced mod ell.
+transients (_CHUNK); the first pass builds the arrays the kernel reads.
+The sum is a ring computation, so it runs over Z or, term by term, mod ell
+(W. Stein, Modular Forms: A Computational Approach, GSM 79, 2007, ch. 8),
+with tables, projection and lifts reduced mod ell.
 Either way every product goes through intmat.product, on float64 BLAS
 below 2^53, where it is exact, and on int64 or Python integers beyond.
 The eigensystems need the operators mod ell only, and get them that way;
@@ -68,6 +71,7 @@ import tempfile
 from contextlib import suppress
 from functools import cached_property, partial
 from math import comb, gcd
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -160,7 +164,9 @@ def _monomial_tables(mats, k, rows, ell=None):
 
 
 class _Ambient:
-    """The full weight-k Manin symbol quotient for Gamma_H(n)."""
+    """The full weight-k Manin symbol quotient for Gamma_H(n), from one
+    block of relations per S- and ST-orbit of cosets, with its torsion and
+    its kernel arrays computed when first read."""
 
     def __init__(self, level, weight, subgroup=None, cache=None):
         if weight < 2 or weight % 2:
@@ -186,59 +192,65 @@ class _Ambient:
             tx = self.table.index_of[(d % level, (-c - d) % level)]
             ux = self.table.index_of[((-c - d) % level, c % level)]
             for a in range(k - 1):
-                # two-term: x + x|S = 0
-                row = {}
-                _acc(row, a * ncos + x, 1)
-                _acc(row, (k - 2 - a) * ncos + sx, (-1) ** a)
-                rows.append(row)
-                # three-term: x + x|(ST) + x|(ST)^2 = 0
-                row = {}
-                _acc(row, a * ncos + x, 1)
-                for j in range(k - 2 - a + 1):
-                    _acc(row, j * ncos + tx,
-                         (-1) ** (k - 2 + j) * comb(k - 2 - a, j))
-                for j in range(a + 1):
-                    _acc(row, (k - 2 - a + j) * ncos + ux,
-                         (-1) ** (k - 2 - a + j) * comb(a, j))
-                rows.append(row)
-        qm = quotient_by_relations(self.nsym, rows)
-        self.dim = qm.dim
-        self.torsion = qm.torsion
-        self.proj_rows = qm.proj_rows
-        self.lifts = qm.lifts
+                # two-term: x + x|S = 0, once per S-orbit {x, sx}
+                if x <= sx:
+                    row = {}
+                    _acc(row, a * ncos + x, 1)
+                    _acc(row, (k - 2 - a) * ncos + sx, (-1) ** a)
+                    rows.append(row)
+                # three-term: x + x|(ST) + x|(ST)^2 = 0, once per ST-orbit
+                if x <= min(tx, ux):
+                    row = {}
+                    _acc(row, a * ncos + x, 1)
+                    for j in range(k - 2 - a + 1):
+                        _acc(row, j * ncos + tx,
+                             (-1) ** (k - 2 + j) * comb(k - 2 - a, j))
+                    for j in range(a + 1):
+                        _acc(row, (k - 2 - a + j) * ncos + ux,
+                             (-1) ** (k - 2 - a + j) * comb(a, j))
+                    rows.append(row)
+        self.quotient = qm = quotient_by_relations(self.nsym, rows)
+        self.dim, self.proj_rows, self.lifts = qm.dim, qm.proj_rows, qm.lifts
         self._boundary = None
-        # what _apply reads: the projection rows as (coset, exponent) x dim,
-        # the coset index of (c:d) at c * level + d (-1 off the table), the
-        # cosets and exponents of the symbols the lifts use, and the lifts as
-        # a (support symbol) x dim matrix
-        self._proj_max = max_abs(qm.proj_rows)
-        self._proj = np.ascontiguousarray(np.array(
-            qm.proj_rows, dtype=_narrow_dtype(self._proj_max)
-        ).reshape(k - 1, ncos, self.dim).transpose(1, 0, 2)).reshape(
-            self.nsym, self.dim)
-        self._lookup = np.full(level * level, -1, dtype=np.int64)
-        for (c, d), i in self.table.index_of.items():
-            self._lookup[c * level + d] = i
-        support = sorted({sym for lift in qm.lifts for sym, _ in lift})
-        row_of = {sym: r for r, sym in enumerate(support)}
-        self._sup_exp, sup_cos = np.divmod(
-            np.array(support, dtype=np.int64), ncos)
-        reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
-        self._sup_c, self._sup_d = reps[sup_cos, 0], reps[sup_cos, 1]
-        self._exponents = int(self._sup_exp.max(initial=-1)) + 1
-        self._lift_max = max((abs(c) for lift in qm.lifts for _, c in lift),
-                             default=0)
-        self._lift = np.zeros((len(support), self.dim),
-                              dtype=_narrow_dtype(self._lift_max))
-        self._lift[[row_of[sym] for lift in qm.lifts for sym, _ in lift],
-                   [col for col, lift in enumerate(qm.lifts)
-                    for _ in lift]] = [c for lift in qm.lifts for _, c in lift]
 
     @cached_property
     def fingerprint(self):
         """SHA-256 of the projection rows, which fix the lattice basis."""
-        text = "\n".join(" ".join(map(str, row)) for row in self.proj_rows)
+        line = " ".join(["%d"] * self.dim)
+        text = "\n".join(line % tuple(row) for row in self.proj_rows)
         return hashlib.sha256(text.encode()).hexdigest()
+
+    @cached_property
+    def _kernel(self):
+        """What _apply reads, built on the first kernel pass: the projection
+        rows as (coset, exponent) x dim, the coset index of (c:d) at
+        c * level + d (-1 off the table), the cosets and exponents of the
+        symbols the lifts use, and the lifts as a (support symbol) x dim
+        matrix; proj_max and lift_max bound the two matrices' entries."""
+        ncos, level = len(self.table), self.level
+        proj_max = max_abs(self.proj_rows)
+        proj = np.ascontiguousarray(np.array(
+            self.proj_rows, dtype=_narrow_dtype(proj_max)
+        ).reshape(self.weight - 1, ncos, self.dim).transpose(1, 0, 2)).reshape(
+            self.nsym, self.dim)
+        lookup = np.full(level * level, -1, dtype=np.int64)
+        for (c, d), i in self.table.index_of.items():
+            lookup[c * level + d] = i
+        support = sorted({sym for vec in self.lifts for sym, _ in vec})
+        row_of = {sym: r for r, sym in enumerate(support)}
+        sup_exp, sup_cos = np.divmod(np.array(support, dtype=np.int64), ncos)
+        reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
+        lift_max = max((abs(c) for vec in self.lifts for _, c in vec),
+                       default=0)
+        lift = np.zeros((len(support), self.dim),
+                        dtype=_narrow_dtype(lift_max))
+        lift[[row_of[sym] for vec in self.lifts for sym, _ in vec],
+             [col for col, vec in enumerate(self.lifts) for _ in vec]] = [
+                 c for vec in self.lifts for _, c in vec]
+        return SimpleNamespace(
+            proj=proj, proj_max=proj_max, lookup=lookup, sup_exp=sup_exp,
+            sup_c=reps[sup_cos, 0], sup_d=reps[sup_cos, 1], lift=lift,
+            exponents=int(sup_exp.max(initial=-1)) + 1, lift_max=lift_max)
 
     # -- operators on the lattice basis ------------------------------------
 
@@ -250,7 +262,7 @@ class _Ambient:
         Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
         (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
         the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j),
-        for the exponents e < self._exponents that the lifts use.  One sort
+        for the exponents e < _kernel.exponents that the lifts use.  One sort
         and one reduceat over every g give the dense W[(i, s), (x, j)]: the
         coefficients summed over the g of group i that send the support
         symbol s to the coset x.  The images of the support symbols are then
@@ -259,24 +271,24 @@ class _Ambient:
         intmat.product, over Z or, given ell and tables mod ell, on
         residues mod ell.
         """
-        n, k1 = self.level, self.weight - 1
-        ncos, nsupp = len(self.table), len(self._sup_exp)
+        n, k1, kern = self.level, self.weight - 1, self._kernel
+        ncos, nsupp = len(self.table), len(kern.sup_exp)
         g = np.array(mats, dtype=np.int64).reshape(-1, 4)
         counts = [len(g)] if counts is None else counts
         # the target coset x of each support symbol s under each g of group
         # i, as the key (i * nsupp + s) * ncos + x, -1 off the table; these
         # g x support arrays set the peak memory, so each goes as soon as it
         # is used
-        c1 = np.multiply.outer(g[:, 0], self._sup_c)
-        c1 += np.multiply.outer(g[:, 2], self._sup_d)
+        c1 = np.multiply.outer(g[:, 0], kern.sup_c)
+        c1 += np.multiply.outer(g[:, 2], kern.sup_d)
         c1 %= n
         c1 *= n
-        d1 = np.multiply.outer(g[:, 1], self._sup_c)
-        d1 += np.multiply.outer(g[:, 3], self._sup_d)
+        d1 = np.multiply.outer(g[:, 1], kern.sup_c)
+        d1 += np.multiply.outer(g[:, 3], kern.sup_d)
         d1 %= n
         c1 += d1
         del d1
-        key = self._lookup[c1]
+        key = kern.lookup[c1]
         del c1
         off = key < 0
         key += np.arange(0, nsupp * ncos, ncos)
@@ -290,27 +302,27 @@ class _Ambient:
         start = np.searchsorted(key, 0)
         key, order = key[start:], order[start:]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        # the rows of W: the table rows g * self._exponents + (exponent of
+        # the rows of W: the table rows g * kern.exponents + (exponent of
         # s), summed over the g of each key; g_sum bounds the sum of the
         # absolute values in a row
         s = order % nsupp
         order //= nsupp
-        order *= self._exponents
-        order += self._sup_exp[s]
+        order *= kern.exponents
+        order += kern.sup_exp[s]
         del s
         g_sum = int(np.abs(tables).sum(axis=2).max(axis=1, initial=0)
                     .sum(dtype=object))
         rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
         w = np.add.reduceat(rows[order], first, axis=0)
         del order
-        proj, lift, w_max = self._proj, self._lift, g_sum
+        proj, lift, w_max = kern.proj, kern.lift, g_sum
         if ell is not None:
             # the products take entries below ell, which the projection and
             # the lifts often have already (both at weight 2, say)
             w %= ell
             w_max = ell - 1
-            proj = proj if self._proj_max < ell else proj % ell
-            lift = lift if self._lift_max < ell else lift % ell
+            proj = proj if kern.proj_max < ell else proj % ell
+            lift = lift if kern.lift_max < ell else lift % ell
         dense = np.zeros((len(counts) * nsupp * ncos, k1),
                          dtype=product_dtype(w_max))
         dense[key[first]] = w
@@ -337,7 +349,8 @@ class _Ambient:
         the dense W, (operator, support symbol) x (coset, exponent).  It
         always takes at least one key.
         """
-        k, rows, nsupp = self.weight, self._exponents, len(self._sup_exp)
+        kern = self._kernel
+        k, rows, nsupp = self.weight, kern.exponents, len(kern.sup_exp)
         mats = {}
         for key in keys:
             if key > 0:
@@ -447,7 +460,7 @@ class ModularSymbolSpace:
 
     @property
     def torsion(self):
-        return self.ambient.torsion
+        return self.ambient.quotient.torsion
 
     # -- operator matrices --------------------------------------------------
 
@@ -491,8 +504,10 @@ class ModularSymbolSpace:
                 held.update((int(row[0]), _array(row[1:], self.dim, self.dim))
                             for row in stacked)
                 missing = [key for key in missing if key not in held]
+        if not missing:
+            return
         held.update(zip(missing, self.ambient.operator_arrays(missing, ell)))
-        if self._disk is not None and missing:
+        if self._disk is not None:
             stacked = np.stack([np.append(key, held[key])
                                 for key in sorted(held)])
             self._disk.store(self.level, self.weight, label, stacked,

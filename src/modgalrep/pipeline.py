@@ -16,6 +16,7 @@ input form's values were computed up to; a bound cut there is flagged
 heuristic too, with a warning.
 """
 
+from functools import lru_cache
 from math import lcm
 
 from .congruence import (
@@ -129,8 +130,8 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     rigorous = sturm_bound(level if weight == 2 else level * ell, ell, weight)
     bound = rigorous if bound is None else min(bound, rigorous)
     systems = decompose_level(level, weight, ell, bound, cache)
-    red = reduce_at_ell(eps, ell)
-    candidates = [s for s in systems if _diamond_matches(s, red)]
+    red, embed = reduce_at_ell(eps, ell), lru_cache(None)(embeddings)
+    candidates = [s for s in systems if _diamond_matches(s, red, embed)]
     if "index" in selector:
         j = selector["index"]
         if not 0 <= j < len(candidates):
@@ -158,15 +159,15 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     return InputForm(level, weight, eps, selector, candidates[0], bound)
 
 
-def _diamond_matches(sys, red):
+def _diamond_matches(sys, red, embed):
     """Whether the system's diamond character is a reduced character red
-    under one of the embeddings of its value field."""
+    under one of the embeddings of its value field, as embed gives them."""
     big = fq_field(sys.ell, lcm(red.field.r, sys.field.r))
-    phi_e = embeddings(red.field, big)[0]
+    phi_e = embed(red.field, big)[0]
     target = [phi_e(v) for v in red.values]
     chi = sys.character()
     return any([phi(v) for v in chi.values] == target
-               for phi in embeddings(sys.field, big))
+               for phi in embed(sys.field, big))
 
 
 def _minpoly_divides(value, coeffs, ell):
@@ -230,11 +231,12 @@ def _match_bound(form, rigorous, truncate, warnings):
     return bound, bound < rigorous
 
 
-def _first_match(form, systems, i, bound, heuristic):
+def _first_match(form, systems, i, bound, heuristic, embed):
     """The first of the systems that matches the form as a twist by p^i and
-    passes the determinant check, as (system, report); None if none does."""
+    passes the determinant check, as (system, report); None if none does.
+    embed is the caller's memo of gf.embeddings."""
     for g in systems:
-        report = match_twist(form.system, g, i, bound, heuristic=heuristic)
+        report = match_twist(form.system, g, i, bound, heuristic, embed)
         if report.verdict and report.det_check:
             return g, report
     return None
@@ -263,10 +265,11 @@ def find_twist(form, ell, truncate=None, cache=None):
     warnings = []
     bound, heuristic = _match_bound(form, sturm_bound(n, ell, k), truncate,
                                     warnings)
+    embed = lru_cache(None)(embeddings)
     for i, kp in pairs:
         for m in levels:
             systems = decompose_level(m, kp, ell, bound, cache)
-            found = _first_match(form, systems, i, bound, heuristic)
+            found = _first_match(form, systems, i, bound, heuristic, embed)
             if found:
                 return TwistResult(i, kp, m, *found, bound, heuristic,
                                    warnings)
@@ -363,12 +366,13 @@ def realize(form, ell, truncate=None, cache=None):
         if predicted != len(subgroup):
             raise AssertionError("index formula mismatch: %d != %d"
                                  % (predicted, len(subgroup)))
+    embed = lru_cache(None)(embeddings)
     for mpp in divisors(mprime):
         bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k),
                                         truncate, warnings)
         systems = decompose_level(mpp, 2, ell, bound, cache,
                                   subgroup=subgroup.project(mpp))
-        found = _first_match(form, systems, i, bound, heuristic)
+        found = _first_match(form, systems, i, bound, heuristic, embed)
         if found:
             f2, report = found
             if heuristic:
@@ -396,15 +400,15 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     warnings = []
     bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k),
                                     truncate, warnings)
-    rows = []
+    rows, embed = [], lru_cache(None)(embeddings)
     for hp in intermediate_subgroups(nprime):
         systems = decompose_level(nprime, 2, ell, bound, cache, hp)
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),
             "contained_in_h": hp.is_subgroup_of(subgroup),
-            "match": _first_match(form, systems, i, bound,
-                                  heuristic) is not None,
+            "match": _first_match(form, systems, i, bound, heuristic,
+                                  embed) is not None,
         })
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,

@@ -14,6 +14,7 @@ from modgalrep.exactalg import (
     mat_mul,
     poly_factor_fq,
     poly_from_ints,
+    quotient_by_relations,
     transpose,
     unit_group,
     xgcd,
@@ -387,3 +388,37 @@ def boundary_by_cusp_equivalence(ambient):
     for (r, ccol), v in entries.items():
         mat[r][ccol] = v
     return mat
+
+
+def full_relation_quotient(ambient):
+    """The quotient of an ambient's symbols by every two- and three-term
+    relation, one block of each at every coset, in the order the ambient
+    emits its own rows (the oracle of the per-orbit relation blocks)."""
+    n, k, table = ambient.level, ambient.weight, ambient.table
+    ncos = len(table)
+    rows = []
+
+    def add(row, key, val):
+        row[key] = row.get(key, 0) + val
+        if not row[key]:
+            del row[key]
+
+    for x, (c, d) in enumerate(table.reps):
+        sx = table.s_perm[x]
+        tx = table.index_of[(d % n, (-c - d) % n)]
+        ux = table.index_of[((-c - d) % n, c % n)]
+        for a in range(k - 1):
+            row = {}
+            add(row, a * ncos + x, 1)
+            add(row, (k - 2 - a) * ncos + sx, (-1) ** a)
+            rows.append(row)
+            row = {}
+            add(row, a * ncos + x, 1)
+            for j in range(k - 2 - a + 1):
+                add(row, j * ncos + tx,
+                    (-1) ** (k - 2 + j) * comb(k - 2 - a, j))
+            for j in range(a + 1):
+                add(row, (k - 2 - a + j) * ncos + ux,
+                    (-1) ** (k - 2 - a + j) * comb(a, j))
+            rows.append(row)
+    return quotient_by_relations(ambient.nsym, rows)

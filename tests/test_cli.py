@@ -474,6 +474,8 @@ def test_warm_realize_reads_every_operator_from_the_cache(tmp_path, capsys,
         return mat
 
     monkeypatch.setattr(modsym._Ambient, "_apply", no_apply)
+    # nor are the arrays the operator kernel reads built
+    monkeypatch.setattr(modsym._Ambient, "_kernel", property(no_apply))
     monkeypatch.setattr(MatrixCache, "load", spy)
     assert main(argv) == 0
     assert capsys.readouterr().out == cold

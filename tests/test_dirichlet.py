@@ -11,6 +11,7 @@ from modgalrep.dirichlet import (
     make_character,
     parse_character,
     place_above,
+    reduce_at_ell,
     reduce_mod,
     trivial_character,
 )
@@ -104,7 +105,7 @@ def test_reduce_order10_at_5_collapses_to_quadratic():
     chi = make_character(11, [1], 10)
     place = place_above(5, 10)
     red = reduce_mod(chi, place)
-    assert red.order == 2
+    assert [v.multiplicative_order() for v in red.values] == [2]
     lift = teichmuller_lift(red, place)
     assert lift == make_character(11, [1], 2)
 
@@ -125,9 +126,10 @@ def test_product_compatibility_under_reduction():
     place = place_above(5, 12)
     for c1 in chars[:6]:
         for c2 in chars[:6]:
-            lhs = reduce_mod(c1 * c2, place)
-            rhs = reduce_mod(c1, place) * reduce_mod(c2, place)
-            assert lhs == rhs
+            lhs = reduce_mod(c1 * c2, place).values
+            rhs = zip(reduce_mod(c1, place).values,
+                      reduce_mod(c2, place).values)
+            assert lhs == tuple(a * b for a, b in rhs)
 
 
 def test_teichmuller_contract_sample():
@@ -142,7 +144,9 @@ def test_teichmuller_contract_sample():
                 red = reduce_mod(chi, place)
                 lift = teichmuller_lift(red, place)
                 assert reduce_mod(lift, place) == red
-                assert kernel(lift) == red.kernel()
+                assert kernel(lift) == [
+                    x for x in unit_group(n).elements()
+                    if red.value(x) == red.field.one()]
                 if gcd(ell, euler_phi(n)) == 1:
                     assert lift == chi
 
@@ -163,6 +167,29 @@ def test_place_compatible_root_images():
         assert place.root_image(d) == z12 ** (12 // d)
     # ell-part collapse: zeta_{7*3} maps to the image of zeta_3
     assert place.root_image(21) == place.root_image(3)
+
+
+def test_reduction_is_multiplicative_across_orders():
+    # red(chi)^j = red(chi^j) when ell divides the order of chi needs
+    # zeta_m, m = m1 ell^k, to go to the image of zeta_m1 to the power
+    # ell^(-k) mod m1, not to the image of zeta_m1
+    for n, ell in ((31, 5), (31, 3), (11, 5), (29, 7), (27, 3), (25, 5)):
+        place = place_above(ell, unit_group(n).exponent)
+        for chi in all_characters(n):
+            if chi.order % ell:
+                continue
+            red = reduce_mod(chi, place)
+            for j in range(1, chi.order + 1):
+                power = DirichletCharacter(
+                    n, chi.zeta_order, [j * e for e in chi.exponents])
+                assert ([v ** j for v in red.values]
+                        == list(reduce_mod(power.normalized(), place).values)
+                        ), (n, ell, chi.exponents, j)
+    red = reduce_at_ell(make_character(31, [2], 30), 5)
+    assert ([v ** 5 for v in red.values]
+            == list(reduce_at_ell(make_character(31, [10], 30), 5).values))
+    place = place_above(7, 12)
+    assert place.root_image(28) ** 7 == place.root_image(4)
 
 
 def test_parse_character_roundtrip():

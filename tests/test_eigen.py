@@ -96,8 +96,8 @@ def test_diamond_values_multiplicative():
         group = unit_group(13)
         for x in group.elements():
             for y in (2, 5, 7):
-                lhs = s.diamond_value(x * y % 13)
-                rhs = s.diamond_value(x) * s.diamond_value(y)
+                lhs = s.character().value(x * y % 13)
+                rhs = s.character().value(x) * s.character().value(y)
                 assert lhs == rhs
 
 

@@ -11,6 +11,7 @@ from modgalrep.congruence import (
     curve_invariants,
     full_subgroup,
     h_from_eigenform,
+    intermediate_subgroups,
     SubgroupH,
     trivial_subgroup,
 )
@@ -35,6 +36,7 @@ from modgalrep.modsym import (
 from helpers import (
     boundary_by_cusp_equivalence,
     dim_cusp_forms,
+    full_relation_quotient,
     merel_family,
     ramanujan_tau,
     restrict_level_by_level,
@@ -106,7 +108,8 @@ def test_hecke_matches_merel_family(monkeypatch):
         ambient = build_space(n, k).ambient
         for p in primes_up_to(100):
             mats = merel_family(p)
-            tables = modsym._monomial_tables(mats, k, ambient._exponents)
+            tables = modsym._monomial_tables(mats, k,
+                                             ambient._kernel.exponents)
             assert ambient.hecke_on_basis(p) == ambient._apply(
                 mats, tables)[0].tolist(), (n, k, p)
     for name in ("_monomial_tables", "_apply"):
@@ -462,3 +465,40 @@ def test_presentation_coefficients_fit_int64():
     # row transform gave 33,129-bit entries here
     ambient = build_space(6, 12).ambient
     assert max(abs(x) for row in ambient.proj_rows for x in row) < 2 ** 60
+
+
+def test_orbit_relations_give_the_full_presentation():
+    # one relation block per S- and ST-orbit spans the same lattice over Z
+    # as a block at every coset, and the elimination finds the same basis
+    spaces = ([(n, 2, None) for n in range(1, 41)]
+              + [(n, k, None) for k in (4, 6, 8, 10, 12) for n in range(1, 9)]
+              + [(n, 2, h) for n in (28, 35, 40)
+                 for h in intermediate_subgroups(n)])
+    for n, k, h in spaces:
+        ambient = modsym._Ambient(n, k, h)
+        full = full_relation_quotient(ambient)
+        assert ((ambient.dim, ambient.quotient.torsion, ambient.proj_rows,
+                 ambient.lifts)
+                == (full.dim, full.torsion, full.proj_rows, full.lifts)), (
+                    n, k, h)
+
+
+def test_torsion_is_computed_only_when_read(monkeypatch):
+    from modgalrep.cli import run_command
+    from modgalrep.pipeline import realize, select_input_form
+    reads = []
+    torsion = intmat.QuotientMap.torsion
+
+    def spy(self):
+        reads.append(self)
+        return torsion.func(self)
+
+    monkeypatch.setattr(intmat.QuotientMap, "torsion", property(spy))
+    form = select_input_form(3, 12, 5, {"ap": {2: 78, 3: -243}}, bound=50)
+    assert realize(form, 5, truncate=50).i == 1
+    assert reads == []
+    code, doc = run_command(["--no-cache", "msdim", "--level", "6",
+                             "--weight", "12"])
+    assert code == 0, doc
+    assert doc["torsion"] == [2, 2, 2, 3, 3, 3, 3, 4, 4, 4]
+    assert len(reads) == 1
