@@ -8,17 +8,19 @@ primes in order, then diamonds): a block is cut into ker g(T)^e for the
 irreducible factors g^e of the operator's characteristic polynomial on it.
 A block is its dimension, every operator restricted to it and the factors
 that cut it, not a basis: the kernel basis K of a cut is the identity on
-its free rows, so X restricts to (X K)[free], checked by K X' = X K.  Two
-rules spare most of the work.  A block whose dimension equals the
-degree of a factor it already carries is simple, and no operator of the
-commutative Hecke algebra splits it, so it is cut no further.  An operator
-that acts on a block as a scalar c, as every operator does on a line, has
-the one factor T - c and needs no characteristic polynomial.  A final block
-carries the factors of the operators that cut it, and all its systems take
-values in the one field F_{ell^d}, d the lcm of their degrees; on a simple
-block the other values lie in F_ell[T]/(g) for its factor g of degree d.
+its free rows, so X restricts to (X K)[free], checked by K X' = X K, for
+all the block's operators stacked in one product.  Two rules spare most
+of the work.  A block whose dimension equals the degree of a factor it
+already carries is simple, and no operator of the commutative Hecke
+algebra splits it, so it is cut no further.  An operator that acts on a
+block as a scalar c, as every operator does on a line, has the one factor
+T - c and needs no characteristic polynomial.  A final block carries the
+factors of the operators that cut it, and all its systems take values in
+the one field F_{ell^d}, d the lcm of their degrees; on a simple block
+the other values lie in F_ell[T]/(g) for its factor g of degree d.
 The second step works in that field: it follows one root of the factor of
-largest degree and reads off or splits out the other values.  Its pieces
+largest degree and splits out the other values, and each piece of
+dimension one, a line, reads all its remaining values at once.  Its pieces
 are subspaces over F_{ell^d}, but each is held as a span over F_ell: F_{ell^d}
 is a d-dimensional F_ell-space, an operator acts on each coefficient of an
 entry, and a root acts on each entry through its regular representation,
@@ -80,8 +82,9 @@ def _kernel_mod(a, ell):
 
 
 def _restrict(xk, ker, free, ell):
-    """X' with K X' = X K mod ell, from X K and the free rows of K."""
-    x = xk[free]
+    """X' with K X' = X K mod ell, from X K and the free rows of K; for a
+    stack of operators X K, one X' each, from one product."""
+    x = xk[..., free, :]
     if not np.array_equal(product(ker, x, ell), xk):
         raise AssertionError("target outside the span of a basis")
     return x
@@ -293,8 +296,9 @@ def _split_mod(block, label, ell):
     """Split a block (dimension, restricted operators, factors) over F_ell
     into the generalized eigenspaces of one operator, one for each
     irreducible factor of its characteristic polynomial on the block, and
-    restrict every operator to each.  An operator that acts as a scalar c
-    has the one factor T - c, and needs no characteristic polynomial."""
+    restrict every operator to each, all of them stacked in one product and
+    one check.  An operator that acts as a scalar c has the one factor
+    T - c, and needs no characteristic polynomial."""
     dim, ops, factors = block
     x = ops[label]
     c = int(x[0, 0])
@@ -303,12 +307,12 @@ def _split_mod(block, label, ell):
     split = _factor_mod(charpoly_mod(x, ell), ell)
     if len(split) == 1:
         return [(dim, ops, {**factors, label: split[0][0]})]
-    out = []
+    stack, out = np.stack(list(ops.values())), []
     for g, e in split:
         ker, free = _kernel_mod(_square_up(_poly_at(g, x, ell), e, ell), ell)
-        restricted = {lbl: _restrict(product(op, ker, ell), ker, free, ell)
-                      for lbl, op in ops.items()}
-        out.append((len(free), restricted, {**factors, label: g}))
+        restricted = _restrict(product(stack, ker, ell), ker, free, ell)
+        out.append((len(free), dict(zip(ops, restricted)),
+                    {**factors, label: g}))
     return out
 
 
@@ -322,13 +326,13 @@ def _finish_block(block, good, bad, ell):
     which it is the identity; coordinates on it are read off them.  The
     operator whose factor has the largest degree goes first, and only one of
     its roots is followed: every Frobenius orbit in the block has members
-    with that value, and `_dedupe_orbits` keeps one.  A later value is read
-    off a one-dimensional piece, or a piece is split by the roots of the
-    operator's factor.  A good label with no recorded factor was never split
-    on, because the block is simple: its pieces are one-dimensional once the
-    lead is followed.  Values at bad labels are read off one-dimensional
-    pieces too; only a larger piece needs the operator's characteristic
-    polynomial.
+    with that value, and `_dedupe_orbits` keeps one.  A later operator
+    splits a larger piece by the roots of its factor; a good label with no
+    recorded factor never splits, as the block is simple and its pieces are
+    lines, of dimension one, once the lead is followed.  Values at bad labels
+    on a larger piece need the operator's characteristic polynomial.  Once
+    every operator has gone, each line reads all its missing values at once,
+    good and bad labels alike (_line_values).
     Returns the field and a list of (label -> value, multiplicity).
     """
     s, mats, factors = block
@@ -344,7 +348,8 @@ def _finish_block(block, good, bad, ell):
             if g is not None and len(g) == 2:
                 found = [(field.from_int(-g[0]), cols, free)]
             elif cols.shape[1] == d:
-                found = [(_read_value(field, mats[label], cols), cols, free)]
+                split.append((cols, free, values))
+                continue
             else:
                 if roots is None:
                     roots = irreducible_roots(field, g)
@@ -357,7 +362,6 @@ def _finish_block(block, good, bad, ell):
         facs = roots = None
         for cols, free, values in pieces:
             if cols.shape[1] == d:
-                values[label] = _read_value(field, mats[label], cols)
                 continue
             if facs is None:
                 facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
@@ -370,15 +374,23 @@ def _finish_block(block, good, bad, ell):
                 found = _eigenspaces(field, mats[label], cols, free, roots)
                 if len(found) == 1 and found[0][1].shape == cols.shape:
                     values[label] = found[0][0]
+    for cols, _, values in pieces:
+        missing = [lbl for lbl in good + bad if lbl not in values]
+        if cols.shape[1] == d and missing:
+            values.update(zip(missing, _line_values(
+                field, [mats[lbl] for lbl in missing], cols)))
     return field, [(values, cols.shape[1] // d) for cols, _, values in pieces]
 
 
-def _read_value(field, x, cols):
-    """The eigenvalue of x on a piece of dimension one over field: entry i
-    of x w over entry i of w, for w spanning the piece and w_i nonzero."""
-    w = cols[:, 0].reshape(len(x), field.r)
+def _line_values(field, xs, cols):
+    """The eigenvalues of the operators xs on a piece of dimension one over
+    field: entry i of x w over entry i of w, for w spanning the piece and
+    w_i nonzero, from one product of the stacked rows i of xs with w."""
+    w = cols[:, 0].reshape(-1, field.r)
     i = np.flatnonzero(cols[:, 0])[0] // field.r
-    return field(product(x[i], w, field.ell)) / field(w[i])
+    inv = field(w[i]).inverse()
+    return [field(v) * inv
+            for v in product(np.stack([x[i] for x in xs]), w, field.ell)]
 
 
 def _eigenspaces(field, x, cols, free, roots):

@@ -50,9 +50,10 @@ tests' oracle for the Gamma_H ambient, is one kernel of M - I stacked over
 ambient coordinates once, B = B_parent B_local, with the dual basis
 D = D_local D_parent, so D B = I; a composite of saturated bases is
 saturated, so D is integral.  An ambient operator T restricts to any
-subspace in one step, X = D (T B), checked as T B = B X: exactly over Z,
-and mod ell only over F_ell.  A space between the two computes the
-operator only when asked for it.
+subspace as X = D (T B), checked as T B = B X: exactly over Z, and mod
+ell only over F_ell.  Every operator of one call restricts in one product
+pair, on the images T B of all of them side by side.  A space between the
+two computes the operator only when asked for it.
 
 A run keeps its spaces in one MatrixCache, one presentation for each
 (level, weight, +-H), and nothing outlives it.  Each space keeps its
@@ -532,19 +533,20 @@ class ModularSymbolSpace:
         given ell, mod ell: X = D (T B) through the composed bases, checked
         as B X = T B.  Mod ell, X is exact because D B = I over Z, but the
         check is weaker than the exact one over Z.  B and D are reduced and
-        converted for the products once per call."""
+        converted once per call, and the images T B of all of ts, side by
+        side, take one product by D and one check; stacking the n x n T
+        themselves would raise the peak memory."""
+        if not ts:
+            return []
         b, d = self._bases
         if ell is not None:
             b, d = b % ell, d % ell
         b, d = as_operand(b), as_operand(d)
-        out = []
-        for t in ts:
-            tb = product(t, b, ell)
-            x = product(d, tb, ell)
-            if (product(b, x, ell) != tb).any():
-                raise SaturationError("operator does not preserve the subspace")
-            out.append(x)
-        return out
+        tb = np.concatenate([product(t, b, ell) for t in ts], axis=1)
+        x = product(d, tb, ell)
+        if (product(b, x, ell) != tb).any():
+            raise SaturationError("operator does not preserve the subspace")
+        return list(x.reshape(len(x), len(ts), len(x)).swapaxes(0, 1))
 
     def _keys(self, primes=(), units=()):
         """The keys of T_p for the p of primes and of <d> for the d of units,

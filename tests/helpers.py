@@ -208,6 +208,19 @@ def restrict_level_by_level(space, ambient_mat):
     return mat
 
 
+def read_line_value(field, x, cols):
+    """The eigenvalue of one operator x on a piece of dimension one over
+    field, held as an F_ell basis whose row i*d + j is coefficient j of entry
+    i: entry i of x w over entry i of w, w the first basis column and i its
+    first nonzero entry, by sums over Python integers."""
+    d, ell, s = field.r, field.ell, len(x)
+    w = [[int(cols[i * d + j, 0]) for j in range(d)] for i in range(s)]
+    i = next(i for i in range(s) if any(w[i]))
+    xw = [sum(int(x[i][t]) * w[t][j] for t in range(s)) % ell
+          for j in range(d)]
+    return field(xw) / field(w[i])
+
+
 def charpoly_mod(mat, p):
     """Characteristic polynomial of an integer matrix mod a prime p, low
     degree first, by textbook Hessenberg reduction over F_p."""

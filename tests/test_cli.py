@@ -378,6 +378,11 @@ def test_eigensys_without_an_operator_is_one_system():
         assert [(s["field_degree"], s["multiplicity"], s["a"], s["diamond"])
                 for s in doc["systems"]] == [(1, doc["dim"], {}, {})]
     assert doc["dim"] == 2
+    # with operators but no dimension, S_2(Gamma_1(5)) = 0 has no system
+    code, doc = run_command(
+        ["--no-cache", "eigensys", "--level", "5", "--weight", "2", "--ell",
+         "7", "--primes-up-to", "10"])
+    assert code == 0 and (doc["dim"], doc["systems"]) == (0, [])
 
 
 @pytest.mark.parametrize("level, truncate", [(6, 3), (3, 1), (3, 0)])

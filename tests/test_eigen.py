@@ -15,7 +15,7 @@ from modgalrep.exactalg import fq_field, poly_from_ints, unit_group
 from modgalrep.exactalg.gf import poly_divmod
 from modgalrep.modsym import build_space
 
-from helpers import twist_eigensystem
+from helpers import read_line_value, twist_eigensystem
 
 PRIMES50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -257,8 +257,44 @@ def test_decompose_beyond_int64():
 
 def test_decompose_refuses_an_operator_that_leaves_a_block():
     # T3 swaps the eigenlines of T2, so it leaves each block that T2 cuts;
-    # the restriction of T3 to a block must be checked, not only read off
-    rspace = ReducedSpace(1, 2, 5, 2, {"T2": [[1, 0], [0, 2]],
-                                       "T3": [[0, 1], [1, 0]]}, ())
-    with pytest.raises(AssertionError, match="outside the span of a basis"):
-        decompose(rspace, [2, 3])
+    # the restriction of T3 to a block must be checked, not only read off,
+    # also between two operators that keep the block in one stacked check
+    swap = [[0, 1], [1, 0]]
+    for ops in ({"T2": [[1, 0], [0, 2]], "T3": swap},
+                {"T2": [[1, 0], [0, 2]], "T3": swap, "T5": [[3, 0], [0, 4]]}):
+        rspace = ReducedSpace(1, 2, 5, 2, ops, ())
+        with pytest.raises(AssertionError,
+                           match="outside the span of a basis"):
+            decompose(rspace, [2, 3, 5][:len(ops)])
+
+
+def test_line_values_equal_the_one_label_read(monkeypatch):
+    # every value a line reads at once, good and bad labels alike (2, 5 and
+    # 13 are bad at level 40 mod 13, and 2, 3 and 7 at level 6 mod 7),
+    # equals the value the one-label oracle reads off the same line
+    reads = []
+    plain = eigen._line_values
+
+    def spy(field, xs, cols):
+        values = plain(field, xs, cols)
+        assert values == [read_line_value(field, x, cols) for x in xs]
+        reads.append(len(xs))
+        return values
+
+    monkeypatch.setattr(eigen, "_line_values", spy)
+    for n, k, ell in [(40, 2, 13), (6, 12, 7)]:
+        reads.clear()
+        systems = systems_of(n, k, ell)
+        assert reads and sum(reads) > len(reads)
+        bad = [p for p in PRIMES50 if (n * ell) % p == 0]
+        assert any(set(bad) <= set(s.a) for s in systems), (n, k, ell)
+
+
+def test_a_line_with_every_value_known_reads_nothing(monkeypatch):
+    # T2 is scalar and T3 cuts the block into lines with linear factors, so
+    # no line has a value left to read
+    monkeypatch.setattr(eigen, "_line_values", None)
+    rspace = ReducedSpace(1, 2, 5, 2, {"T2": [[2, 0], [0, 2]],
+                                       "T3": [[1, 0], [0, 3]]}, ())
+    assert [s.value_tuple() for s in decompose(rspace, [2, 3])] \
+        == [(2, 1), (2, 3)]

@@ -205,6 +205,40 @@ def test_restriction_dtype_follows_each_product(monkeypatch):
     assert picked == [np.float64] * 5
 
 
+def test_batched_restriction_equals_one_operator_at_a_time():
+    # every T_p, <d> and the star of a call restrict in one product pair;
+    # each equals X = D (T B) taken alone, over Z and mod ell
+    subgroup = SubgroupH.from_generators(35, [6, 11])
+    gamma_h = build_space(35, 2, subgroup=subgroup).cuspidal_subspace()
+    for space in (gamma_h.star_plus_subspace(), plus_cuspidal(6, 12)):
+        keys = space._keys(primes_up_to(13),
+                           unit_group(space.level).generators) + [0]
+        for ell in (None, 13):
+            b, d = (m if ell is None else m % ell for m in space._bases)
+            ts = space.root.operators(keys, ell)
+            batched = space._restrict(ts, ell)
+            assert len(batched) == len(keys)
+            for t, x in zip(ts, batched):
+                one = intmat.product(d, intmat.product(t, b, ell), ell)
+                assert x.tolist() == one.tolist(), (space, ell)
+            assert space._restrict([], ell) == []
+
+
+def test_batched_restriction_checks_every_operator():
+    # the line through the first basis vector is kept by the scalars and
+    # moved by T_2, which stands between them in the call
+    full = build_space(11, 2)
+    line = ModularSymbolSpace(full.ambient, parent=full,
+                              basis=[[1] + [0] * (full.dim - 1)])
+    eye = np.eye(full.dim, dtype=np.int64)
+    for ell in (None, 7):
+        t2 = full.operators([2], ell)[0]
+        assert [x.tolist() for x in line._restrict([eye, 2 * eye], ell)] \
+            == [[[1]], [[2]]]
+        with pytest.raises(SaturationError):
+            line._restrict([eye, t2, 2 * eye], ell)
+
+
 def test_restriction_on_python_integers():
     cusp = build_space(23, 2).cuspidal_subspace()
     x = cusp.hecke_matrix(2)
