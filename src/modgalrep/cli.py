@@ -13,9 +13,9 @@ import sys
 import traceback
 
 from .congruence import (
+    CosetTable,
     SubgroupH,
     curve_invariants,
-    coset_table,
     full_subgroup,
     gamma0_criterion,
     h_from_eigenform,
@@ -216,7 +216,7 @@ def _run_subgroup(args):
 
 def _run_genus(args):
     h = _subgroup_from_text(args.level, args.subgroup)
-    inv = curve_invariants(coset_table(h))
+    inv = curve_invariants(CosetTable(h))
     doc = inv.to_dict()
     doc["level"] = args.level
     doc["subgroup_order"] = len(h)

@@ -184,10 +184,6 @@ class CosetTable:
         return "CosetTable(level %d, %d cosets)" % (self.level, len(self.reps))
 
 
-def coset_table(subgroup):
-    return CosetTable(subgroup)
-
-
 class CurveInvariants:
     """Index, elliptic point counts, cusp count and genus of a modular curve."""
 
@@ -220,10 +216,6 @@ def curve_invariants(table):
     if twelve_g % 12:
         raise AssertionError("genus formula did not come out integral")
     return CurveInvariants(mu, nu2, nu3, cusps, twelve_g // 12)
-
-
-def genus_of_subgroup(subgroup):
-    return curve_invariants(coset_table(subgroup)).genus
 
 
 def predicted_kernel_order(m, ell, e):

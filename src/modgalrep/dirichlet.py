@@ -92,13 +92,6 @@ class DirichletCharacter:
         return "DirichletCharacter(mod %d, order %d)" % (self.modulus, self.order)
 
 
-def make_character(n, generator_images, zeta_order=None):
-    """Character mod n from exponents of zeta on the unit-group generators."""
-    if zeta_order is None:
-        zeta_order = unit_group(n).exponent
-    return DirichletCharacter(n, zeta_order, generator_images)
-
-
 def trivial_character(n):
     return DirichletCharacter(n, 1, (0,) * len(unit_group(n).generators))
 

@@ -24,11 +24,9 @@ from .intmat import (
     dual_basis,
     exact_dtype,
     kernel_int,
-    mat_mul,
     QuotientMap,
     quotient_by_relations,
     SaturationError,
-    transpose,
 )
 
 __all__ = [
@@ -36,6 +34,6 @@ __all__ = [
     "primes_up_to", "unit_group", "UnitGroup", "xgcd",
     "element_of_order", "embeddings", "fq_field", "fq_str", "FqElem",
     "FqField", "irreducible_roots", "poly_factor_fq", "poly_from_ints",
-    "dual_basis", "exact_dtype", "kernel_int", "mat_mul",
-    "QuotientMap", "quotient_by_relations", "SaturationError", "transpose",
+    "dual_basis", "exact_dtype", "kernel_int", "QuotientMap",
+    "quotient_by_relations", "SaturationError",
 ]

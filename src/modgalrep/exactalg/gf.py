@@ -404,18 +404,6 @@ def poly_sub(f, g):
                       for i in range(max(len(f), len(g)))])
 
 
-def poly_mul(f, g):
-    if not f or not g:
-        return []
-    field = f[0].field
-    out = [field.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a.is_zero():
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
-
-
 def poly_divmod(f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")

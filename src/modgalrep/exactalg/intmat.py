@@ -1,15 +1,18 @@
 """Exact integer linear algebra: products, kernels, dual bases and free
 quotients.
 
-Matrices are lists of rows of Python ints, or integer numpy arrays.
-exact_dtype is the one rule for numpy work on them: int64 while a bound
-computed from the inputs shows that no value can overflow, Python integers
-(dtype object) otherwise, so results are always exact.  Elimination applies
-it to the entries it starts from and then before every row update, to a
-bound on the entries that update makes, and turns its array into Python
-integers in place the first time int64 cannot hold them.  product, the one
-matrix product over Z and over F_ell, puts float64 before it: below 2^53
-BLAS on float64 is exact.  mat_mul is product on lists of rows.
+Matrices are 2-D integer numpy arrays, of a fixed-width integer dtype or,
+past int64, of Python integers (dtype object); every matrix function here
+takes and returns them.  exact_dtype is the one rule for numpy work on
+them: int64 while a bound computed from the inputs shows that no value can
+overflow, Python integers otherwise, so results are always exact.
+Elimination applies it to the entries it starts from and then before every
+row update, to a bound on the entries that update makes, and turns its
+array into Python integers in place the first time int64 cannot hold them.
+product, the one matrix product over Z and over F_ell, puts float64 before
+it: below 2^53 BLAS on float64 is exact.  A matrix that is kept rather than
+worked on, the projection of a quotient, is stored at narrow_dtype, its
+narrowest width.
 
 Kernels are computed with a tracked unimodular row transform, which makes
 the returned basis generate the full integer kernel lattice; in particular
@@ -40,15 +43,17 @@ class SaturationError(Exception):
     """A lattice was not saturated, or an exact map left the sublattice."""
 
 
-def max_abs(rows):
-    """Largest absolute value of the entries of a list of rows, 0 if none."""
-    return max((max(map(abs, row), default=0) for row in rows), default=0)
-
-
 def exact_dtype(bound):
     """int64 while every value is below bound < 2^63 in absolute value,
     Python integers (dtype object) otherwise."""
     return np.int64 if bound < 2 ** 63 else object
+
+
+def narrow_dtype(bound):
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer of absolute value at most bound; Python integers beyond."""
+    return next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max), object)
 
 
 def product_dtype(bound):
@@ -106,20 +111,6 @@ def product(a, b, ell=None):
     return c
 
 
-def mat_mul(a, b):
-    """Exact product of two integer matrices (lists of rows), by product."""
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    a, b = (np.array(m, dtype=exact_dtype(max_abs(m))) for m in (a, b))
-    return product(a, b).tolist()
-
-
-def transpose(a):
-    return [list(row) for row in zip(*a)] if a else []
-
-
 def _subtract_multiples(w, targets, qs, src):
     """w[targets] -= qs * w[src], with w turned into Python integers first
     if a bound on the results rules out int64; returns w."""
@@ -131,20 +122,18 @@ def _subtract_multiples(w, targets, qs, src):
     return w
 
 
-def _echelon(rows, ncols_left, clear=False):
+def _echelon(a, ncols_left, clear=False):
     """Unimodular row echelon over the first ncols_left columns.
 
-    Returns (pivot count, transformed rows as lists of ints).  With clear
+    Returns (pivot count, the transformed rows as a new array).  With clear
     set, the columns must have full rank and span a saturated lattice; the
-    pivot block, then unimodular, is cleared to the identity.  The rows go
-    into one numpy array, of int64 when exact_dtype allows their entries.
+    pivot block, then unimodular, is cleared to the identity.  The rows are
+    copied to the dtype exact_dtype gives their entries, int64 when it can.
     Before each row update a bound on the updated entries goes through
     exact_dtype again; once int64 cannot hold them, the array turns into
     Python integers and the work carries on from the same pivot.
     """
-    if not rows:
-        return 0, []
-    w = np.array(rows, dtype=exact_dtype(max_abs(rows)))
+    w = a.astype(exact_dtype(int(abs_max(a))))
     nrows = w.shape[0]
     piv = 0
     for j in range(ncols_left):
@@ -174,51 +163,44 @@ def _echelon(rows, ncols_left, clear=False):
             above = np.nonzero(w[:i, i])[0]
             if above.size:
                 w = _subtract_multiples(w, above, w[above, i], i)
-    return piv, w.tolist()
+    return piv, w
 
 
-def _augment(vecs, n):
-    # row i: the i-th entries of the vectors, then the i-th unit vector of Z^n
-    return [[v[i] for v in vecs] + [1 if t == i else 0 for t in range(n)]
-            for i in range(n)]
+def _augment(a):
+    """[A^T | I]: row i holds column i of A, then the i-th unit vector."""
+    return np.concatenate((a.T, np.eye(a.shape[1], dtype=a.dtype)), axis=1)
 
 
-def kernel_int(a, ncols=None):
-    """Basis of the integer kernel {x : A x = 0} as a list of vectors.
+def kernel_int(a):
+    """Basis of the integer kernel {x : A x = 0}, as the rows of an array.
 
-    The basis spans the full kernel lattice Z^ncols intersect ker_Q(A),
-    i.e. it is saturated.  Deterministic for a fixed input.
+    The basis spans the full kernel lattice Z^n intersect ker_Q(A), n the
+    number of columns of A, i.e. it is saturated.  The first nonzero entry
+    of each row is positive.  Deterministic for a fixed input.
     """
-    if ncols is None:
-        if not a:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(a[0])
-    m = len(a)
-    piv, rows = _echelon(_augment(a, ncols), m)
-    basis = []
-    for row in rows[piv:]:
-        vec = row[m:]
-        lead = next((x for x in vec if x), None)
-        if lead is not None and lead < 0:
-            vec = [-x for x in vec]
-        basis.append(vec)
+    m = a.shape[0]
+    piv, w = _echelon(_augment(a), m)
+    basis = w[piv:, m:]
+    if basis.size:
+        lead = basis[np.arange(len(basis)), (basis != 0).argmax(axis=1)]
+        basis[lead < 0] *= -1
     return basis
 
 
-def dual_basis(forms, n):
-    """Vectors x_1..x_k of Z^n with forms[j] . x_i = delta_ij.
+def dual_basis(forms):
+    """The rows x_1..x_k of an array with forms[j] . x_i = delta_ij.
 
-    The k forms must be independent and span a saturated lattice, as the
-    bases kernel_int returns do.  The unimodular U that puts the n x k
-    matrix F of the forms in echelon form has U F = [H; 0] with H
+    The k rows of forms must be independent and span a saturated lattice,
+    as the bases kernel_int returns do.  The unimodular U that puts the
+    n x k matrix F = forms^T in echelon form has U F = [H; 0] with H
     triangular of unit diagonal; clearing H to the identity by row
     operations leaves the x_i in the first k rows of U.
     """
-    k = len(forms)
-    piv, rows = _echelon(_augment(forms, n), k, clear=True)
+    k = forms.shape[0]
+    piv, w = _echelon(_augment(forms), k, clear=True)
     if piv != k:
         raise AssertionError("forms are not independent")
-    return [row[k:] for row in rows[:k]]
+    return w[:k, k:]
 
 
 def elementary_divisors(diag):
@@ -235,26 +217,27 @@ def elementary_divisors(diag):
 class QuotientMap:
     """Free quotient of Z^n by a set of integer relation rows.
 
-    proj_rows[i] is the class of the i-th generator in Z^dim, after
-    discarding torsion; lifts give one preimage per basis vector.  The
-    torsion is computed on first read, from the leftover relations.
+    proj_rows, an n x dim array, holds in row i the class of the i-th
+    generator in Z^dim, after discarding torsion; lifts give one preimage
+    per basis vector.  The torsion is computed on first read, from the
+    leftover relations, an array over the generators left after the sparse
+    elimination.
     """
 
     def __init__(self, dim, leftovers, proj_rows, lifts):
         self.dim = dim
         self.leftovers = leftovers
-        self.proj_rows = proj_rows  # n rows, each of length dim
+        self.proj_rows = proj_rows
         self.lifts = lifts          # dim sparse vectors [(index, coeff), ...]
 
     @cached_property
     def torsion(self):
         """The sorted prime-power elementary divisors of the quotient."""
-        rank, rows = _echelon(self.leftovers,
-                              max(map(len, self.leftovers), default=0))
-        rows = rows[:rank]
-        while any(sum(1 for x in row if x) > 1 for row in rows):
-            rows = _echelon(transpose(rows), rank)[1][:rank]
-        return elementary_divisors(x for row in rows for x in row)
+        rank, w = _echelon(self.leftovers, self.leftovers.shape[1])
+        w = w[:rank]
+        while (np.count_nonzero(w, axis=1) > 1).any():
+            w = _echelon(w.T, rank)[1][:rank]
+        return elementary_divisors(w.flat)
 
 
 def quotient_by_relations(n, relation_rows):
@@ -327,35 +310,35 @@ def quotient_by_relations(n, relation_rows):
     for target in solved:
         resolved(target)
 
-    remaining = sorted(set(range(n)) - set(solved))
+    remaining = [c for c in range(n) if c not in solved]
     pos = {c: i for i, c in enumerate(remaining)}
     t = len(remaining)
 
-    if leftovers:
-        dense = [[0] * t for _ in leftovers]
-        for j, row in enumerate(leftovers):
-            for c, v in row.items():
-                dense[j][pos[c]] = v
-        forms = kernel_int(dense, t)
-        dim = len(forms)
-        proj_remaining = [[f[c] for f in forms] for c in range(t)]
-        lifts = [[(remaining[r], v) for r, v in enumerate(vec) if v]
-                 for vec in dual_basis(forms, t)]
+    def dense(rows):
+        """The sparse rows over the free columns as one array."""
+        at = [i * t + pos[c] for i, row in enumerate(rows) for c in row]
+        values = [v for row in rows for v in row.values()]
+        a = np.zeros((len(rows), t),
+                     dtype=exact_dtype(max(map(abs, values), default=0)))
+        np.put(a, at, values)
+        return a
+
+    # the free columns project by the forms, the solved ones by their
+    # substitution times the forms; with no leftovers the forms are I
+    leftovers = dense(leftovers)
+    subst = dense(list(solved.values()))
+    if len(leftovers):
+        forms = kernel_int(leftovers)
+        duals = dual_basis(forms)
+        subst = product(subst, forms.T)
     else:
-        dense = []
-        dim = t
-        proj_remaining = [[1 if i == j else 0 for j in range(dim)] for i in range(t)]
-        lifts = [[(c, 1)] for c in remaining]
-
-    proj_rows = [None] * n
-    for c in remaining:
-        proj_rows[c] = proj_remaining[pos[c]]
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in proj_remaining]
-    for c, sub in solved.items():
-        row = [0] * dim
-        for c2, v in sub.items():
-            for j, x in nonzero[pos[c2]]:
-                row[j] += v * x
-        proj_rows[c] = row
-
-    return QuotientMap(dim, dense, proj_rows, lifts)
+        forms = duals = np.eye(t, dtype=np.int64)
+    dim = len(forms)
+    lifts = [[] for _ in range(dim)]
+    for i, r in zip(*np.nonzero(duals)):
+        lifts[i].append((remaining[r], int(duals[i, r])))
+    proj_rows = np.zeros((n, dim), dtype=narrow_dtype(
+        max(int(abs_max(forms)), int(abs_max(subst)))))
+    proj_rows[remaining] = forms.T
+    proj_rows[list(solved)] = subst
+    return QuotientMap(dim, leftovers, proj_rows, lifts)

@@ -10,9 +10,12 @@ of S and of ST on the cosets: -I = S^2 = (ST)^3 acts trivially at even
 weight, so the blocks of x|S and x|ST are Z-combinations of those of x.
 Its torsion is computed on first read and discarded.  The coordinates of a
 symbol are the values of a saturated basis of the integer linear forms that
-vanish on every relation (quotient_by_relations), which keeps them small,
-and all operators are integer matrices on the dual basis.  A fingerprint of
-these coordinates identifies the basis in the disk cache.
+vanish on every relation (quotient_by_relations), and all operators are
+integer matrices on the dual basis.  The basis is not reduced: the largest
+coordinate has 28 bits at (level, weight) = (6, 12), 53 at (9, 12), 115 at
+(10, 12), 130 at (12, 12) and 192 at (14, 12), so past int64 the projection
+is held on Python integers.  A fingerprint of these coordinates identifies
+the basis in the disk cache.
 
 Every ambient operator is a sum over integer matrices g acting on symbols,
 and one numpy kernel (_Ambient._apply) computes them all, several in one
@@ -76,20 +79,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .congruence import coset_table, plus_minus
+from .congruence import CosetTable, plus_minus
 from .exactalg.arith import is_prime
 from .exactalg.gf import _exact_dtype
 from .exactalg.intmat import (
+    abs_max,
     as_operand,
     dual_basis,
     exact_dtype,
     kernel_int,
-    max_abs,
+    narrow_dtype,
     product,
     product_dtype,
     quotient_by_relations,
     SaturationError,
-    transpose,
 )
 
 
@@ -178,9 +181,11 @@ class _Ambient:
                              % (pm.level, level))
         self.level = level
         self.weight = weight
-        # the run's cache keeps the Heilbronn matrices of each p once
-        self._recall = (MatrixCache() if cache is None else cache).recall
-        self.table = coset_table(pm)
+        # the run's cache keeps the Heilbronn matrices of each p and the
+        # coset table of each +-H once
+        cache = MatrixCache() if cache is None else cache
+        self._recall = cache.recall
+        self.table = cache.cosets(pm)
         # a nontrivial +-H keeps its disk entries apart, named by generators
         self.cache_prefix = ("H%s/" % "-".join(map(str, pm.generators()))
                              if len(pm) > 2 else "")
@@ -218,7 +223,8 @@ class _Ambient:
     def fingerprint(self):
         """SHA-256 of the projection rows, which fix the lattice basis."""
         line = " ".join(["%d"] * self.dim)
-        text = "\n".join(line % tuple(row) for row in self.proj_rows)
+        rows = self.proj_rows.tolist()
+        text = "\n".join(line % tuple(row) for row in rows)
         return hashlib.sha256(text.encode()).hexdigest()
 
     @cached_property
@@ -229,11 +235,9 @@ class _Ambient:
         symbols the lifts use, and the lifts as a (support symbol) x dim
         matrix; proj_max and lift_max bound the two matrices' entries."""
         ncos, level = len(self.table), self.level
-        proj_max = max_abs(self.proj_rows)
-        proj = np.ascontiguousarray(np.array(
-            self.proj_rows, dtype=_narrow_dtype(proj_max)
-        ).reshape(self.weight - 1, ncos, self.dim).transpose(1, 0, 2)).reshape(
-            self.nsym, self.dim)
+        proj = np.ascontiguousarray(self.proj_rows.reshape(
+            self.weight - 1, ncos, self.dim).transpose(1, 0, 2)).reshape(
+                self.nsym, self.dim)
         lookup = np.full(level * level, -1, dtype=np.int64)
         for (c, d), i in self.table.index_of.items():
             lookup[c * level + d] = i
@@ -244,14 +248,15 @@ class _Ambient:
         lift_max = max((abs(c) for vec in self.lifts for _, c in vec),
                        default=0)
         lift = np.zeros((len(support), self.dim),
-                        dtype=_narrow_dtype(lift_max))
+                        dtype=narrow_dtype(lift_max))
         lift[[row_of[sym] for vec in self.lifts for sym, _ in vec],
              [col for col, vec in enumerate(self.lifts) for _ in vec]] = [
                  c for vec in self.lifts for _, c in vec]
         return SimpleNamespace(
-            proj=proj, proj_max=proj_max, lookup=lookup, sup_exp=sup_exp,
-            sup_c=reps[sup_cos, 0], sup_d=reps[sup_cos, 1], lift=lift,
-            exponents=int(sup_exp.max(initial=-1)) + 1, lift_max=lift_max)
+            proj=proj, proj_max=int(abs_max(proj)), lookup=lookup,
+            sup_exp=sup_exp, sup_c=reps[sup_cos, 0], sup_d=reps[sup_cos, 1],
+            lift=lift, exponents=int(sup_exp.max(initial=-1)) + 1,
+            lift_max=lift_max)
 
     # -- operators on the lattice basis ------------------------------------
 
@@ -438,7 +443,7 @@ class ModularSymbolSpace:
         self.ambient = ambient
         self.parent = parent
         self.root = self if parent is None else parent.root
-        self.basis = basis  # list of vectors in parent coordinates
+        self.basis = basis  # array, one row per vector in parent coordinates
         # ring (None for Z, ell for F_ell) -> {key: operator as an array},
         # keyed p for T_p, -d for <d> and 0 for the star involution
         self._store = {}
@@ -502,7 +507,7 @@ class ModularSymbolSpace:
             stacked = self._disk.load(self.level, self.weight, label,
                                       self.ambient.fingerprint)
             if stacked is not None:
-                held.update((int(row[0]), _array(row[1:], self.dim, self.dim))
+                held.update((int(row[0]), row[1:].reshape(self.dim, self.dim))
                             for row in stacked)
                 missing = [key for key in missing if key not in held]
         if not missing:
@@ -520,9 +525,7 @@ class ModularSymbolSpace:
         coordinates, D B = I.  B = B_parent B_local is saturated, as a
         composite of saturated bases, so D = D_local D_parent is
         integral."""
-        n = self.parent.dim
-        b = _array(transpose(self.basis), n, self.dim)
-        d = _array(dual_basis(self.basis, n), self.dim, n)
+        b, d = self.basis.T, dual_basis(self.basis)
         if self.parent.parent is not None:
             pb, pd = self.parent._bases
             b, d = product(pb, b), product(d, pd)
@@ -578,21 +581,23 @@ class ModularSymbolSpace:
     # -- subspaces ------------------------------------------------------------
 
     def _fixed_space(self, mats):
-        """The saturated sublattice fixed by every matrix in mats: one
-        kernel of M - I stacked over them, the whole space for none."""
-        rows = [[x - (i == j) for j, x in enumerate(row)]
-                for mat in mats for i, row in enumerate(mat)]
+        """The saturated sublattice fixed by every matrix in mats, lists of
+        rows as the views give them: one kernel of M - I stacked over them,
+        the whole space for none."""
+        n = self.dim
+        a = np.array(mats, dtype=object).reshape(len(mats) * n, n)
+        a[np.arange(len(a)), np.arange(len(a)) % n] -= 1
         return ModularSymbolSpace(self.ambient, parent=self,
-                                  basis=kernel_int(rows, self.dim))
+                                  basis=kernel_int(a))
 
     def cuspidal_subspace(self):
         """Kernel of the boundary map on the full space, a saturated
         Hecke-stable sublattice."""
         if self.parent is not None:
             raise ValueError("the cuspidal subspace is cut from the full space")
-        return ModularSymbolSpace(
-            self.ambient, parent=self,
-            basis=kernel_int(self.ambient.boundary_matrix(), self.dim))
+        rows = self.ambient.boundary_matrix()
+        return ModularSymbolSpace(self.ambient, parent=self, basis=kernel_int(
+            np.array(rows, dtype=object).reshape(len(rows), self.dim)))
 
     def star_plus_subspace(self):
         """The +1 eigenspace of the star involution."""
@@ -608,23 +613,6 @@ class ModularSymbolSpace:
     def __repr__(self):
         return "ModularSymbolSpace(level %d, weight %d, dim %d)" % (
             self.level, self.weight, self.dim)
-
-
-def _array(rows, nrows, ncols):
-    """An integer matrix (list of rows) as an int64 array, or on Python
-    integers where int64 cannot hold an entry."""
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.array(rows, dtype=object)
-    return a.reshape(nrows, ncols)
-
-
-def _narrow_dtype(bound):
-    """The narrowest of int8, int16, int32 and int64 that holds every
-    integer of absolute value at most bound; Python integers beyond."""
-    return next((t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if bound <= np.iinfo(t).max), object)
 
 
 def build_space(level, weight, cache=None, subgroup=None):
@@ -644,8 +632,9 @@ CACHE_FORMAT = "MSYMMAT 3"
 
 
 class MatrixCache:
-    """A run's spaces, decompositions and Heilbronn matrices in memory, and
-    the root spaces' operator matrices on disk when it has a directory.
+    """A run's spaces, decompositions, coset tables and Heilbronn matrices
+    in memory, and the root spaces' operator matrices on disk when it has a
+    directory.
 
     On disk, the operators an ambient computed over one ring share one
     stacked entry: under the label Z over the integers, and under mod{ell}
@@ -681,6 +670,11 @@ class MatrixCache:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def cosets(self, subgroup):
+        """The coset table of Gamma_H(n), H = subgroup, once per +-H."""
+        pm = plus_minus(subgroup.level, subgroup)
+        return self.recall(("cosets", pm), partial(CosetTable, pm))
 
     def _path(self, level, weight, label):
         return os.path.join(self.directory, "L%d_W%d" % (level, weight),

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from .congruence import (
-    genus_of_subgroup,
+    curve_invariants,
     h_from_eigenform,
     intermediate_subgroups,
     plus_minus,
@@ -358,8 +358,8 @@ def realize(form, ell, truncate=None, cache=None):
     if twist.heuristic:
         warnings.append("twist search used a truncated bound")
     subgroup = h_from_eigenform(form.eps, k, i, ell)
-    d1 = genus_of_subgroup(trivial_subgroup(nprime))
-    dh = genus_of_subgroup(subgroup)
+    d1, dh = (curve_invariants(cache.cosets(h)).genus
+              for h in (trivial_subgroup(nprime), subgroup))
     predicted = None
     if form.eps.is_trivial() and k > 2:
         predicted = predicted_kernel_order(nprime, ell, k - 2 - 2 * i)

@@ -7,19 +7,55 @@ code paths with the package internals it checks.
 
 from math import comb, gcd, lcm
 
+from modgalrep.congruence import CosetTable, curve_invariants
 from modgalrep.dirichlet import DirichletCharacter, place_above
 from modgalrep.eigen import Eigensystem
 from modgalrep.exactalg import (
     dual_basis,
-    mat_mul,
     poly_factor_fq,
     poly_from_ints,
     quotient_by_relations,
-    transpose,
     unit_group,
     xgcd,
 )
-from modgalrep.exactalg.gf import poly_degree, poly_mod, poly_mul
+from modgalrep.exactalg.gf import poly_degree, poly_mod, poly_trim
+
+
+def mat_mul(a, b):
+    """The product of two integer matrices, lists of rows, on Python
+    integers."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def poly_mul(f, g):
+    """The product of two polynomials over F_q, lists of FqElem low degree
+    first, coefficient by coefficient."""
+    if not f or not g:
+        return []
+    field = f[0].field
+    out = [field.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not a.is_zero():
+            for j, b in enumerate(g):
+                out[i + j] = out[i + j] + a * b
+    return poly_trim(out)
+
+
+def make_character(n, generator_images, zeta_order=None):
+    """Character mod n from exponents of zeta on the unit-group generators."""
+    if zeta_order is None:
+        zeta_order = unit_group(n).exponent
+    return DirichletCharacter(n, zeta_order, generator_images)
+
+
+def genus_of_subgroup(subgroup):
+    return curve_invariants(CosetTable(subgroup)).genus
 
 
 def naive_is_irreducible(coeffs, p):
@@ -201,10 +237,10 @@ def restrict_level_by_level(space, ambient_mat):
         space = space.parent
     mat = ambient_mat
     for sub in reversed(chain):
-        if not sub.basis:
+        if not len(sub.basis):
             return []
-        mat = mat_mul(dual_basis(sub.basis, sub.parent.dim),
-                      mat_mul(mat, transpose(sub.basis)))
+        mat = mat_mul(dual_basis(sub.basis).tolist(),
+                      mat_mul(mat, transpose(sub.basis.tolist())))
     return mat
 
 
@@ -262,10 +298,11 @@ def charpoly_mod(mat, p):
 def project_vector(qm, vec):
     """The class in Z^dim of the sparse vector [(index, coeff), ...] under
     the quotient map qm, from its projection rows."""
+    rows = qm.proj_rows.tolist()
     out = [0] * qm.dim
     for i, c in vec:
         for t in range(qm.dim):
-            out[t] += c * qm.proj_rows[i][t]
+            out[t] += c * rows[i][t]
     return out
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from modgalrep.cli import MatrixCache, run_command
-from modgalrep.modsym import _array
 from modgalrep.pipeline import TABLE_ROWS
 
 MAT = [[1, -2, 3], [40000000000000000000000, 0, -5]]
@@ -18,7 +17,7 @@ MAT = [[1, -2, 3], [40000000000000000000000, 0, -5]]
 def test_cache_round_trip(tmp_path):
     cache = MatrixCache(str(tmp_path))
     assert cache.load(6, 12, "T5", "fp") is None
-    cache.store(6, 12, "T5", _array(MAT, 2, 3), "fp")
+    cache.store(6, 12, "T5", np.array(MAT, dtype=object), "fp")
     assert cache.load(6, 12, "T5", "fp").tolist() == MAT
     assert cache.load(6, 12, "T7", "fp") is None
 
@@ -33,7 +32,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_round_trip_at_every_width(tmp_path, value, width):
     cache = MatrixCache(str(tmp_path))
     rows = [[value, -1, 0], [1, 0, value]]
-    cache.store(6, 12, "T5", _array(rows, 2, 3), "fp")
+    cache.store(6, 12, "T5", np.array(rows, dtype=object), "fp")
     with open(cache._path(6, 12, "T5"), "rb") as fh:
         head = fh.readline().split()
     assert head[:2] == [b"MSYMMAT", b"3"] and int(head[4]) == width
@@ -76,7 +75,7 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch,
         def replace(src, dst):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         monkeypatch.setattr(os, "replace", replace)
-    cache.store(6, 12, "Z", _array(MAT, 2, 3), "fp")
+    cache.store(6, 12, "Z", np.array(MAT, dtype=object), "fp")
     assert "cache write failed" in capsys.readouterr().err
     assert os.listdir(os.path.dirname(cache._path(6, 12, "Z"))) == []
     assert cache.load(6, 12, "Z", "fp") is None
@@ -84,7 +83,7 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch,
 
 def _damage_and_load(tmp_path, damage):
     cache = MatrixCache(str(tmp_path))
-    cache.store(6, 12, "T5", _array(MAT, 2, 3), "fp")
+    cache.store(6, 12, "T5", np.array(MAT, dtype=object), "fp")
     path = cache._path(6, 12, "T5")
     with open(path, "rb") as fh:
         data = bytearray(fh.read())
@@ -108,10 +107,10 @@ def test_cache_deletes_truncated_entry(tmp_path):
 
 def test_cache_ignores_entry_of_another_presentation(tmp_path):
     cache = MatrixCache(str(tmp_path))
-    cache.store(6, 12, "T5", _array(MAT, 2, 3), "old")
+    cache.store(6, 12, "T5", np.array(MAT, dtype=object), "old")
     assert cache.load(6, 12, "T5", "new") is None
     assert cache.load(6, 12, "T5", "old").tolist() == MAT
-    cache.store(6, 12, "T5", _array([[7]], 1, 1), "new")
+    cache.store(6, 12, "T5", np.array([[7]], dtype=object), "new")
     assert cache.load(6, 12, "T5", "new").tolist() == [[7]]
     assert cache.load(6, 12, "T5", "old") is None
 

@@ -3,11 +3,10 @@ from math import gcd
 import pytest
 
 from modgalrep.congruence import (
-    coset_table,
+    CosetTable,
     curve_invariants,
     full_subgroup,
     gamma0_criterion,
-    genus_of_subgroup,
     h_from_eigenform,
     intermediate_subgroups,
     predicted_kernel_order,
@@ -15,13 +14,17 @@ from modgalrep.congruence import (
     trivial_subgroup,
 )
 from modgalrep.dirichlet import (
-    make_character,
     parse_character,
     trivial_character,
 )
 from modgalrep.exactalg import euler_phi, unit_group
 
-from helpers import naive_genus, psl2_index_gamma1
+from helpers import (
+    genus_of_subgroup,
+    make_character,
+    naive_genus,
+    psl2_index_gamma1,
+)
 
 
 def test_subgroup_validation():
@@ -83,19 +86,19 @@ def test_h_from_eigenform_rejects_bad_ell():
 
 
 def test_coset_counts():
-    assert len(coset_table(trivial_subgroup(1))) == 1
-    assert len(coset_table(full_subgroup(11))) == 12
-    assert len(coset_table(trivial_subgroup(5))) == 12
+    assert len(CosetTable(trivial_subgroup(1))) == 1
+    assert len(CosetTable(full_subgroup(11))) == 12
+    assert len(CosetTable(trivial_subgroup(5))) == 12
 
 
 def test_coset_count_equals_psl2_index():
     for n in (1, 2, 3, 4, 5, 6, 11, 15):
-        assert len(coset_table(trivial_subgroup(n))) == psl2_index_gamma1(n)
+        assert len(CosetTable(trivial_subgroup(n))) == psl2_index_gamma1(n)
 
 
 def test_coset_scaling_classes_partition():
     h = SubgroupH.from_generators(35, [6])
-    table = coset_table(h)
+    table = CosetTable(h)
     pairs = [(c, d) for c in range(35) for d in range(35)
              if gcd(gcd(c, d), 35) == 1]
     assert len(table.index_of) == len(pairs)
@@ -108,23 +111,23 @@ def test_coset_scaling_classes_partition():
 
 def test_s_perm_is_involution():
     for n in (7, 12, 33):
-        t = coset_table(trivial_subgroup(n))
+        t = CosetTable(trivial_subgroup(n))
         assert all(t.s_perm[t.s_perm[i]] == i for i in range(len(t)))
         r = [t.t_perm[t.s_perm[i]] for i in range(len(t))]
         assert all(r[r[r[i]]] == i for i in range(len(t)))
 
 
 def test_genus_examples():
-    assert curve_invariants(coset_table(full_subgroup(11))).genus == 1
-    assert curve_invariants(coset_table(trivial_subgroup(33))).genus == 21
-    inv = curve_invariants(coset_table(trivial_subgroup(1)))
+    assert curve_invariants(CosetTable(full_subgroup(11))).genus == 1
+    assert curve_invariants(CosetTable(trivial_subgroup(33))).genus == 21
+    inv = curve_invariants(CosetTable(trivial_subgroup(1)))
     assert inv.index == 1 and inv.genus == 0
 
 
 def test_genus_against_naive_enumeration():
     for n in (8, 13, 21, 26):
         for h in intermediate_subgroups(n):
-            inv = curve_invariants(coset_table(h))
+            inv = curve_invariants(CosetTable(h))
             g, mu, nu2, nu3, cusps = naive_genus(n, h.elements)
             assert (inv.genus, inv.index, inv.nu2, inv.nu3, inv.cusps) == \
                 (g, mu, nu2, nu3, cusps)
@@ -132,10 +135,10 @@ def test_genus_against_naive_enumeration():
 
 def test_genus_formula_integral_up_to_120():
     for n in range(1, 121):
-        inv = curve_invariants(coset_table(full_subgroup(n)))
+        inv = curve_invariants(CosetTable(full_subgroup(n)))
         assert 12 * (inv.genus - 1) + 3 * inv.nu2 + 4 * inv.nu3 \
             + 6 * inv.cusps == inv.index
-        inv1 = curve_invariants(coset_table(trivial_subgroup(n)))
+        inv1 = curve_invariants(CosetTable(trivial_subgroup(n)))
         assert inv1.genus >= inv.genus
 
 

@@ -8,7 +8,6 @@ from modgalrep.dirichlet import (
     DirichletCharacter,
     induce,
     kernel,
-    make_character,
     parse_character,
     place_above,
     reduce_at_ell,
@@ -17,7 +16,7 @@ from modgalrep.dirichlet import (
 )
 from modgalrep.exactalg import euler_phi, unit_group
 
-from helpers import all_characters, teichmuller_lift
+from helpers import all_characters, make_character, teichmuller_lift
 
 
 def test_make_character_trivial():

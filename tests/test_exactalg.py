@@ -14,11 +14,9 @@ from modgalrep.exactalg import (
     exact_dtype,
     fq_field,
     kernel_int,
-    mat_mul,
     poly_factor_fq,
     poly_from_ints,
     quotient_by_relations,
-    transpose,
     unit_group,
 )
 from modgalrep.exactalg import intmat
@@ -29,7 +27,6 @@ from modgalrep.exactalg.gf import (
     embeddings,
     FqElem,
     irreducible_roots,
-    poly_mul,
     poly_powmod,
     poly_trim,
 )
@@ -37,10 +34,13 @@ from modgalrep.exactalg.gf import (
 from helpers import (
     embed_field,
     least_irreducible,
+    mat_mul,
     naive_euler_phi,
     naive_powmod,
+    poly_mul,
     poly_roots,
     project_vector,
+    transpose,
 )
 
 
@@ -537,7 +537,7 @@ def test_quotient_idempotent():
     a = quotient_by_relations(4, [dict(r) for r in rows])
     b = quotient_by_relations(4, [dict(r) for r in rows])
     assert a.dim == b.dim and a.torsion == b.torsion
-    assert a.proj_rows == b.proj_rows
+    assert np.array_equal(a.proj_rows, b.proj_rows)
 
 
 def test_kernel_is_saturated_and_complete():
@@ -545,20 +545,20 @@ def test_kernel_is_saturated_and_complete():
     for _ in range(40):
         m, n = rng.randrange(1, 6), rng.randrange(1, 7)
         a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        ker = kernel_int(a, n)
+        ker = kernel_int(np.array(a)).tolist()
         for v in ker:
             assert all(sum(a[i][j] * v[j] for j in range(n)) == 0
                        for i in range(m))
         # saturation spot check: an integral dual basis exists, and reads
         # the coordinates of 2 * ker[0] off as (2, 0, ..., 0)
         if ker:
-            dual = dual_basis(ker, n)
+            dual = dual_basis(np.array(ker)).tolist()
             comb = [[2 * ker[0][j]] for j in range(n)]
             assert mat_mul(dual, comb) == [[2]] + [[0]] * (len(ker) - 1)
 
 
 def test_kernel_of_scaled_row_is_primitive():
-    assert kernel_int([[2, 2]]) == [[1, -1]]
+    assert kernel_int(np.array([[2, 2]])).tolist() == [[1, -1]]
 
 
 def test_dual_basis_roundtrip():
@@ -568,12 +568,12 @@ def test_dual_basis_roundtrip():
         n = rng.randrange(2, 8)
         a = [[rng.randrange(-4, 5) for _ in range(n)]
              for _ in range(rng.randrange(1, n))]
-        ker = kernel_int(a, n)
+        ker = kernel_int(np.array(a)).tolist()
         if not ker:
             continue
         b = transpose(ker)  # n x s, a saturated basis as columns
         s = len(ker)
-        d = dual_basis(ker, n)
+        d = dual_basis(np.array(ker)).tolist()
         assert mat_mul(d, b) == [[int(i == j) for j in range(s)]
                                  for i in range(s)]
         x0 = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(s)]
@@ -600,8 +600,8 @@ def _record_dtypes(monkeypatch):
 
 
 def _check_kernel(a, n):
-    ker = kernel_int(a, n)
-    for v in ker:
+    ker = kernel_int(np.array(a, dtype=object))
+    for v in ker.tolist():
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
     assert len(ker) == n - Matrix(a).rank()
     return ker
@@ -609,8 +609,8 @@ def _check_kernel(a, n):
 
 def _check_dual(ker, d):
     s = len(ker)
-    assert mat_mul(d, transpose(ker)) == [[int(i == j) for j in range(s)]
-                                          for i in range(s)]
+    assert mat_mul(d.tolist(), transpose(ker.tolist())) == [
+        [int(i == j) for j in range(s)] for i in range(s)]
 
 
 def test_elimination_widens_int64_partway(monkeypatch):
@@ -627,7 +627,7 @@ def test_elimination_widens_int64_partway(monkeypatch):
         ker = _check_kernel(a, n)
         assert picked[0] is np.int64 and picked[-1] is object
         updates_before_widening.append(len(picked) - 2)
-        _check_dual(ker, dual_basis(ker, n))
+        _check_dual(ker, dual_basis(ker))
     assert max(updates_before_widening) > 0
 
 
@@ -642,7 +642,7 @@ def test_elimination_starts_on_python_integers(monkeypatch):
         picked.clear()
         ker = _check_kernel(a, n)
         assert picked == [object]
-        _check_dual(ker, dual_basis(ker, n))
+        _check_dual(ker, dual_basis(ker))
 
 
 def test_dual_basis_widens_while_clearing(monkeypatch):
@@ -656,10 +656,10 @@ def test_dual_basis_widens_while_clearing(monkeypatch):
              for _ in range(3)]
         ker = _check_kernel(a, n)
         picked.clear()
-        intmat._echelon(intmat._augment(ker, n), len(ker))
+        intmat._echelon(intmat._augment(ker), len(ker))
         assert object not in picked
         picked.clear()
-        d = dual_basis(ker, n)
+        d = dual_basis(ker)
         assert picked[0] is np.int64 and picked[-1] is object
         _check_dual(ker, d)
 

@@ -6,7 +6,6 @@ import pytest
 
 from modgalrep import cli, modsym
 from modgalrep.congruence import (
-    genus_of_subgroup,
     h_from_eigenform,
     intermediate_subgroups,
     plus_minus,
@@ -24,6 +23,8 @@ from modgalrep.pipeline import (
     TABLE_ROWS,
     table_row_selector,
 )
+
+from helpers import genus_of_subgroup
 
 
 def _sorted_systems(systems):

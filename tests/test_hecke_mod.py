@@ -277,6 +277,6 @@ def test_batched_operators_equal_one_key_per_call(monkeypatch, cap):
 def test_mod_ell_restriction_checks_the_subspace():
     full = build_space(11, 2)
     line = modsym.ModularSymbolSpace(full.ambient, parent=full,
-                                     basis=[[1] + [0] * (full.dim - 1)])
+                                     basis=np.eye(1, full.dim, dtype=np.int64))
     with pytest.raises(modsym.SaturationError):
         line.operators_mod(7, [2])

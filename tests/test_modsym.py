@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from modgalrep.congruence import (
-    coset_table,
+    CosetTable,
     curve_invariants,
     full_subgroup,
     h_from_eigenform,
@@ -21,7 +21,6 @@ from modgalrep.exactalg import intmat
 from modgalrep.exactalg import (
     exact_dtype,
     kernel_int,
-    mat_mul,
     primes_up_to,
     SaturationError,
     unit_group,
@@ -37,6 +36,7 @@ from helpers import (
     boundary_by_cusp_equivalence,
     dim_cusp_forms,
     full_relation_quotient,
+    mat_mul,
     merel_family,
     ramanujan_tau,
     restrict_level_by_level,
@@ -170,19 +170,21 @@ def test_restrict_raises_outside_subspace():
     full = build_space(11, 2)
     # the line through the first basis vector is saturated, and T_2 moves it
     line = ModularSymbolSpace(full.ambient, parent=full,
-                              basis=[[1] + [0] * (full.dim - 1)])
+                              basis=np.eye(1, full.dim, dtype=np.int64))
     with pytest.raises(SaturationError):
         line.hecke_matrix(2)
-    empty = ModularSymbolSpace(full.ambient, parent=full, basis=[])
+    empty = ModularSymbolSpace(full.ambient, parent=full,
+                               basis=np.zeros((0, full.dim), np.int64))
     assert empty.hecke_matrix(2) == []
     # the same inside a cuspidal space, a grandchild of the ambient; T_2 is
     # -2 on all of S_2(Gamma_1(11)), but not on S_2(Gamma_1(23))
     cusp = build_space(23, 2).cuspidal_subspace()
     line = ModularSymbolSpace(cusp.ambient, parent=cusp,
-                              basis=[[1] + [0] * (cusp.dim - 1)])
+                              basis=np.eye(1, cusp.dim, dtype=np.int64))
     with pytest.raises(SaturationError):
         line.hecke_matrix(2)
-    empty = ModularSymbolSpace(cusp.ambient, parent=cusp, basis=[])
+    empty = ModularSymbolSpace(cusp.ambient, parent=cusp,
+                               basis=np.zeros((0, cusp.dim), np.int64))
     assert empty.hecke_matrix(2) == []
 
 
@@ -229,7 +231,7 @@ def test_batched_restriction_checks_every_operator():
     # moved by T_2, which stands between them in the call
     full = build_space(11, 2)
     line = ModularSymbolSpace(full.ambient, parent=full,
-                              basis=[[1] + [0] * (full.dim - 1)])
+                              basis=np.eye(1, full.dim, dtype=np.int64))
     eye = np.eye(full.dim, dtype=np.int64)
     for ell in (None, 7):
         t2 = full.operators([2], ell)[0]
@@ -287,7 +289,7 @@ def test_dimensions_match_curve_invariants():
     # independent oracle: textbook dimension formula from coset counting
     for n, k in [(1, 12), (2, 12), (3, 12), (4, 12), (5, 12), (6, 12),
                  (11, 2), (13, 2), (15, 2), (20, 2), (33, 2)]:
-        inv = curve_invariants(coset_table(trivial_subgroup(n)))
+        inv = curve_invariants(CosetTable(trivial_subgroup(n)))
         expected = dim_cusp_forms(inv.index, inv.nu2, inv.nu3, inv.cusps,
                                   inv.genus, k)
         space = plus_cuspidal(n, k)
@@ -334,12 +336,13 @@ def test_level4_weight12_has_a2_zero_system():
     # the level-4 form q - 516q^3 + ... has a_2 = 0 and a_3 = -516
     plus = plus_cuspidal(4, 12)
     t2 = plus.hecke_matrix(2)
-    assert kernel_int(t2, plus.dim), "T_2 should be singular"
+    assert len(kernel_int(np.array(t2, dtype=object))), \
+        "T_2 should be singular"
     t3 = [row[:] for row in plus.hecke_matrix(3)]
     for i in range(plus.dim):
         t3[i][i] += 516
     joint = t3 + t2  # a vector with T_3 = -516 and T_2 = 0 simultaneously
-    assert kernel_int(joint, plus.dim)
+    assert len(kernel_int(np.array(joint, dtype=object)))
 
 
 def test_diamond_identity_and_multiplicativity():
@@ -511,9 +514,10 @@ def test_orbit_relations_give_the_full_presentation():
     for n, k, h in spaces:
         ambient = modsym._Ambient(n, k, h)
         full = full_relation_quotient(ambient)
-        assert ((ambient.dim, ambient.quotient.torsion, ambient.proj_rows,
-                 ambient.lifts)
-                == (full.dim, full.torsion, full.proj_rows, full.lifts)), (
+        assert ((ambient.dim, ambient.quotient.torsion,
+                 ambient.proj_rows.tolist(), ambient.lifts)
+                == (full.dim, full.torsion, full.proj_rows.tolist(),
+                    full.lifts)), (
                     n, k, h)
 
 

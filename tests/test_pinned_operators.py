@@ -129,6 +129,12 @@ MATRIX_PINNED = {
 # the disk cache keys its entries on this fingerprint
 FINGERPRINT_6_12 = (
     "3a5920ab9d94a60d6f6cb632db8c16471b86f51b9ee796b93cc92b20674cca37")
+# a projection of 115 bits, held on Python integers
+FINGERPRINT_10_12 = (
+    "f016a562ef9c950fc752947042723f475367bffcb88d181abb3f80249538821b")
+# weight 2 on Gamma_H(35), H = <6, 11>
+FINGERPRINT_35_2_H = (
+    "d478b71062634a4a0aaf07fe460cd7ec2b1c33bbaeb4dd9c4a12bb8aca50ea3a")
 
 
 def matrix_digest(mat):
@@ -159,3 +165,9 @@ def test_operator_matrices_pinned(level, weight):
 
 def test_ambient_fingerprint_pinned():
     assert build_space(6, 12).ambient.fingerprint == FINGERPRINT_6_12
+    ambient = build_space(10, 12).ambient
+    assert ambient.proj_rows.dtype == object
+    assert ambient.fingerprint == FINGERPRINT_10_12
+    h = SubgroupH.from_generators(35, [6, 11])
+    assert (build_space(35, 2, subgroup=h).ambient.fingerprint
+            == FINGERPRINT_35_2_H)

@@ -1,6 +1,6 @@
 import pytest
 
-from modgalrep.dirichlet import make_character, parse_character
+from modgalrep.dirichlet import parse_character
 from modgalrep.modsym import build_space, MatrixCache
 from modgalrep.pipeline import (
     find_twist,
@@ -16,7 +16,7 @@ from modgalrep.pipeline import (
     table_row_selector,
 )
 
-from helpers import psl2_index_gamma1
+from helpers import make_character, psl2_index_gamma1
 
 
 def test_sl2_index():
