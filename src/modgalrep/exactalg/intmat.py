@@ -315,30 +315,30 @@ def quotient_by_relations(n, relation_rows):
     t = len(remaining)
 
     def dense(rows):
-        """The sparse rows over the free columns as one array."""
+        """The sparse rows over the free columns, at their narrowest."""
         at = [i * t + pos[c] for i, row in enumerate(rows) for c in row]
         values = [v for row in rows for v in row.values()]
         a = np.zeros((len(rows), t),
-                     dtype=exact_dtype(max(map(abs, values), default=0)))
+                     dtype=narrow_dtype(max(map(abs, values), default=0)))
         np.put(a, at, values)
         return a
 
     # the free columns project by the forms, the solved ones by their
-    # substitution times the forms; with no leftovers the forms are I
+    # substitution times them, or by the substitution alone for forms I
     leftovers = dense(leftovers)
-    subst = dense(list(solved.values()))
     if len(leftovers):
         forms = kernel_int(leftovers)
         duals = dual_basis(forms)
-        subst = product(subst, forms.T)
+        subst = product(dense(list(solved.values())), forms.T)
+        proj_rows = np.zeros((n, len(forms)), dtype=narrow_dtype(
+            max(int(abs_max(forms)), int(abs_max(subst)))))
+        proj_rows[remaining] = forms.T
+        proj_rows[list(solved)] = subst
     else:
-        forms = duals = np.eye(t, dtype=np.int64)
-    dim = len(forms)
+        duals = np.eye(t, dtype=np.int8)
+        proj_rows = dense([solved.get(c, {c: 1}) for c in range(n)])
+    dim = len(duals)
     lifts = [[] for _ in range(dim)]
     for i, r in zip(*np.nonzero(duals)):
         lifts[i].append((remaining[r], int(duals[i, r])))
-    proj_rows = np.zeros((n, dim), dtype=narrow_dtype(
-        max(int(abs_max(forms)), int(abs_max(subst)))))
-    proj_rows[remaining] = forms.T
-    proj_rows[list(solved)] = subst
     return QuotientMap(dim, leftovers, proj_rows, lifts)

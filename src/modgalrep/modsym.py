@@ -21,17 +21,18 @@ Every ambient operator is a sum over integer matrices g acting on symbols,
 and one numpy kernel (_Ambient._apply) computes them all, several in one
 pass: T_p, p prime, sums over Cremona's Heilbronn matrices of determinant p
 (J. Cremona, Algorithms for Modular Elliptic Curves, 2nd ed., 1997), kept
-once per run in its cache at their narrowest width, each g with the table
-of its action on the monomials; the diamond <d> is the one matrix
-(d, 0, 0, d) with the identity table; the star involution is
-(-1, 0, 0, 1), which sends (c:d) to (-c:d) and X to -X.  A pass tags each g
-with its operator, sorts the keys (operator, symbol, target coset) once and
-sums the table rows of each key with one reduceat into a dense W,
-(operator, symbol) x (coset, exponent); the images of the symbols the lifts
-use are then one product W P with the projection P, and each operator one
-product of its images with the lifts.  _Ambient.operator_arrays makes one
-pass per chunk of the operators asked for, each chunk capped by its largest
-transients (_CHUNK); the first pass builds the arrays the kernel reads.
+once per run in its cache at their narrowest width; <d> is (d, 0, 0, d)
+with the identity's table, the star involution (-1, 0, 0, 1), sending (c:d)
+to (-c:d) and X to -X.  Mod ell the table of g, its action on the monomials,
+depends on g mod ell only; a call builds one per residue class it meets.  A
+pass tags each g with its operator, sorts the keys (operator, symbol, target
+coset) once and sums the table rows of each key, read through the class of
+each g, in one reduceat into a dense W, (operator, symbol) x (coset,
+exponent); the images of the symbols the lifts use are then one product W P
+with the projection P, and each operator one product of its images with the
+lifts.  _Ambient.operator_arrays makes one pass per chunk of the operators
+asked for, each capped by its largest transients (_CHUNK); the first pass
+builds the arrays the kernel reads.
 The sum is a ring computation, so it runs over Z or, term by term, mod ell
 (W. Stein, Modular Forms: A Computational Approach, GSM 79, 2007, ch. 8),
 with tables, projection and lifts reduced mod ell.
@@ -81,7 +82,6 @@ import numpy as np
 
 from .congruence import CosetTable, plus_minus
 from .exactalg.arith import is_prime
-from .exactalg.gf import _exact_dtype
 from .exactalg.intmat import (
     abs_max,
     as_operand,
@@ -96,7 +96,7 @@ from .exactalg.intmat import (
 )
 
 
-# the most entries a chunk of operator_arrays may hold in one transient
+# the most entries a chunk's transients may hold (operator_arrays)
 _CHUNK = 2 ** 14
 
 
@@ -130,21 +130,41 @@ def heilbronn_cremona(p):
         y1, y2 = y2, q * y2 - y1
 
 
-def _monomial_tables(mats, k, rows, ell=None):
-    """t[g, e, j]: coefficient of X^j Y^(k-2-j) in (aX + bY)^e (cX + dY)^(k-2-e).
-
-    One table for each matrix g = (a, b, c, d) of mats, all computed at once,
-    for the exponents e < rows.  Over Z, int64 when no entry can overflow,
-    Python integers otherwise; given ell, residues mod ell, reduced as they
-    are built, so int64 wherever _exact_dtype allows.
+def _monomial_tables(groups, k, rows, ell=None):
+    """(classes, t): t[i, e, j] is the coefficient of X^j Y^(k-2-j) in
+    (aX + bY)^e (cX + dY)^(k-2-e) for the i-th class of the matrices
+    g = (a, b, c, d) in the arrays of groups, e < rows; classes(g) gives the
+    classes of an array g of them.  A class is, mod ell while ell^4 < 2^62,
+    the code ((a ell + b) ell + c) ell + d of g mod ell; otherwise each
+    matrix, of all of them in order.  At weight 2 the one table is the
+    identity.  Over Z, int64 when no entry can overflow, Python integers
+    otherwise; given ell, residues reduced as they are built, at their
+    narrowest.
     """
-    g = np.array(mats, dtype=np.int64).reshape(-1, 4)
+    if k == 2:
+        return (lambda g: np.zeros(len(g), np.int64),
+                np.ones((1, rows, 1), np.int8))
+    coded = ell is not None and ell ** 4 < 2 ** 62
+    if coded:
+        place, codes = ell ** np.arange(3, -1, -1), np.zeros(0, np.int64)
+        for g in groups:
+            codes = np.sort(np.append(codes, g.astype(np.int64) % ell @ place))
+            codes = codes[np.diff(codes, prepend=-1) != 0]
+        g = codes[:, None] // place % ell
+    else:
+        g = np.concatenate(groups, dtype=np.int64)
+
+    def classes(mats):
+        if coded:
+            return np.searchsorted(codes, mats.astype(np.int64) % ell @ place)
+        return np.arange(len(mats))
+
     if ell is None:
         m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
         g = g.astype(exact_dtype(m ** (k - 2)))
     else:
         # each entry below sums at most k - 1 products of two residues
-        g = (g % ell).astype(_exact_dtype(k, ell))
+        g = (g % ell).astype(narrow_dtype((k + 2) * ell * ell))
 
     def powers(u, v, n):
         # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i, i < n
@@ -164,7 +184,8 @@ def _monomial_tables(mats, k, rows, ell=None):
         tail = p2[:, k - 2 - e, :k - 1 - e]
         for u in range(e + 1):
             out[:, e, u:u + k - 1 - e] += p1[:, e, u, None] * tail
-    return out if ell is None else out % ell
+    return classes, (out if ell is None
+                     else (out % ell).astype(narrow_dtype(ell - 1)))
 
 
 class _Ambient:
@@ -265,19 +286,19 @@ class _Ambient:
         counts[i] consecutive matrices of mats (one group of them all for
         None), as a list of arrays.
 
-        Each g = (a, b, c, d) of mats sends the coset (c0:d0) to
-        (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset table, and
-        the monomial of exponent e to sum_j tables[g, e, j] X^j Y^(k-2-j),
-        for the exponents e < _kernel.exponents that the lifts use.  One sort
-        and one reduceat over every g give the dense W[(i, s), (x, j)]: the
-        coefficients summed over the g of group i that send the support
-        symbol s to the coset x.  The images of the support symbols are then
-        one product W P with the projection rows, and each operator one
-        product of its images with the lifts, each through
-        intmat.product, over Z or, given ell and tables mod ell, on
-        residues mod ell.
+        tables is (index, t): each g = (a, b, c, d) of mats sends the coset
+        (c0:d0) to (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset
+        table, and the monomial of exponent e to the sum over j of
+        t[index[g], e, j] X^j Y^(k-2-j), for the exponents e below
+        _kernel.exponents that the lifts use.  One sort and one reduceat over
+        every g give the dense W[(i, s), (x, j)]: the table rows summed over
+        the g of group i that send the support symbol s to the coset x.  The
+        images of the support symbols are then one product W P with the
+        projection rows, and each operator one product of its images with
+        the lifts, through intmat.product, over Z or, given ell, mod ell.
         """
         n, k1, kern = self.level, self.weight - 1, self._kernel
+        index, tables = tables
         ncos, nsupp = len(self.table), len(kern.sup_exp)
         g = np.array(mats, dtype=np.int64).reshape(-1, 4)
         counts = [len(g)] if counts is None else counts
@@ -308,18 +329,18 @@ class _Ambient:
         start = np.searchsorted(key, 0)
         key, order = key[start:], order[start:]
         first = np.flatnonzero(np.diff(key, prepend=-1))
-        # the rows of W: the table rows g * kern.exponents + (exponent of
-        # s), summed over the g of each key; g_sum bounds the sum of the
-        # absolute values in a row
+        # the rows of W: the table rows (class of g) * kern.exponents +
+        # (exponent of s), summed over the g of each key; g_sum bounds the
+        # sum of the absolute values in a row, mod ell len(g) (ell - 1)
         s = order % nsupp
-        order //= nsupp
+        order = index[order // nsupp]
         order *= kern.exponents
         order += kern.sup_exp[s]
         del s
-        g_sum = int(np.abs(tables).sum(axis=2).max(axis=1, initial=0)
-                    .sum(dtype=object))
-        rows = tables.astype(exact_dtype(g_sum), copy=False).reshape(-1, k1)
-        w = np.add.reduceat(rows[order], first, axis=0)
+        g_sum = len(g) * (ell - 1) if ell else int(np.abs(tables).sum(
+            axis=2).max(axis=1, initial=0)[index].sum(dtype=object))
+        w = np.add.reduceat(tables.reshape(-1, k1)[order], first, axis=0,
+                            dtype=exact_dtype(g_sum))
         del order
         proj, lift, w_max = kern.proj, kern.lift, g_sum
         if ell is not None:
@@ -346,14 +367,14 @@ class _Ambient:
         ell, over F_ell, as arrays in the order of keys.
 
         T_p sums Cremona's Heilbronn matrices of determinant p, <d> is the
-        one matrix (d, 0, 0, d) with the identity table, and the star the
-        one matrix (-1, 0, 0, 1).  The keys go through the kernel in
-        chunks, the star and T_p before <d>, each chunk one table build
-        over its matrices but the diamonds' and one _apply.  A chunk takes
-        keys while its largest transients stay within _CHUNK entries: the
-        g x support key arrays, the g x (k-1) x (k-1) monomial powers, and
-        the dense W, (operator, support symbol) x (coset, exponent).  It
-        always takes at least one key.
+        one matrix (d, 0, 0, d) with the identity's table, and the star the
+        one matrix (-1, 0, 0, 1).  One table build serves the call, but over
+        Z and past ell^4 < 2^62 each chunk builds its own.  The keys go
+        through the kernel in chunks, the star and T_p before <d>, one
+        _apply each.  A chunk takes keys while its largest transients stay
+        within _CHUNK entries: the g x support key arrays, the powers of its
+        own tables, g x (k-1) x (k-1), and the dense W, (operator, support
+        symbol) x (coset, exponent).  It always takes at least one key.
         """
         kern = self._kernel
         k, rows, nsupp = self.weight, kern.exponents, len(kern.sup_exp)
@@ -377,16 +398,20 @@ class _Ambient:
             else:
                 chunks.append([key])
                 used = size
-        eye = np.eye(rows, k - 1, dtype=np.int64)[None]
+        # the matrices whose tables the keys read, the identity for <d>
+        read = {key: np.array([(1, 0, 0, 1)]) if key < 0 else mats[key]
+                for key in mats}
+        own = k > 2 and (ell is None or ell ** 4 >= 2 ** 62)
         out = {}
         for chunk in chunks:
-            hecke = [mats[key] for key in chunk if key >= 0]
-            tables = ([_monomial_tables(np.concatenate(hecke), k, rows, ell)]
-                      if hecke else [])
-            tables += [eye] * (len(chunk) - len(hecke))
+            if own or chunk is chunks[0]:
+                classes, tables = _monomial_tables(
+                    [read[key] for key in (chunk if own else read)], k, rows,
+                    ell)
+            index = classes(np.concatenate([read[key] for key in chunk]))
             group = [mats[key] for key in chunk]
             out.update(zip(chunk, self._apply(
-                np.concatenate(group), np.concatenate(tables), ell,
+                np.concatenate(group), (index, tables), ell,
                 [len(g) for g in group])))
         return [out[key] for key in keys]
 

@@ -7,6 +7,8 @@ code paths with the package internals it checks.
 
 from math import comb, gcd, lcm
 
+import numpy as np
+
 from modgalrep.congruence import CosetTable, curve_invariants
 from modgalrep.dirichlet import DirichletCharacter, place_above
 from modgalrep.eigen import Eigensystem
@@ -18,7 +20,13 @@ from modgalrep.exactalg import (
     unit_group,
     xgcd,
 )
-from modgalrep.exactalg.gf import poly_degree, poly_mod, poly_trim
+from modgalrep.exactalg.gf import (
+    _exact_dtype,
+    poly_degree,
+    poly_mod,
+    poly_trim,
+)
+from modgalrep.exactalg.intmat import exact_dtype
 
 
 def mat_mul(a, b):
@@ -225,6 +233,45 @@ def merel_family(p):
                     if bc % b == 0:
                         mats.append((a, b, bc // b, d))
     return tuple(mats)
+
+
+def monomial_tables(mats, k, rows, ell=None):
+    """t[g, e, j]: coefficient of X^j Y^(k-2-j) in (aX + bY)^e (cX + dY)^(k-2-e).
+
+    One table for each matrix g = (a, b, c, d) of mats, however many share
+    a residue class, for the exponents e < rows.  Over Z, int64 when no
+    entry can overflow, Python integers otherwise; given ell, residues mod
+    ell, reduced as they are built, so int64 wherever _exact_dtype allows.
+    The per-matrix tables the operator kernel built before it built one
+    table per class.
+    """
+    g = np.array(mats, dtype=np.int64).reshape(-1, 4)
+    if ell is None:
+        m = int(np.abs(g).reshape(-1, 2, 2).sum(axis=2).max(initial=0))
+        g = g.astype(exact_dtype(m ** (k - 2)))
+    else:
+        # each entry below sums at most k - 1 products of two residues
+        g = (g % ell).astype(_exact_dtype(k, ell))
+
+    def powers(u, v, n):
+        # pw[:, i, j]: coefficient of X^j Y^(i-j) in (uX + vY)^i, i < n
+        pw = np.zeros((len(g), n, k - 1), dtype=g.dtype)
+        pw[:, :1, 0] = 1
+        for i in range(n - 1):
+            pw[:, i + 1] = v[:, None] * pw[:, i]
+            pw[:, i + 1, 1:] += u[:, None] * pw[:, i, :-1]
+            if ell is not None:
+                pw[:, i + 1] %= ell
+        return pw
+
+    p1 = powers(g[:, 0], g[:, 1], rows)
+    p2 = powers(g[:, 2], g[:, 3], k - 1)
+    out = np.zeros_like(p1)
+    for e in range(rows):
+        tail = p2[:, k - 2 - e, :k - 1 - e]
+        for u in range(e + 1):
+            out[:, e, u:u + k - 1 - e] += p1[:, e, u, None] * tail
+    return out if ell is None else out % ell
 
 
 def restrict_level_by_level(space, ambient_mat):

@@ -38,9 +38,11 @@ from helpers import (
     full_relation_quotient,
     mat_mul,
     merel_family,
+    monomial_tables,
     ramanujan_tau,
     restrict_level_by_level,
 )
+from test_hecke_mod import _batching_cases
 
 
 def plus_cuspidal(n, k):
@@ -108,12 +110,81 @@ def test_hecke_matches_merel_family(monkeypatch):
         ambient = build_space(n, k).ambient
         for p in primes_up_to(100):
             mats = merel_family(p)
-            tables = modsym._monomial_tables(mats, k,
-                                             ambient._kernel.exponents)
+            classes, tables = modsym._monomial_tables(
+                [mats], k, ambient._kernel.exponents)
             assert ambient.hecke_on_basis(p) == ambient._apply(
-                mats, tables)[0].tolist(), (n, k, p)
+                mats, (classes(mats), tables))[0].tolist(), (n, k, p)
     for name in ("_monomial_tables", "_apply"):
         assert {d for f, d in picked if f == name} == {np.int64, object}
+
+
+@pytest.mark.parametrize("ell", [None, 2, 3, 5, 7, 13, 46337, 2 ** 61 - 1])
+def test_class_tables_equal_the_per_matrix_tables(ell):
+    """One build of the tables of every class, read through the class
+    index, equals the per-matrix tables of the oracle on the Heilbronn
+    matrices and Merel's families of every p <= 100, with the star and
+    (-1, -1, -1, -1), at k in {2, 4, 6, 8, 12}, over Z and mod ell.  46337
+    is the largest prime with ell^4 < 2^62, so its codes reach the top of
+    int64.  The build holds one table per class: one at weight 2, one per
+    residue class mod ell while ell^4 < 2^62, one per matrix otherwise."""
+    groups = [np.array(f(p), dtype=np.int64) for p in primes_up_to(100)
+              for f in (heilbronn_cremona, merel_family)]
+    groups.append(np.array([(-1, 0, 0, 1), (-1, -1, -1, -1)]))
+    g = np.concatenate(groups)
+    for k in (2, 4, 6, 8, 12):
+        classes, tables = modsym._monomial_tables(groups, k, k - 1, ell)
+        assert np.array_equal(tables[classes(g)],
+                              monomial_tables(g, k, k - 1, ell)), (ell, k)
+        if k == 2:
+            count = 1
+        elif ell is None or ell ** 4 >= 2 ** 62:
+            count = len(g)
+        else:
+            count = len({tuple(row) for row in (g % ell).tolist()})
+        assert len(tables) == count, (ell, k)
+
+
+def test_one_table_build_per_operator_call(monkeypatch):
+    """In the cap-3000 case of test_batched_operators_equal_one_key_per_call,
+    an operators_mod call builds its tables once, over the Heilbronn
+    matrices of every prime asked for and the identity, which the diamonds
+    read, with one table per class: per residue class mod ell, or the one
+    table at weight 2.  Some of those calls run the kernel in several
+    chunks."""
+    builds, passes = [], []
+    plain, apply = modsym._monomial_tables, modsym._Ambient._apply
+
+    def build(groups, k, rows, ell=None):
+        classes, tables = plain(groups, k, rows, ell)
+        builds.append((sum(len(g) for g in groups), k, len(tables)))
+        return classes, tables
+
+    def counted(self, mats, tables, ell=None, counts=None):
+        passes.append(len(counts))
+        return apply(self, mats, tables, ell, counts)
+
+    primes = list(primes_up_to(50))
+    mats = np.concatenate([heilbronn_cremona(p) for p in primes]).astype(
+        np.int64)
+    chunked = 0
+    for make, ell in _batching_cases():
+        space = make()
+        units = unit_group(space.level).generators
+        monkeypatch.setattr(modsym, "_monomial_tables", build)
+        monkeypatch.setattr(modsym._Ambient, "_apply", counted)
+        monkeypatch.setattr(modsym, "_CHUNK", 3000)
+        builds.clear()
+        passes.clear()
+        space.operators_mod(ell, primes, units)
+        space.root.operators_mod(ell, primes, units)
+        monkeypatch.undo()
+        k = space.weight
+        classes = {tuple(row) for row in (mats % ell).tolist()}
+        classes |= {(1, 0, 0, 1)} if units else set()
+        assert builds == [(len(mats) + len(units), k,
+                           1 if k == 2 else len(classes))], (space, ell)
+        chunked += len(passes) > 1
+    assert chunked
 
 
 def test_boundary_matches_cusp_equivalence_oracle():
