@@ -29,7 +29,7 @@ from .dirichlet import (
     parse_character,
     trivial_character,
 )
-from .exactalg.gf import fq_str
+from .exactalg.gf import poly_str
 from .modsym import MatrixCache, build_space
 from .pipeline import (
     PipelineError,
@@ -154,20 +154,6 @@ def _subgroup_from_text(level, text):
     return SubgroupH.from_generators(level, [int(x) for x in text.split(",")])
 
 
-def _poly_str(coeffs):
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("x" if c == 1 else "%dx" % c)
-        else:
-            terms.append("x^%d" % i if c == 1 else "%dx^%d" % (c, i))
-    return " + ".join(terms) if terms else "0"
-
-
 def emit_report(doc, fmt="json", stream=None):
     """Serialize a report document: sorted-key JSON or fixed-column TSV."""
     stream = stream or sys.stdout
@@ -262,8 +248,9 @@ def _run_eigensys(args, cache):
         out.append({
             "field_degree": s.field.r,
             "multiplicity": s.multiplicity,
-            "a": {str(p): fq_str(v) for p, v in sorted(s.a.items())},
-            "diamond": {str(d): fq_str(v) for d, v in sorted(s.diamond.items())},
+            "a": {str(p): poly_str(v.coeffs) for p, v in sorted(s.a.items())},
+            "diamond": {str(d): poly_str(v.coeffs)
+                        for d, v in sorted(s.diamond.items())},
             "minpoly_a2": s.a[2].minpoly() if 2 in s.a else None,
             "bad_primes": list(s.bad_primes),
         })
@@ -314,11 +301,11 @@ def _run_tables(args, cache):
         report = realize(form, row["ell"], truncate=args.truncate_bound,
                          cache=cache)
         ell = row["ell"]
-        a2 = report.system.a.get(2)
         digest = "; ".join(
-            "a%d=%s" % (p, fq_str(report.system.a[p]))
+            "a%d=%s" % (p, poly_str(report.system.a[p].coeffs))
             for p in sorted(report.system.a)[:2])
         minpoly = report.minpolys.get(2)
+        minpoly = poly_str(minpoly, "x", "") if minpoly else None
         if report.i != row["reference_i"]:
             warnings.append(
                 "N=%d ell=%d: computed twist exponent %d differs from the "
@@ -330,11 +317,11 @@ def _run_tables(args, cache):
             "lambda_residue_degree": form.system.field.r,
             "i": report.i,
             "f2": digest,
-            "minpoly_a2": _poly_str(minpoly) if minpoly else None,
+            "minpoly_a2": minpoly,
             "d1": report.d1,
             "dH": report.dh,
             "tsv": [ell, "deg%d" % form.system.field.r, report.i, digest,
-                    _poly_str(minpoly) if minpoly else "-",
+                    minpoly or "-",
                     report.d1, report.dh],
         })
     doc = {"rows": rows}

@@ -110,6 +110,12 @@ def plus_minus(level, subgroup=None):
     return SubgroupH(h.level, [s * x for x in h.elements for s in (1, -1)])
 
 
+def realization_level(level, weight, ell):
+    """The level N' of the weight-2 realization: N*ell above weight 2, N
+    in weight 2."""
+    return level if weight == 2 else level * ell
+
+
 def h_from_eigenform(eps, k, i, ell):
     """Kernel subgroup attached to an eigenform datum.
 
@@ -125,7 +131,8 @@ def h_from_eigenform(eps, k, i, ell):
         raise ValueError("ell must not divide the level")
     if not 0 <= i <= ell - 1:
         raise ValueError("twist exponent out of range")
-    nprime, e = (n, 0) if k == 2 else (n * ell, (k - 2 - 2 * i) % (ell - 1))
+    nprime = realization_level(n, k, ell)
+    e = 0 if k == 2 else (k - 2 - 2 * i) % (ell - 1)
     red = reduce_at_ell(induce(eps, nprime), ell)
     one = red.field.one()
     return SubgroupH(nprime, [

@@ -59,10 +59,10 @@ from .exactalg.gf import (
     _rref_mod,
     embeddings,
     fq_field,
-    fq_str,
     irreducible_roots,
     poly_factor_fq,
     poly_from_ints,
+    poly_str,
 )
 from .exactalg.intmat import product
 
@@ -238,7 +238,7 @@ class Eigensystem:
     def digest(self):
         parts = []
         for p in sorted(self.a)[:3]:
-            parts.append("a%d=%s" % (p, fq_str(self.a[p])))
+            parts.append("a%d=%s" % (p, poly_str(self.a[p].coeffs)))
         return "; ".join(parts)
 
     def __repr__(self):
@@ -445,7 +445,7 @@ class MatchReport:
 
     def __init__(self, sys_f, sys_g, i, bound, primes_checked, primes_skipped,
                  verdict, first_failing_prime, embedding_index,
-                 weight_congruence, det_check, heuristic):
+                 weight_congruence, det_check):
         self.sys_f = sys_f
         self.sys_g = sys_g
         self.i = i
@@ -457,7 +457,7 @@ class MatchReport:
         self.embedding_index = embedding_index
         self.weight_congruence = weight_congruence
         self.det_check = det_check
-        self.heuristic = heuristic
+        self.heuristic = False  # set by a caller that certifies the bound
 
     def to_dict(self):
         doc = {
@@ -481,26 +481,26 @@ class MatchReport:
         return doc
 
 
-def match_twist(sys_f, sys_g, i, bound, heuristic=False, embed=embeddings):
+def match_twist(sys_f, sys_g, i, bound):
     """Test a_p(f) = p^i a_p(g) for all good primes up to the bound.
 
     The value field of f is embedded into the compositum once, and each
-    embedding of that of g is tried, as embed (gf.embeddings or a caller's
-    memo of it) gives them; the verdict is true if one embedding matches at
-    every checked prime, and at least one prime is checked.  Primes
-    dividing either level or ell are skipped (recorded).  Under the
+    embedding of that of g is tried; the verdict is true if one embedding
+    matches at every checked prime, and at least one prime is checked.
+    Primes dividing either level or ell are skipped (recorded).  Under the
     matching embedding, or the one that matched longest, the diamond
     characters are tested against the determinant relation
     eps_g = eps_f * chi^(k_f - k_g - 2i), and when the systems share level
     and diamond character the weight congruence k = k' + 2i (mod ell-1) is
-    reported too.
+    reported too.  Whether the bound certifies the match is not decided
+    here: the report is not heuristic until a caller marks it so.
     """
     ell = sys_f.ell
     if sys_g.ell != ell:
         raise ValueError("systems live over different characteristics")
     big = fq_field(ell, lcm(sys_f.field.r, sys_g.field.r))
-    phi_f = embed(sys_f.field, big)[0]
-    maps_g = embed(sys_g.field, big)
+    phi_f = embeddings(sys_f.field, big)[0]
+    maps_g = embeddings(sys_g.field, big)
     checked, skipped = [], []
     for p in primes_up_to(bound):
         if (sys_f.level * sys_g.level * ell) % p == 0:
@@ -532,7 +532,7 @@ def match_twist(sys_f, sys_g, i, bound, heuristic=False, embed=embeddings):
     det = _determinant_check(eps_f, eps_g, e, phi_f, phi_g)
     return MatchReport(sys_f, sys_g, i, bound, checked, skipped, verdict,
                        None if verdict else best_fail, embedding,
-                       weight_congruence, det, heuristic)
+                       weight_congruence, det)
 
 
 def _determinant_check(eps_f, eps_g, e, phi_f, phi_g):

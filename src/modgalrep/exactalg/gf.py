@@ -359,21 +359,22 @@ class FqElem:
         return hash((self.field.ell, self.field.modulus, self.coeffs))
 
     def __repr__(self):
-        return "FqElem(%d^%d, %s)" % (self.field.ell, self.field.r, fq_str(self))
+        return "FqElem(%d^%d, %s)" % (self.field.ell, self.field.r,
+                                      poly_str(self.coeffs))
 
 
-def fq_str(x):
-    """Readable polynomial string for a field element, in the generator a."""
+def poly_str(coeffs, name="a", times="*"):
+    """Readable string of a polynomial in the variable name, lowest degree
+    first; by default a field element's coefficients in the generator a."""
     terms = []
-    for i, c in enumerate(x.coeffs):
+    for i, c in enumerate(coeffs):
         if c == 0:
             continue
         if i == 0:
             terms.append(str(c))
-        elif i == 1:
-            terms.append("a" if c == 1 else "%d*a" % c)
         else:
-            terms.append("a^%d" % i if c == 1 else "%d*a^%d" % (c, i))
+            power = name if i == 1 else "%s^%d" % (name, i)
+            terms.append(power if c == 1 else "%d%s%s" % (c, times, power))
     return " + ".join(terms) if terms else "0"
 
 
@@ -674,6 +675,7 @@ def _linear_image(coeffs, cols, field):
                                 for col in cols]))
 
 
+@lru_cache(maxsize=None)
 def embeddings(small, big):
     """The small.r embeddings of one canonical field into another, as
     F_ell-linear maps, each applied like the Frobenius: the coefficients
@@ -682,7 +684,8 @@ def embeddings(small, big):
     Map j sends the generator to root^(ell^j), root the least root of the
     small modulus in big (the generator itself when the fields are equal),
     so map j is map 0 followed by the Frobenius j times.  Requires
-    small.r | big.r and equal characteristic.
+    small.r | big.r and equal characteristic.  Canonical fields are one
+    object each, so the list is built once per pair and shared.
     """
     if small.ell != big.ell or big.r % small.r:
         raise ValueError("no embedding of %r into %r" % (small, big))

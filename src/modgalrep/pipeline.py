@@ -2,21 +2,23 @@
 
 Given a weight-k eigensystem datum mod ell, `find_twist` locates the
 smallest (i, k', M) such that a weight-k' system g at level M | N matches
-a_p(f) = p^i a_p(g) at all good primes up to the rigorous bound, walking
+a_p(f) = p^i a_p(g) at all good primes up to the bound, walking
 candidates in the fixed loop order (i ascending, k' ascending, M
 ascending) and pre-filtering by the weight congruence k = k' + 2i mod
 (ell - 1).  `realize` then builds the weight-2 space on Gamma_H at each
 divisor level, H projected there, and returns the first verified weight-2
 system, together with the index data and both curve dimensions.
 
-The rigorous prime bound is floor(index(Gamma_1)/12 * (ell^2 - 1 + k));
-a truncated bound may be supplied for desk-scale runs, in which case every
-dependent verdict is flagged heuristic.  No match goes beyond the bound the
-input form's values were computed up to; a bound cut there is flagged
-heuristic too, with a warning.
+These searches and `largest_subgroup_audit` run one walk over candidates,
+each with its search bound: sturm_bound(N) for the twist, sturm_bound(M)
+at each weight-2 level M, sturm_bound(N') for the audit, where
+sturm_bound(n, ell, k) = floor(index(Gamma_1(n))/12 * (ell^2 - 1 + k)).
+The walk cuts it to the truncation, if any, and to the bound the input
+form's values were computed up to, with a warning.  Both systems of a
+match at level M live at lcm(N, M): the match is certified at
+sturm_bound(lcm(N, M), ell, k) and flagged heuristic below it.
 """
 
-from functools import lru_cache
 from math import lcm
 
 from .congruence import (
@@ -25,6 +27,7 @@ from .congruence import (
     intermediate_subgroups,
     plus_minus,
     predicted_kernel_order,
+    realization_level,
     trivial_subgroup,
 )
 from .dirichlet import conductor, reduce_at_ell, trivial_character
@@ -33,10 +36,10 @@ from .exactalg.arith import divisors, factorint, primes_up_to
 from .exactalg.gf import (
     embeddings,
     fq_field,
-    fq_str,
     poly_from_ints,
     poly_gcd,
     poly_monic,
+    poly_str,
 )
 from .modsym import MatrixCache, build_space
 
@@ -127,11 +130,11 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     if eps.modulus != level:
         raise ValueError("the character has modulus %d, not the level %d"
                          % (eps.modulus, level))
-    rigorous = sturm_bound(level if weight == 2 else level * ell, ell, weight)
+    rigorous = sturm_bound(realization_level(level, weight, ell), ell, weight)
     bound = rigorous if bound is None else min(bound, rigorous)
     systems = decompose_level(level, weight, ell, bound, cache)
-    red, embed = reduce_at_ell(eps, ell), lru_cache(None)(embeddings)
-    candidates = [s for s in systems if _diamond_matches(s, red, embed)]
+    red = reduce_at_ell(eps, ell)
+    candidates = [s for s in systems if _diamond_matches(s, red)]
     if "index" in selector:
         j = selector["index"]
         if not 0 <= j < len(candidates):
@@ -159,15 +162,15 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     return InputForm(level, weight, eps, selector, candidates[0], bound)
 
 
-def _diamond_matches(sys, red, embed):
+def _diamond_matches(sys, red):
     """Whether the system's diamond character is a reduced character red
-    under one of the embeddings of its value field, as embed gives them."""
+    under one of the embeddings of its value field."""
     big = fq_field(sys.ell, lcm(red.field.r, sys.field.r))
-    phi_e = embed(red.field, big)[0]
+    phi_e = embeddings(red.field, big)[0]
     target = [phi_e(v) for v in red.values]
     chi = sys.character()
     return any([phi(v) for v in chi.values] == target
-               for phi in embed(sys.field, big))
+               for phi in embeddings(sys.field, big))
 
 
 def _minpoly_divides(value, coeffs, ell):
@@ -189,18 +192,49 @@ def _poly_relation_holds(sys, p, coeffs, den):
     return sys.a[p] == expected
 
 
+def _check_ell(form, ell):
+    if ell != form.system.ell:
+        raise ValueError("the form is a system mod %d, not mod %d"
+                         % (form.system.ell, ell))
+
+
+def _walk(form, candidates, truncate, cache, warnings):
+    """Yield (candidate, heuristic, report) for each candidate (i, level,
+    weight, subgroup, search bound), the report that of the first system
+    on Gamma_H(level), H trivial for None, that matches the form as a twist
+    by p^i and passes the determinant check, or None.  The bound is cut as
+    the module docstring says; a heuristic match's report is marked so.
+    """
+    ell, k = form.system.ell, form.weight
+    for candidate in candidates:
+        i, level, weight, subgroup, bound = candidate
+        if truncate is not None:
+            bound = min(bound, truncate)
+        if form.bound < bound:
+            bound = form.bound
+            note = "the input form has values only up to %d" % bound
+            if note not in warnings:
+                warnings.append(note)
+        heuristic = bound < sturm_bound(lcm(form.level, level), ell, k)
+        reports = (match_twist(form.system, g, i, bound) for g in
+                   decompose_level(level, weight, ell, bound, cache, subgroup))
+        report = next((r for r in reports if r.verdict and r.det_check), None)
+        if report is not None:
+            report.heuristic = heuristic
+        yield candidate, heuristic, report
+
+
 class TwistResult:
     """Outcome of the twist search: exponent, companion weight and level."""
 
-    def __init__(self, i, kprime, level_m, system, report, bound, heuristic,
-                 warnings):
+    def __init__(self, i, kprime, level_m, report, warnings):
         self.i = i
         self.kprime = kprime
         self.level_m = level_m
-        self.system = system
+        self.system = report.sys_g
         self.report = report
-        self.bound = bound
-        self.heuristic = heuristic
+        self.bound = report.bound
+        self.heuristic = report.heuristic
         self.warnings = warnings
 
     def to_dict(self):
@@ -218,30 +252,6 @@ class TwistResult:
         return doc
 
 
-def _match_bound(form, rigorous, truncate, warnings):
-    """The bound to match the form at, and whether it is below the rigorous
-    one: the rigorous bound, cut to the truncation and to the form's own
-    bound.  A cut at the form's bound adds a warning."""
-    bound = rigorous if truncate is None else min(rigorous, truncate)
-    if form.bound < bound:
-        bound = form.bound
-        note = "the input form has values only up to %d" % bound
-        if note not in warnings:
-            warnings.append(note)
-    return bound, bound < rigorous
-
-
-def _first_match(form, systems, i, bound, heuristic, embed):
-    """The first of the systems that matches the form as a twist by p^i and
-    passes the determinant check, as (system, report); None if none does.
-    embed is the caller's memo of gf.embeddings."""
-    for g in systems:
-        report = match_twist(form.system, g, i, bound, heuristic, embed)
-        if report.verdict and report.det_check:
-            return g, report
-    return None
-
-
 def find_twist(form, ell, truncate=None, cache=None):
     """Smallest (i, k', M) realizing the system as a twist of lower weight.
 
@@ -250,6 +260,7 @@ def find_twist(form, ell, truncate=None, cache=None):
     is searched.  Raises PipelineError when no candidate matches, which
     signals reducibility or an insufficient bound.
     """
+    _check_ell(form, ell)
     cache = MatrixCache() if cache is None else cache
     k = form.weight
     n = form.level
@@ -262,17 +273,13 @@ def find_twist(form, ell, truncate=None, cache=None):
                  if (k - kp - 2 * i) % (ell - 1) == 0]
     cond = conductor(form.eps)
     levels = [m for m in divisors(n) if m % cond == 0]
+    bound = sturm_bound(n, ell, k)
+    candidates = [(i, m, kp, None, bound) for i, kp in pairs for m in levels]
     warnings = []
-    bound, heuristic = _match_bound(form, sturm_bound(n, ell, k), truncate,
-                                    warnings)
-    embed = lru_cache(None)(embeddings)
-    for i, kp in pairs:
-        for m in levels:
-            systems = decompose_level(m, kp, ell, bound, cache)
-            found = _first_match(form, systems, i, bound, heuristic, embed)
-            if found:
-                return TwistResult(i, kp, m, *found, bound, heuristic,
-                                   warnings)
+    for (i, m, kp, _, _), _, report in _walk(
+            form, candidates, truncate, cache, warnings):
+        if report is not None:
+            return TwistResult(i, kp, m, report, warnings)
     raise PipelineError(
         "twist search exhausted: representation may be reducible or the "
         "bound too small")
@@ -281,23 +288,22 @@ def find_twist(form, ell, truncate=None, cache=None):
 class RealizationReport:
     """The full output record of the realization pipeline."""
 
-    def __init__(self, form, ell, i, subgroup, index, predicted_index,
-                 d1, dh, is_gamma0, system, system_level, report,
-                 minpolys, det_check, twist, warnings):
+    def __init__(self, form, ell, i, subgroup, predicted_index, d1, dh,
+                 system_level, report, twist, warnings):
         self.form = form
         self.ell = ell
         self.i = i
         self.subgroup = subgroup
-        self.index = index
+        self.index = len(subgroup)
         self.predicted_index = predicted_index
         self.d1 = d1
         self.dh = dh
-        self.is_gamma0 = is_gamma0
-        self.system = system
+        self.is_gamma0 = subgroup.is_full()
+        self.system = f2 = report.sys_g
         self.system_level = system_level
         self.report = report
-        self.minpolys = minpolys
-        self.det_check = det_check
+        self.minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
+        self.det_check = report.det_check
         self.twist = twist
         self.warnings = warnings
         self.caveats = {
@@ -324,7 +330,7 @@ class RealizationReport:
             "weight2_level": self.system_level,
             "weight2_field_degree": self.system.field.r,
             "weight2_values": {
-                "a%d" % p: fq_str(self.system.a[p])
+                "a%d" % p: poly_str(self.system.a[p].coeffs)
                 for p in sorted(self.system.a)[:6]},
             "minpoly_a2": self.minpolys.get(2),
             "determinant_check": self.det_check,
@@ -346,14 +352,15 @@ def realize(form, ell, truncate=None, cache=None):
     Returns the twist exponent i, the kernel subgroup H at level N'
     (N' = N*ell for weight > 2, N' = N in weight 2), both curve dimensions
     d_1 >= d_H, and the first matching weight-2 eigensystem along the
-    ascending divisor levels.
+    ascending divisor levels of M' (M' = M*ell for the twist level M, or
+    N in weight 2).  find_twist, called first, rejects a mismatched ell.
     """
     cache = MatrixCache() if cache is None else cache
     n, k = form.level, form.weight
-    nprime = n if k == 2 else n * ell
+    nprime = realization_level(n, k, ell)
     twist = find_twist(form, ell, truncate=truncate, cache=cache)
     i = twist.i
-    mprime = n if k == 2 else twist.level_m * ell
+    mprime = realization_level(n if k == 2 else twist.level_m, k, ell)
     warnings = list(twist.warnings)
     if twist.heuristic:
         warnings.append("twist search used a truncated bound")
@@ -366,22 +373,15 @@ def realize(form, ell, truncate=None, cache=None):
         if predicted != len(subgroup):
             raise AssertionError("index formula mismatch: %d != %d"
                                  % (predicted, len(subgroup)))
-    embed = lru_cache(None)(embeddings)
-    for mpp in divisors(mprime):
-        bound, heuristic = _match_bound(form, sturm_bound(mpp, ell, k),
-                                        truncate, warnings)
-        systems = decompose_level(mpp, 2, ell, bound, cache,
-                                  subgroup=subgroup.project(mpp))
-        found = _first_match(form, systems, i, bound, heuristic, embed)
-        if found:
-            f2, report = found
+    candidates = ((i, m, 2, subgroup.project(m), sturm_bound(m, ell, k))
+                  for m in divisors(mprime))
+    for (_, m, _, _, _), heuristic, report in _walk(
+            form, candidates, truncate, cache, warnings):
+        if report is not None:
             if heuristic:
                 warnings.append("weight-2 match used a truncated bound")
-            minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
-            return RealizationReport(
-                form, ell, i, subgroup, len(subgroup), predicted,
-                d1, dh, subgroup.is_full(), f2, mpp, report, minpolys,
-                report.det_check, twist, warnings)
+            return RealizationReport(form, ell, i, subgroup, predicted, d1,
+                                     dh, m, report, twist, warnings)
     raise PipelineError(
         "no weight-2 match at any divisor level of %d" % mprime)
 
@@ -393,27 +393,27 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     Gamma_H' admits a matching system if and only if H' is contained
     in the kernel subgroup H.  Returns the audit table.
     """
+    _check_ell(form, ell)
     cache = MatrixCache() if cache is None else cache
-    n, k = form.level, form.weight
-    nprime = n if k == 2 else n * ell
-    subgroup = h_from_eigenform(form.eps, k, i, ell)
-    warnings = []
-    bound, heuristic = _match_bound(form, sturm_bound(nprime, ell, k),
-                                    truncate, warnings)
-    rows, embed = [], lru_cache(None)(embeddings)
-    for hp in intermediate_subgroups(nprime):
-        systems = decompose_level(nprime, 2, ell, bound, cache, hp)
+    nprime = realization_level(form.level, form.weight, ell)
+    subgroup = h_from_eigenform(form.eps, form.weight, i, ell)
+    bound = sturm_bound(nprime, ell, form.weight)
+    candidates = [(i, nprime, 2, hp, bound)
+                  for hp in intermediate_subgroups(nprime)]
+    rows, flags, warnings = [], [], []
+    for (_, _, _, hp, _), heuristic, report in _walk(
+            form, candidates, truncate, cache, warnings):
+        flags.append(heuristic)
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),
             "contained_in_h": hp.is_subgroup_of(subgroup),
-            "match": _first_match(form, systems, i, bound, heuristic,
-                                  embed) is not None,
+            "match": report is not None,
         })
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,
            "kernel_subgroup": list(subgroup.elements),
-           "heuristic": heuristic, "rows": rows}
+           "heuristic": any(flags), "rows": rows}
     if warnings:
         doc["warnings"] = warnings
     return doc

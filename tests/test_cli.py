@@ -248,12 +248,35 @@ def test_audit_command_matches_exactly_inside_h():
 
 
 def test_tables_command_matches_reference_exponents():
-    code, doc = run_command(
-        ["--no-cache", "tables", "--max-ell", "7", "--truncate-bound", "50"])
+    # all 17 rows at bound 50; row (1, 11) gives i = 0 where the table has 1,
+    # as it does at its rigorous bound (test_untruncated_row_1_11), and its
+    # warning is the only one
+    code, doc = run_command(["--no-cache", "tables", "--truncate-bound", "50"])
     assert code == 0, doc
-    reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 7]
-    assert [row["i"] for row in doc["rows"]] == reference
-    assert "warnings" not in doc
+    assert len(doc["rows"]) == len(TABLE_ROWS) == 17
+    reference = {(row["N"], row["ell"]): row["reference_i"]
+                 for row in TABLE_ROWS}
+    reference[1, 11] = 0
+    assert {(row["N"], row["ell"]): row["i"] for row in doc["rows"]} \
+        == reference
+    assert doc["warnings"] == ["N=1 ell=11: computed twist exponent 0 "
+                               "differs from the tabulated value 1"]
+
+
+def test_a_form_mod_another_ell_exits_2(monkeypatch):
+    # the selection hands over a form mod 11 for a run mod 13
+    from modgalrep import cli, pipeline
+
+    def select_mod_11(level, weight, ell, *args, **kwargs):
+        return pipeline.select_input_form(level, weight, 11, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "select_input_form", select_mod_11)
+    for command in ("twist", "realize", "audit"):
+        code, doc = run_command(
+            ["--no-cache", command, "--level", "1", "--weight", "12",
+             "--ell", "13", "--a", "2=-24", "--truncate-bound", "50"])
+        assert code == 2, doc
+        assert "the form is a system mod 11, not mod 13" in doc["error"]
 
 
 def test_internal_fault_exits_70(monkeypatch):

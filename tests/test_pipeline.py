@@ -231,3 +231,67 @@ def test_one_presentation_per_cache():
     assert other is not plus.root
     assert other.hecke_matrix(2) == plus.root.hecke_matrix(2)
     assert other.star_matrix() == plus.root.star_matrix()
+
+
+def _constant_system(level, weight, values):
+    """A mod-7 system at the level with trivial diamond character and the
+    given T_p values, p up to 5,760."""
+    from modgalrep.eigen import Eigensystem
+    from modgalrep.exactalg import fq_field, primes_up_to, unit_group
+    field = fq_field(7, 1)
+    return Eigensystem(
+        level, weight, 7, field,
+        {p: field.from_int(values(p)) for p in primes_up_to(5760)},
+        {d: field.one() for d in unit_group(level).generators}, 1,
+        "level %d weight %d" % (level, weight), ())
+
+
+@pytest.mark.parametrize("twist_level, weight2_level, heuristic", [
+    (2, 14, True), (6, 42, False)])
+def test_realize_certifies_at_the_lcm_of_both_levels(
+        monkeypatch, twist_level, weight2_level, heuristic):
+    # a weight-12 form at level 6 mod 7 with values up to 5,760, a_p = p^2,
+    # twists by p^2 to a weight-2 system with a_p = 1 at the twist level and
+    # at one weight-2 level M' only.  Realize searches M' = 14 at its own
+    # bound of 720, but both systems live at lcm(6, 14) = 42, whose bound is
+    # 5,760: the match is heuristic.  At M' = 42 the two bounds agree.
+    from modgalrep import pipeline
+    from modgalrep.dirichlet import trivial_character
+    form = InputForm(6, 12, trivial_character(6), {},
+                     _constant_system(6, 12, lambda p: p * p), 5760)
+    calls = []
+
+    def spy(level, weight, ell, bound, cache=None, subgroup=None):
+        # the twist search passes no subgroup, realize one at every level
+        calls.append((level, weight, bound, subgroup is None))
+        hit = twist_level if subgroup is None else weight2_level
+        if (level, weight) == (hit, 2):
+            return [_constant_system(level, 2, lambda p: 1)]
+        return []
+
+    monkeypatch.setattr(pipeline, "decompose_level", spy)
+    rep = realize(form, 7)
+    assert (rep.i, rep.twist.level_m, rep.system_level) == (
+        2, twist_level, weight2_level)
+    assert not rep.twist.heuristic
+    assert rep.report.bound == sturm_bound(weight2_level, 7, 12)
+    assert (weight2_level, 2, rep.report.bound, False) in calls
+    assert rep.report.heuristic is heuristic
+    assert ("weight-2 match used a truncated bound" in rep.warnings) \
+        is heuristic
+    assert ("heuristic" in rep.to_dict()["match"]) is heuristic
+
+
+def test_a_form_mod_another_ell_is_refused_before_any_space(monkeypatch):
+    from modgalrep import pipeline
+    form = select_input_form(1, 12, 11, {"ap": {2: -24}}, bound=50)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(pipeline, "decompose_level", spy)
+    for run in (lambda: find_twist(form, 13, truncate=50),
+                lambda: realize(form, 13, truncate=50),
+                lambda: largest_subgroup_audit(form, 13, 0, truncate=50)):
+        with pytest.raises(ValueError, match="system mod 11, not mod 13"):
+            run()
