@@ -199,15 +199,14 @@ def _check_ell(form, ell):
 
 
 def _walk(form, candidates, truncate, cache, warnings):
-    """Yield (candidate, heuristic, report) for each candidate (i, level,
-    weight, subgroup, search bound), the report that of the first system
-    on Gamma_H(level), H trivial for None, that matches the form as a twist
-    by p^i and passes the determinant check, or None.  The bound is cut as
-    the module docstring says; a heuristic match's report is marked so.
+    """Yield (candidate, report) for each candidate (i, level, weight,
+    subgroup, search bound), its bound cut as the module docstring says,
+    the report that of the first system on Gamma_H(level), H trivial for
+    None, that matches the form as a twist by p^i and passes the
+    determinant check, or None; a heuristic match's report is marked so.
     """
     ell, k = form.system.ell, form.weight
-    for candidate in candidates:
-        i, level, weight, subgroup, bound = candidate
+    for i, level, weight, subgroup, bound in candidates:
         if truncate is not None:
             bound = min(bound, truncate)
         if form.bound < bound:
@@ -215,13 +214,13 @@ def _walk(form, candidates, truncate, cache, warnings):
             note = "the input form has values only up to %d" % bound
             if note not in warnings:
                 warnings.append(note)
-        heuristic = bound < sturm_bound(lcm(form.level, level), ell, k)
         reports = (match_twist(form.system, g, i, bound) for g in
                    decompose_level(level, weight, ell, bound, cache, subgroup))
         report = next((r for r in reports if r.verdict and r.det_check), None)
         if report is not None:
-            report.heuristic = heuristic
-        yield candidate, heuristic, report
+            report.heuristic = bound < sturm_bound(lcm(form.level, level),
+                                                   ell, k)
+        yield (i, level, weight, subgroup, bound), report
 
 
 class TwistResult:
@@ -276,7 +275,7 @@ def find_twist(form, ell, truncate=None, cache=None):
     bound = sturm_bound(n, ell, k)
     candidates = [(i, m, kp, None, bound) for i, kp in pairs for m in levels]
     warnings = []
-    for (i, m, kp, _, _), _, report in _walk(
+    for (i, m, kp, _, _), report in _walk(
             form, candidates, truncate, cache, warnings):
         if report is not None:
             return TwistResult(i, kp, m, report, warnings)
@@ -360,7 +359,7 @@ def realize(form, ell, truncate=None, cache=None):
     nprime = realization_level(n, k, ell)
     twist = find_twist(form, ell, truncate=truncate, cache=cache)
     i = twist.i
-    mprime = realization_level(n if k == 2 else twist.level_m, k, ell)
+    mprime = n if k == 2 else twist.level_m * ell
     warnings = list(twist.warnings)
     if twist.heuristic:
         warnings.append("twist search used a truncated bound")
@@ -375,11 +374,14 @@ def realize(form, ell, truncate=None, cache=None):
                                  % (predicted, len(subgroup)))
     candidates = ((i, m, 2, subgroup.project(m), sturm_bound(m, ell, k))
                   for m in divisors(mprime))
-    for (_, m, _, _, _), heuristic, report in _walk(
+    for (_, m, _, _, bound), report in _walk(
             form, candidates, truncate, cache, warnings):
         if report is not None:
-            if heuristic:
-                warnings.append("weight-2 match used a truncated bound")
+            if report.heuristic:  # the search bound or the truncation
+                warnings.append("weight-2 match used a truncated bound"
+                                if bound < sturm_bound(m, ell, k) else
+                                "weight-2 match searched below the bound "
+                                "at level %d" % lcm(n, m))
             return RealizationReport(form, ell, i, subgroup, predicted, d1,
                                      dh, m, report, twist, warnings)
     raise PipelineError(
@@ -397,13 +399,12 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     cache = MatrixCache() if cache is None else cache
     nprime = realization_level(form.level, form.weight, ell)
     subgroup = h_from_eigenform(form.eps, form.weight, i, ell)
-    bound = sturm_bound(nprime, ell, form.weight)
-    candidates = [(i, nprime, 2, hp, bound)
+    rigorous = sturm_bound(nprime, ell, form.weight)  # lcm(N, N') = N'
+    candidates = [(i, nprime, 2, hp, rigorous)
                   for hp in intermediate_subgroups(nprime)]
-    rows, flags, warnings = [], [], []
-    for (_, _, _, hp, _), heuristic, report in _walk(
+    rows, warnings = [], []
+    for (_, _, _, hp, bound), report in _walk(
             form, candidates, truncate, cache, warnings):
-        flags.append(heuristic)
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),
@@ -413,7 +414,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,
            "kernel_subgroup": list(subgroup.elements),
-           "heuristic": any(flags), "rows": rows}
+           "heuristic": bound < rigorous, "rows": rows}
     if warnings:
         doc["warnings"] = warnings
     return doc

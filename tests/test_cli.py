@@ -248,6 +248,15 @@ def test_audit_command_matches_exactly_inside_h():
 
 
 def test_tables_command_matches_reference_exponents():
+    code, doc = run_command(
+        ["--no-cache", "tables", "--max-ell", "7", "--truncate-bound", "50"])
+    assert code == 0, doc
+    reference = [row["reference_i"] for row in TABLE_ROWS if row["ell"] <= 7]
+    assert [row["i"] for row in doc["rows"]] == reference
+    assert "warnings" not in doc
+
+
+def test_tables_command_covers_every_row():
     # all 17 rows at bound 50; row (1, 11) gives i = 0 where the table has 1,
     # as it does at its rigorous bound (test_untruncated_row_1_11), and its
     # warning is the only one
