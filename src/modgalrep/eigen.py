@@ -26,7 +26,10 @@ is a d-dimensional F_ell-space, an operator acts on each coefficient of an
 entry, and a root acts on each entry through its regular representation,
 the d x d matrix of multiplication by it; a piece keeps its free rows too.
 So both steps run on the one numpy backend over F_ell, with every product
-through `intmat.product`.  The roots of a factor are those of
+through `intmat.product`, and this module owns the elimination over F_ell
+on it: `_rref_mod`, the one echelon form over a finite field in the
+package, under the kernels of the cuts and the pieces, and the Hessenberg
+reduction of `charpoly_mod`.  The roots of a factor are those of
 `irreducible_roots`: one root by equal-degree splitting, with h^e modulo
 the factor computed on the same backend, and its Frobenius conjugates by
 the field's Frobenius matrix, since every root of a polynomial irreducible
@@ -55,8 +58,6 @@ import numpy as np
 from .dirichlet import ResidualCharacter
 from .exactalg.arith import is_prime, primes_up_to, unit_group
 from .exactalg.gf import (
-    _exact_dtype,
-    _rref_mod,
     embeddings,
     fq_field,
     irreducible_roots,
@@ -64,11 +65,37 @@ from .exactalg.gf import (
     poly_from_ints,
     poly_str,
 )
-from .exactalg.intmat import product
+from .exactalg.intmat import exact_dtype, product
 
 
 # ---------------------------------------------------------------------------
 # linear algebra over F_ell on numpy arrays of residues
+
+def _exact_dtype(n, ell):
+    """int64 while a sum of n + 2 products of two residues fits in it,
+    Python integers beyond that."""
+    return exact_dtype((n + 2) * ell * ell)
+
+
+def _rref_mod(a, ell):
+    """Reduced row echelon form of a mod ell, and its pivot columns."""
+    a = a % ell
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, ell) % ell
+        rows = np.flatnonzero(a[:, j])
+        rows = rows[rows != r]
+        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:])) % ell
+        pivots.append(j)
+        if len(pivots) == a.shape[0]:
+            break
+    return a[:len(pivots)], pivots
+
 
 def _kernel_mod(a, ell):
     """Basis K of the kernel of a mod ell, as the columns of an array, and
@@ -157,7 +184,8 @@ class ReducedSpace:
         self.weight = weight
         self.ell = ell
         self.dim = dim
-        # label (T{p}, d{d}) -> the operator over F_ell, an array of residues
+        # key (p for T_p, -d for <d>, as ModularSymbolSpace.operators keys
+        # them) -> the operator over F_ell, an array of residues
         # (reduce_space_mod) or a list of rows of them
         self.ops = ops
         self.diamond_gens = diamond_gens
@@ -180,10 +208,13 @@ def reduce_space_mod(space, ell, primes):
     """
     if not is_prime(ell):
         raise ValueError("ell must be prime, got %d" % ell)
+    if min(primes, default=2) < 2:
+        raise ValueError("T_p needs a prime p, got %d" % min(primes))
     # (Z/nZ)* has no generators for n <= 2
     gens = unit_group(space.level).generators
+    keys = list(primes) + [-d for d in gens]
     return ReducedSpace(space.level, space.weight, ell, space.dim,
-                        space.operators_mod(ell, primes, gens), gens)
+                        dict(zip(keys, space.operators(keys, ell))), gens)
 
 
 class Eigensystem:
@@ -259,22 +290,22 @@ def decompose(rspace, primes):
     n = rspace.dim
     if n == 0:
         return []
-    good = ["T%d" % p for p in primes if (rspace.level * ell) % p]
-    good += ["d%d" % d for d in rspace.diamond_gens]
-    bad = ["T%d" % p for p in primes if (rspace.level * ell) % p == 0]
-    ops = {lbl: np.array(rspace.ops[lbl], dtype=_exact_dtype(n, ell)) % ell
-           for lbl in good + bad}
+    good = [p for p in primes if (rspace.level * ell) % p]
+    good += [-d for d in rspace.diamond_gens]
+    bad = [p for p in primes if (rspace.level * ell) % p == 0]
+    ops = {k: np.array(rspace.ops[k], dtype=_exact_dtype(n, ell)) % ell
+           for k in good + bad}
     blocks = [(n, ops, {})]
-    for label in good:
+    for key in good:
         blocks = [split for block in blocks
                   for split in ([block] if _is_simple(*block) else
-                                _split_mod(block, label, ell))]
+                                _split_mod(block, key, ell))]
     systems = []
     for block in blocks:
         field, found = _finish_block(block, good, bad, ell)
         for values, mult in found:
-            a = {int(k[1:]): v for k, v in values.items() if k[0] == "T"}
-            diamond = {int(k[1:]): v for k, v in values.items() if k[0] == "d"}
+            a = {k: v for k, v in values.items() if k > 0}
+            diamond = {-k: v for k, v in values.items() if k < 0}
             systems.append(Eigensystem(
                 rspace.level, rspace.weight, ell, field, a, diamond, mult,
                 "L%dW%dmod%d/b%d" % (rspace.level, rspace.weight, ell,
@@ -292,7 +323,7 @@ def _is_simple(dim, ops, factors):
     return any(len(g) - 1 == dim for g in factors.values())
 
 
-def _split_mod(block, label, ell):
+def _split_mod(block, key, ell):
     """Split a block (dimension, restricted operators, factors) over F_ell
     into the generalized eigenspaces of one operator, one for each
     irreducible factor of its characteristic polynomial on the block, and
@@ -300,19 +331,19 @@ def _split_mod(block, label, ell):
     one check.  An operator that acts as a scalar c has the one factor
     T - c, and needs no characteristic polynomial."""
     dim, ops, factors = block
-    x = ops[label]
+    x = ops[key]
     c = int(x[0, 0])
     if np.array_equal(x, c * np.eye(dim, dtype=x.dtype)):
-        return [(dim, ops, {**factors, label: [-c % ell, 1]})]
+        return [(dim, ops, {**factors, key: [-c % ell, 1]})]
     split = _factor_mod(charpoly_mod(x, ell), ell)
     if len(split) == 1:
-        return [(dim, ops, {**factors, label: split[0][0]})]
+        return [(dim, ops, {**factors, key: split[0][0]})]
     stack, out = np.stack(list(ops.values())), []
     for g, e in split:
         ker, free = _kernel_mod(_square_up(_poly_at(g, x, ell), e, ell), ell)
         restricted = _restrict(product(stack, ker, ell), ker, free, ell)
         out.append((len(free), dict(zip(ops, restricted)),
-                    {**factors, label: g}))
+                    {**factors, key: g}))
     return out
 
 
@@ -327,22 +358,22 @@ def _finish_block(block, good, bad, ell):
     operator whose factor has the largest degree goes first, and only one of
     its roots is followed: every Frobenius orbit in the block has members
     with that value, and `_dedupe_orbits` keeps one.  A later operator
-    splits a larger piece by the roots of its factor; a good label with no
+    splits a larger piece by the roots of its factor; a good key with no
     recorded factor never splits, as the block is simple and its pieces are
-    lines, of dimension one, once the lead is followed.  Values at bad labels
+    lines, of dimension one, once the lead is followed.  Values at bad keys
     on a larger piece need the operator's characteristic polynomial.  Once
     every operator has gone, each line reads all its missing values at once,
-    good and bad labels alike (_line_values).
-    Returns the field and a list of (label -> value, multiplicity).
+    good and bad keys alike (_line_values).
+    Returns the field and a list of (key -> value, multiplicity).
     """
     s, mats, factors = block
     field = fq_field(ell, lcm(1, *(len(g) - 1 for g in factors.values())))
     d = field.r
-    lead = max(factors, key=lambda lbl: len(factors[lbl]), default=None)
+    lead = max(factors, key=lambda k: len(factors[k]), default=None)
     pieces = [(np.eye(s * d, dtype=_exact_dtype(s * d, ell)),
                np.arange(s * d), {})]
-    for label in sorted(good, key=lambda lbl: lbl != lead):
-        g, roots = factors.get(label), None
+    for key in sorted(good, key=lambda k: k != lead):
+        g, roots = factors.get(key), None
         split = []
         for cols, free, values in pieces:
             if g is not None and len(g) == 2:
@@ -353,32 +384,32 @@ def _finish_block(block, good, bad, ell):
             else:
                 if roots is None:
                     roots = irreducible_roots(field, g)
-                found = _eigenspaces(field, mats[label], cols, free,
-                                     roots[:1] if label == lead else roots)
-            split += [(sub, rows, {**values, label: v})
+                found = _eigenspaces(field, mats[key], cols, free,
+                                     roots[:1] if key == lead else roots)
+            split += [(sub, rows, {**values, key: v})
                       for v, sub, rows in found]
         pieces = split
-    for label in bad:
+    for key in bad:
         facs = roots = None
         for cols, free, values in pieces:
             if cols.shape[1] == d:
                 continue
             if facs is None:
-                facs = _factor_mod(charpoly_mod(mats[label], ell), ell)
+                facs = _factor_mod(charpoly_mod(mats[key], ell), ell)
             if len(facs) == 1 and len(facs[0][0]) == 2:
-                values[label] = field.from_int(-facs[0][0][0])
+                values[key] = field.from_int(-facs[0][0][0])
             elif cols.shape[1] < s * d:
                 if roots is None:
                     roots = [r for g, _ in facs if d % (len(g) - 1) == 0
                              for r in irreducible_roots(field, g)]
-                found = _eigenspaces(field, mats[label], cols, free, roots)
+                found = _eigenspaces(field, mats[key], cols, free, roots)
                 if len(found) == 1 and found[0][1].shape == cols.shape:
-                    values[label] = found[0][0]
+                    values[key] = found[0][0]
     for cols, _, values in pieces:
-        missing = [lbl for lbl in good + bad if lbl not in values]
+        missing = [k for k in good + bad if k not in values]
         if cols.shape[1] == d and missing:
             values.update(zip(missing, _line_values(
-                field, [mats[lbl] for lbl in missing], cols)))
+                field, [mats[k] for k in missing], cols)))
     return field, [(values, cols.shape[1] // d) for cols, _, values in pieces]
 
 

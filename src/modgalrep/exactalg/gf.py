@@ -28,15 +28,14 @@ Field embeddings and the eigensystem code find their roots with it.  The
 embeddings are F_l-linear maps too, applied like the Frobenius matrix; map
 j of `embeddings` is map 0 followed by the Frobenius j times.
 
-Matrices over F_l are numpy arrays of residues, reduced by `_rref_mod`,
-the one elimination over a finite field in the package; the eigensystem
-code works on them for every F_{l^r}, and `FqElem.minpoly` echelonizes the
-coefficient vectors of an element's powers with it.  The Hecke operator
-kernel, the restriction to subspaces, every product of the eigensystem
-code and of `poly_powmod` go through `intmat.product`, the one exact
-product over Z and F_l.  `FqElem.inverse` runs extended Euclid against
-the modulus on coefficient lists of ints, which is several times faster
-per element than Fermat inversion through the field's own multiplication.
+Field arithmetic beyond the product goes through the Frobenius too.  The
+inverse of a is b / N(a), b the product of the r - 1 conjugates of a and
+N(a) = a b in F_l (T. Itoh and S. Tsujii, Inform. and Comput. 78, 1988),
+and the minimal polynomial of a over F_l is the product of x - c over the
+Frobenius orbit of a (R. Lidl and H. Niederreiter, Finite Fields, Thm.
+3.33).  `poly_powmod` and the Hecke operator kernel, the restriction to
+subspaces and the eigensystem code put every product of matrices through
+`intmat.product`, the one exact product over Z and F_l.
 """
 
 import random
@@ -47,35 +46,6 @@ import numpy as np
 
 from .arith import factorint, is_prime
 from .intmat import exact_dtype, product
-
-
-# ---------------------------------------------------------------------------
-# matrices over F_l, as numpy arrays of residues
-
-def _exact_dtype(n, ell):
-    """int64 while a sum of n + 2 products of two residues fits in it,
-    Python integers beyond that."""
-    return exact_dtype((n + 2) * ell * ell)
-
-
-def _rref_mod(a, ell):
-    """Reduced row echelon form of a mod ell, and its pivot columns."""
-    a = a % ell
-    pivots = []
-    for j in range(a.shape[1]):
-        r = len(pivots)
-        nz = np.flatnonzero(a[r:, j])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, ell) % ell
-        rows = np.flatnonzero(a[:, j])
-        rows = rows[rows != r]
-        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:])) % ell
-        pivots.append(j)
-        if len(pivots) == a.shape[0]:
-            break
-    return a[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +174,6 @@ def fq_field(ell, r):
     return FqField(ell, r, _canonical_modulus(ell, r))
 
 
-def _trim_ints(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 class FqElem:
     """An element of an FqField, as a residue polynomial in the generator."""
 
@@ -275,49 +239,20 @@ class FqElem:
         return result
 
     def inverse(self):
+        """b / N(a), b the product of the conjugates of a other than a
+        itself, and N(a) = a b, which lies in the prime field; there the
+        inverse is one pow."""
         f = self.field
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
         if f.r == 1:
             return FqElem(f, (pow(self.coeffs[0], -1, f.ell),))
-        # extended Euclid on residue polynomial and the modulus
-        ell = f.ell
-        a = _trim_ints(list(self.coeffs))
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        b = list(f.modulus)
-        s0, s1 = [1], []
-        while b:
-            inv = pow(b[-1], -1, ell)
-            q = []
-            rem = list(a)
-            while len(rem) >= len(b) and rem:
-                c = rem[-1] * inv % ell
-                shift = len(rem) - len(b)
-                while len(q) <= shift:
-                    q.append(0)
-                q[shift] = c
-                for j in range(len(b)):
-                    rem[shift + j] = (rem[shift + j] - c * b[j]) % ell
-                rem.pop()
-                _trim_ints(rem)
-            # s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % ell
-            new_s = [( (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % ell
-                     for i in range(max(len(s0), len(qs1), 1))]
-            _trim_ints(new_s)
-            a, b = b, rem
-            s0, s1 = s1, new_s
-        # a is now gcd (degree 0 since modulus irreducible)
-        lead_inv = pow(a[0], -1, ell)
-        inv_coeffs = [c * lead_inv % ell for c in s0]
-        inv_coeffs += [0] * (f.r - len(inv_coeffs))
-        return FqElem(f, tuple(inv_coeffs[: f.r]))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
+        b, conj = f.one(), self
+        for _ in range(f.r - 1):
+            conj = conj.frobenius()
+            b = b * conj
+        inv = pow((self * b).coeffs[0], -1, f.ell)
+        return FqElem(f, tuple(c * inv % f.ell for c in b.coeffs))
 
     def frobenius(self):
         """The image under x -> x^ell, by the field's Frobenius matrix."""
@@ -334,19 +269,17 @@ class FqElem:
         return order
 
     def minpoly(self):
-        """Monic minimal polynomial over the prime field, as an int list.
-
-        The coefficient vectors of 1, x, ..., x^r are echelonized as
-        columns: the pivots are the first d powers, d the degree, and
-        column d writes x^d in them."""
-        f = self.field
-        powers = [f.one()]
-        for _ in range(f.r):
-            powers.append(powers[-1] * self)
-        cols = np.array([p.coeffs for p in powers],
-                        dtype=_exact_dtype(f.r + 1, f.ell)).T
-        rows, pivots = _rref_mod(cols, f.ell)
-        return [-int(c) % f.ell for c in rows[:, len(pivots)]] + [1]
+        """Monic minimal polynomial over the prime field, as an int list:
+        the product of x - c over the Frobenius orbit c = a, a^ell, ...,
+        whose coefficients the Frobenius fixes."""
+        orbit = [self]
+        while (c := orbit[-1].frobenius()).coeffs != self.coeffs:
+            orbit.append(c)
+        zero, poly = self.field.zero(), [self.field.one()]
+        for c in orbit:
+            poly = [lo - c * hi
+                    for lo, hi in zip([zero] + poly, poly + [zero])]
+        return [c.coeffs[0] for c in poly]
 
     def __eq__(self, other):
         return (

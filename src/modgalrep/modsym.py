@@ -63,10 +63,11 @@ A run keeps its spaces in one MatrixCache, one presentation for each
 (level, weight, +-H), and nothing outlives it.  Each space keeps its
 operators in one store, ring -> {key: array}, keyed p for T_p, -d for <d>
 and 0 for the star involution; operators(keys, ell) is the one way to
-them, and hecke_matrix, diamond_matrix, star_matrix and operators_mod are
-views of it.  With a directory, the cache keeps the root's operators over
-each ring in one stacked entry of fixed-width binary integers (see
-MatrixCache), so a warm run parses no decimal text.
+them, and hecke_matrix, diamond_matrix and star_matrix are views of it;
+the eigensystem code keys its operators mod ell the same way.  With a
+directory, the cache keeps the root's operators over each ring in one
+stacked entry of fixed-width binary integers (see MatrixCache), so a warm
+run parses no decimal text.
 """
 
 import hashlib
@@ -595,13 +596,6 @@ class ModularSymbolSpace:
 
     def star_matrix(self):
         return self.operators([0])[0].tolist()
-
-    def operators_mod(self, ell, primes, units=()):
-        """T_p for each prime p of primes and <d> for each unit d of units
-        over F_ell, as arrays of residues under the labels T{p} and d{d}."""
-        labels = ["T%d" % p for p in primes] + ["d%d" % d for d in units]
-        return dict(zip(labels, self.operators(self._keys(primes, units),
-                                               ell)))
 
     # -- subspaces ------------------------------------------------------------
 

@@ -464,7 +464,4 @@ def table_row_selector(row):
     g = poly_gcd(poly_from_ints(field, _LEVEL5_QUARTIC),
                  poly_from_ints(field, _LEVEL5_LAMBDA[ell]))
     coeffs = [c.coeffs[0] for c in g]
-    sel = {"ap_minpoly": {2: coeffs}}
-    if _LEVEL5_A3[1] % ell:
-        sel["ap_poly"] = {3: _LEVEL5_A3}
-    return sel
+    return {"ap_minpoly": {2: coeffs}, "ap_poly": {3: _LEVEL5_A3}}

@@ -11,7 +11,7 @@ import numpy as np
 
 from modgalrep.congruence import CosetTable, curve_invariants
 from modgalrep.dirichlet import DirichletCharacter, place_above
-from modgalrep.eigen import Eigensystem
+from modgalrep.eigen import _exact_dtype, Eigensystem
 from modgalrep.exactalg import (
     dual_basis,
     poly_factor_fq,
@@ -21,7 +21,6 @@ from modgalrep.exactalg import (
     xgcd,
 )
 from modgalrep.exactalg.gf import (
-    _exact_dtype,
     poly_degree,
     poly_mod,
     poly_trim,
@@ -301,7 +300,7 @@ def read_line_value(field, x, cols):
     i = next(i for i in range(s) if any(w[i]))
     xw = [sum(int(x[i][t]) * w[t][j] for t in range(s)) % ell
           for j in range(d)]
-    return field(xw) / field(w[i])
+    return field(xw) * field(w[i]).inverse()
 
 
 def charpoly_mod(mat, p):

@@ -31,7 +31,7 @@ def systems_of(n, k, ell, primes=PRIMES50):
 def test_reduce_space_preserves_commutation():
     space = plus_cuspidal(13, 2)
     rs = reduce_space_mod(space, 5, [2, 3])
-    a, b = rs.ops["T2"], rs.ops["T3"]
+    a, b = rs.ops[2], rs.ops[3]
     n = len(a)
     ab = [[sum(a[i][t] * b[t][j] for t in range(n)) % 5 for j in range(n)]
           for i in range(n)]
@@ -42,7 +42,7 @@ def test_reduce_space_preserves_commutation():
 
 def test_reduce_trace_example():
     rs = reduce_space_mod(plus_cuspidal(1, 12), 13, [2])
-    assert rs.ops["T2"] == [[2]]  # -24 = 2 mod 13
+    assert rs.ops[2] == [[2]]  # -24 = 2 mod 13
 
 
 def test_decompose_level11_mod11():
@@ -232,7 +232,7 @@ def test_decompose_beyond_int64():
     ell = 2 ** 61 - 1
     t2 = [[1, 1], [0, 2]]
     t3 = [[1, 3], [0, 4]]  # T3 = T2^2
-    rspace = ReducedSpace(1, 2, ell, 2, {"T2": t2, "T3": t3}, ())
+    rspace = ReducedSpace(1, 2, ell, 2, {2: t2, 3: t3}, ())
     systems = decompose(rspace, [2, 3])
     assert [(s.multiplicity, s.value_tuple()) for s in systems] \
         == [(1, (1, 1)), (1, (2, 4))]
@@ -242,14 +242,14 @@ def test_decompose_beyond_int64():
     m = ell - 1
     t2 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, m], [0, 0, 1, 0]]
     t3 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, m, 0]]
-    rspace = ReducedSpace(1, 2, ell, 4, {"T2": t2, "T3": t3}, ())
+    rspace = ReducedSpace(1, 2, ell, 4, {2: t2, 3: t3}, ())
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (ell, ell)), (2, 1, (ell, m * ell))]
     # a simple block: T3 = 3 + 2 T2 is never split on, and its value is read
     # off the one-dimensional piece
-    rspace = ReducedSpace(1, 2, ell, 2, {"T2": [[0, m], [1, 0]],
-                                         "T3": [[3, 2 * m % ell], [2, 3]]}, ())
+    rspace = ReducedSpace(1, 2, ell, 2, {2: [[0, m], [1, 0]],
+                                         3: [[3, 2 * m % ell], [2, 3]]}, ())
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (ell, 3 + 2 * ell))]
@@ -260,8 +260,8 @@ def test_decompose_refuses_an_operator_that_leaves_a_block():
     # the restriction of T3 to a block must be checked, not only read off,
     # also between two operators that keep the block in one stacked check
     swap = [[0, 1], [1, 0]]
-    for ops in ({"T2": [[1, 0], [0, 2]], "T3": swap},
-                {"T2": [[1, 0], [0, 2]], "T3": swap, "T5": [[3, 0], [0, 4]]}):
+    for ops in ({2: [[1, 0], [0, 2]], 3: swap},
+                {2: [[1, 0], [0, 2]], 3: swap, 5: [[3, 0], [0, 4]]}):
         rspace = ReducedSpace(1, 2, 5, 2, ops, ())
         with pytest.raises(AssertionError,
                            match="outside the span of a basis"):
@@ -269,9 +269,9 @@ def test_decompose_refuses_an_operator_that_leaves_a_block():
 
 
 def test_line_values_equal_the_one_label_read(monkeypatch):
-    # every value a line reads at once, good and bad labels alike (2, 5 and
+    # every value a line reads at once, good and bad operators alike (2, 5 and
     # 13 are bad at level 40 mod 13, and 2, 3 and 7 at level 6 mod 7),
-    # equals the value the one-label oracle reads off the same line
+    # equals the value the one-operator oracle reads off the same line
     reads = []
     plain = eigen._line_values
 
@@ -294,7 +294,7 @@ def test_a_line_with_every_value_known_reads_nothing(monkeypatch):
     # T2 is scalar and T3 cuts the block into lines with linear factors, so
     # no line has a value left to read
     monkeypatch.setattr(eigen, "_line_values", None)
-    rspace = ReducedSpace(1, 2, 5, 2, {"T2": [[2, 0], [0, 2]],
-                                       "T3": [[1, 0], [0, 3]]}, ())
+    rspace = ReducedSpace(1, 2, 5, 2, {2: [[2, 0], [0, 2]],
+                                       3: [[1, 0], [0, 3]]}, ())
     assert [s.value_tuple() for s in decompose(rspace, [2, 3])] \
         == [(2, 1), (2, 3)]

@@ -223,6 +223,50 @@ def test_minpoly_divides_field_degree():
     assert (len(sub.minpoly()) - 1) in (1, 2)
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_inverse_of_zero_raises_zero_division(r):
+    # the same error in every field: the CLI reports a ValueError as a
+    # domain error, and inverting zero is an internal fault
+    F = fq_field(13, r)
+    with pytest.raises(ZeroDivisionError):
+        F.zero().inverse()
+    with pytest.raises(ZeroDivisionError):
+        F.zero() ** -1
+
+
+@pytest.mark.parametrize("ell, r", [
+    (13, 1), (13, 2), (13, 4), (5, 6), (7, 3), (2 ** 61 - 1, 2), (3, 8),
+    (11, 10)])
+def test_inverse_and_minpoly_against_independent_oracles(ell, r):
+    """The inverse is a right inverse and equals Fermat's x^(q-2); the
+    minimal polynomial is monic, vanishes at x, has one irreducible factor
+    over F_ell and the degree of the orbit of x under x -> x^ell, the powers
+    by repeated products alone.  The elements are random ones, the
+    generator and one of each subfield F_{ell^s}, s | r."""
+    F, prime = fq_field(ell, r), fq_field(ell, 1)
+    q = F.order
+    rng = random.Random(ell * r)
+    xs = [F.from_encoding(rng.randrange(1, q)) for _ in range(40)]
+    xs += [F.one(), F.from_int(-1)] + ([F.gen()] if r > 1 else [])
+    xs += [xs[0] ** ((q - 1) // (ell ** s - 1)) for s in divisors(r)]
+    for x in xs:
+        inv = x.inverse()
+        assert x * inv == F.one(), x
+        assert inv == x ** (q - 2), x
+        mp = x.minpoly()
+        assert mp[-1] == 1 and all(0 <= c < ell for c in mp), x
+        acc = F.zero()
+        for c in reversed(mp):
+            acc = acc * x + F.from_int(c)
+        assert acc.is_zero(), x
+        g = poly_from_ints(prime, mp)
+        assert poly_factor_fq(g) == [(g, 1)], x
+        orbit, c = 1, x ** ell
+        while c != x:
+            orbit, c = orbit + 1, c ** ell
+        assert len(mp) - 1 == orbit and r % orbit == 0, x
+
+
 def test_embed_field_is_homomorphism():
     small = fq_field(5, 2)
     big = fq_field(5, 4)

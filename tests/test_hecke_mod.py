@@ -39,19 +39,18 @@ def _assert_mod_equals_integer(space, ell, primes):
     """The mod-ell operators of the space and of its root equal the
     reductions of their integer operators."""
     units = unit_group(space.level).generators
+    keys = list(primes) + [-d for d in units]
     rspace = reduce_space_mod(space, ell, primes)
-    ambient = space.root.operators_mod(ell, primes, units)
+    ambient = dict(zip(keys, space.root.operators(keys, ell)))
     for p in primes:
-        label = "T%d" % p
-        assert rspace.ops[label].tolist() == _reduced(
+        assert rspace.ops[p].tolist() == _reduced(
             space.hecke_matrix(p), ell), (space, ell, p)
-        assert ambient[label].tolist() == _reduced(
+        assert ambient[p].tolist() == _reduced(
             space.root.hecke_matrix(p), ell), (space, ell, p)
     for d in units:
-        label = "d%d" % d
-        assert rspace.ops[label].tolist() == _reduced(
+        assert rspace.ops[-d].tolist() == _reduced(
             space.diamond_matrix(d), ell), (space, ell, d)
-        assert ambient[label].tolist() == _reduced(
+        assert ambient[-d].tolist() == _reduced(
             space.root.diamond_matrix(d), ell), (space, ell, d)
     return rspace
 
@@ -121,9 +120,16 @@ def test_reduction_never_computes_an_integer_operator(monkeypatch):
         return plain(self, keys, ell)
 
     monkeypatch.setattr(modsym._Ambient, "operator_arrays", refuse_z)
-    assert reduce_space_mod(space, 7, [2, 3, 5, 53]).ops["d5"].shape \
+    assert reduce_space_mod(space, 7, [2, 3, 5, 53]).ops[-5].shape \
         == (space.dim, space.dim)
     assert rings == [7]
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_reduction_refuses_a_key_that_is_no_prime(p):
+    # below 2, a key names the star involution or a diamond, not a T_p
+    with pytest.raises(ValueError, match="needs a prime"):
+        reduce_space_mod(plus_cuspidal_space(7, 2), 5, [2, p])
 
 
 def test_heilbronn_matrices_once_per_run(monkeypatch):
@@ -213,7 +219,7 @@ def test_stacked_entry_grows_by_the_missing_operators(tmp_path, monkeypatch):
     # one kernel pass, with one group: the Heilbronn matrices of T_5
     five = len(modsym.heilbronn_cremona(5))
     assert computed == [(five, [five])]
-    assert ops["T5"].tolist() == _reduced(fresh.hecke_matrix(5), 5)
+    assert ops[5].tolist() == _reduced(fresh.hecke_matrix(5), 5)
     stacked = MatrixCache(root).load(11, 2, "mod5", fresh.ambient.fingerprint)
     assert sorted(stacked[:, 0].tolist()) == [-2, 2, 3, 5]
 
@@ -238,7 +244,7 @@ def _batching_cases():
 
 @pytest.mark.parametrize("cap", [1, 3000, 2 ** 14])
 def test_batched_operators_equal_one_key_per_call(monkeypatch, cap):
-    """All the operators one operators_mod call is missing, computed in
+    """All the operators one operators call is missing, computed in
     chunks of the kernel's cap, equal those computed one key per call on a
     fresh space, on the root and on the plus space.  The middle cap splits
     some calls into several chunks of several operators each."""
@@ -257,16 +263,15 @@ def test_batched_operators_equal_one_key_per_call(monkeypatch, cap):
         space, one = make(), make()
         units = unit_group(space.level).generators
         monkeypatch.setattr(modsym, "_CHUNK", cap)
-        batched = space.operators_mod(ell, primes, units)
-        root = space.root.operators_mod(ell, primes, units)
+        keys = primes + [-d for d in units]
+        batched = space.operators(keys, ell)
+        root = space.root.operators(keys, ell)
         monkeypatch.setattr(modsym, "_CHUNK", 2 ** 14)
-        keys = ([("T%d" % p, [p], []) for p in primes]
-                + [("d%d" % d, [], [d]) for d in units])
-        for label, ps, ds in keys:
-            assert one.operators_mod(ell, ps, ds)[label].tolist() \
-                == batched[label].tolist(), (one, ell, label, cap)
-            assert one.root.operators_mod(ell, ps, ds)[label].tolist() \
-                == root[label].tolist(), (one, ell, label, cap)
+        for key, b, r in zip(keys, batched, root):
+            assert one.operators([key], ell)[0].tolist() == b.tolist(), \
+                (one, ell, key, cap)
+            assert one.root.operators([key], ell)[0].tolist() \
+                == r.tolist(), (one, ell, key, cap)
     if cap == 1:
         assert set(groups) == {1}
     if cap == 3000:
@@ -279,4 +284,4 @@ def test_mod_ell_restriction_checks_the_subspace():
     line = modsym.ModularSymbolSpace(full.ambient, parent=full,
                                      basis=np.eye(1, full.dim, dtype=np.int64))
     with pytest.raises(modsym.SaturationError):
-        line.operators_mod(7, [2])
+        line.operators([2], 7)

@@ -146,7 +146,7 @@ def test_class_tables_equal_the_per_matrix_tables(ell):
 
 def test_one_table_build_per_operator_call(monkeypatch):
     """In the cap-3000 case of test_batched_operators_equal_one_key_per_call,
-    an operators_mod call builds its tables once, over the Heilbronn
+    an operators call builds its tables once, over the Heilbronn
     matrices of every prime asked for and the identity, which the diamonds
     read, with one table per class: per residue class mod ell, or the one
     table at weight 2.  Some of those calls run the kernel in several
@@ -175,8 +175,9 @@ def test_one_table_build_per_operator_call(monkeypatch):
         monkeypatch.setattr(modsym, "_CHUNK", 3000)
         builds.clear()
         passes.clear()
-        space.operators_mod(ell, primes, units)
-        space.root.operators_mod(ell, primes, units)
+        keys = primes + [-d for d in units]
+        space.operators(keys, ell)
+        space.root.operators(keys, ell)
         monkeypatch.undo()
         k = space.weight
         classes = {tuple(row) for row in (mats % ell).tolist()}

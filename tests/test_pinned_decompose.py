@@ -68,8 +68,8 @@ def test_one_block_two_orbits():
     """T2 = diag(C, C), T3 = diag(C, C^5): the values (a, a) and (a, a^5)
     have the same irreducible factors over F_5 but lie in two orbits."""
     c, c5 = _companion_power(1), _companion_power(5)
-    rspace = ReducedSpace(1, 2, 5, 4, {"T2": _block_diag(c, c),
-                                       "T3": _block_diag(c, c5)}, ())
+    rspace = ReducedSpace(1, 2, 5, 4, {2: _block_diag(c, c),
+                                       3: _block_diag(c, c5)}, ())
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (8, 8)), (2, 1, (8, 22))]
