@@ -304,7 +304,7 @@ def _run_tables(args, cache):
         digest = "; ".join(
             "a%d=%s" % (p, poly_str(report.system.a[p].coeffs))
             for p in sorted(report.system.a)[:2])
-        minpoly = report.minpolys.get(2)
+        minpoly = report.minpoly_a2
         minpoly = poly_str(minpoly, "x", "") if minpoly else None
         if report.i != row["reference_i"]:
             warnings.append(

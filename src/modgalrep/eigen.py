@@ -47,8 +47,11 @@ verdicts.
 
 `match_twist` embeds the value fields in their compositum by the F_ell-linear
 maps of `exactalg.gf.embeddings`, trying each map for g against map 0 for f.
-Under the chosen maps it compares the diamond characters, the
+Only when one map matches at every checked prime does it go on: under the
+chosen maps it compares the diamond characters, the
 `dirichlet.ResidualCharacter`s of `Eigensystem.character`, by their values.
+A failed report holds the primes checked and skipped and nothing more, as
+the twist and realization walks read only the verdict of a failure.
 """
 
 from math import lcm
@@ -472,19 +475,18 @@ def _dedupe_orbits(systems):
 
 
 class MatchReport:
-    """Outcome of comparing two eigensystems up to a cyclotomic twist."""
+    """Outcome of comparing two eigensystems up to a cyclotomic twist; a
+    failed one carries its primes only."""
 
     def __init__(self, sys_f, sys_g, i, bound, primes_checked, primes_skipped,
-                 verdict, first_failing_prime, embedding_index,
-                 weight_congruence, det_check):
+                 embedding_index=None, weight_congruence=None, det_check=None):
         self.sys_f = sys_f
         self.sys_g = sys_g
         self.i = i
         self.bound = bound
         self.primes_checked = primes_checked
         self.primes_skipped = primes_skipped
-        self.verdict = verdict
-        self.first_failing_prime = first_failing_prime
+        self.verdict = embedding_index is not None
         self.embedding_index = embedding_index
         self.weight_congruence = weight_congruence
         self.det_check = det_check
@@ -501,8 +503,6 @@ class MatchReport:
             "verdict": self.verdict,
             "determinant_check": self.det_check,
         }
-        if self.first_failing_prime is not None:
-            doc["first_failing_prime"] = self.first_failing_prime
         if self.embedding_index is not None:
             doc["embedding_index"] = self.embedding_index
         if self.weight_congruence is not None:
@@ -518,13 +518,15 @@ def match_twist(sys_f, sys_g, i, bound):
     The value field of f is embedded into the compositum once, and each
     embedding of that of g is tried; the verdict is true if one embedding
     matches at every checked prime, and at least one prime is checked.
-    Primes dividing either level or ell are skipped (recorded).  Under the
-    matching embedding, or the one that matched longest, the diamond
-    characters are tested against the determinant relation
-    eps_g = eps_f * chi^(k_f - k_g - 2i), and when the systems share level
-    and diamond character the weight congruence k = k' + 2i (mod ell-1) is
-    reported too.  Whether the bound certifies the match is not decided
-    here: the report is not heuristic until a caller marks it so.
+    Primes dividing either level or ell are skipped (recorded).  A failed
+    report stops there: it carries the checked and skipped primes, and no
+    embedding, determinant check or weight congruence.  Under the matching
+    embedding the diamond characters are tested against the determinant
+    relation eps_g = eps_f * chi^(k_f - k_g - 2i), and when the systems
+    share level and diamond character the weight congruence
+    k = k' + 2i (mod ell-1) is reported too.  Whether the bound certifies
+    the match is not decided here: the report is not heuristic until a
+    caller marks it so.
     """
     ell = sys_f.ell
     if sys_g.ell != ell:
@@ -541,19 +543,14 @@ def match_twist(sys_f, sys_g, i, bound):
             raise AssertionError(
                 "eigensystem values missing at prime %d" % p)
         checked.append(p)
-    verdict, embedding, best_fail, best_progress = False, None, None, -1
-    # with no prime checked there is no evidence, so no embedding is tried;
-    # a failed search reports the embedding that matched longest
-    for j, phi_g in enumerate(maps_g if checked else []):
-        fail = next((p for p in checked if phi_f(sys_f.a[p])
-                     != big.from_int(pow(p, i % (ell - 1), ell))
-                     * phi_g(sys_g.a[p])), None)
-        if fail is None:
-            verdict, embedding = True, j
-            break
-        if checked.index(fail) > best_progress:
-            best_progress, best_fail, embedding = checked.index(fail), fail, j
-    phi_g = maps_g[embedding or 0]
+    # with no prime checked there is no evidence, so no embedding is tried
+    embedding = next((j for j, phi_g in enumerate(maps_g if checked else [])
+                      if all(phi_f(sys_f.a[p])
+                             == big.from_int(pow(p, i % (ell - 1), ell))
+                             * phi_g(sys_g.a[p]) for p in checked)), None)
+    if embedding is None:
+        return MatchReport(sys_f, sys_g, i, bound, checked, skipped)
+    phi_g = maps_g[embedding]
     e = (sys_f.weight - sys_g.weight - 2 * i) % (ell - 1)
     eps_f, eps_g = sys_f.character(), sys_g.character()
     weight_congruence = None
@@ -561,8 +558,7 @@ def match_twist(sys_f, sys_g, i, bound):
                                        == [phi_g(v) for v in eps_g.values]):
         weight_congruence = e == 0
     det = _determinant_check(eps_f, eps_g, e, phi_f, phi_g)
-    return MatchReport(sys_f, sys_g, i, bound, checked, skipped, verdict,
-                       None if verdict else best_fail, embedding,
+    return MatchReport(sys_f, sys_g, i, bound, checked, skipped, embedding,
                        weight_congruence, det)
 
 

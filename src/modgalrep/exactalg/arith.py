@@ -1,5 +1,9 @@
 """Arbitrary-precision integer helpers and unit groups of Z/nZ.
 
+It holds what the package reads of the integers: primality, factoring,
+divisors, the totient, the primes up to a bound, the order of a unit mod n,
+and the unit groups, whose generators are CRT lifts built from the
+modular inverses of Python's pow.
 Everything in this package is exact; no floating point is used anywhere.
 Primality is the Miller-Rabin test with the 13 prime bases 2..41, which
 decides every n < 3,317,044,064,679,887,385,961,981 (J. Sorenson and
@@ -11,7 +15,7 @@ division that stops once the cofactor left is prime.
 """
 
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
@@ -63,19 +67,6 @@ def factorint(n):
     if n > 1:
         factors[n] = 1
     return factors
-
-
-def xgcd(a, b):
-    """Extended gcd: return (g, x, y) with a*x + b*y == g == gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 def euler_phi(n):
@@ -133,9 +124,7 @@ def _least_primitive_root(q):
 def _crt_lift(residue, q, n):
     # x = residue mod q, x = 1 mod n/q (q and n/q coprime).
     m = n // q
-    g, u, v = xgcd(q, m)
-    assert g == 1
-    return (residue * v * m + q * u) % n
+    return (residue * pow(m, -1, q) * m + pow(q, -1, m) * q) % n
 
 
 class UnitGroup:
@@ -173,10 +162,6 @@ class UnitGroup:
     @property
     def order(self):
         return prod(self.orders, start=1)
-
-    @property
-    def exponent(self):
-        return lcm(*self.orders) if self.orders else 1
 
     def _dlog_table(self):
         if self._dlog is None:

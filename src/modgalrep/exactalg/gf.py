@@ -55,7 +55,7 @@ class FqField:
     """The finite field with ell^r elements, ell prime."""
 
     __slots__ = ("ell", "r", "modulus", "_pows", "_mul", "_frob",
-                 "_primitive", "_card_factors")
+                 "_primitive")
 
     def __init__(self, ell, r, modulus):
         self.ell = ell
@@ -75,7 +75,6 @@ class FqField:
         x = self.gen() ** ell
         self._frob = tuple(zip(*((x ** i).coeffs for i in range(r))))
         self._primitive = None
-        self._card_factors = None
 
     @property
     def order(self):
@@ -112,17 +111,11 @@ class FqField:
             coeffs.append(c)
         return FqElem(self, tuple(coeffs))
 
-    def card_factors(self):
-        """Factorization of the multiplicative group order ell^r - 1."""
-        if self._card_factors is None:
-            self._card_factors = dict(factorint(self.order - 1))
-        return self._card_factors
-
     def primitive_element(self):
         """Least generator of the multiplicative group, in encoding order."""
         if self._primitive is None:
             q1 = self.order - 1
-            facs = list(self.card_factors())
+            facs = list(factorint(q1))
             code = 2
             while True:
                 x = self.from_encoding(code)
@@ -133,16 +126,6 @@ class FqField:
                     break
                 code += 1
         return self._primitive
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqField)
-            and self.ell == other.ell
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.ell, self.modulus))
 
     def __repr__(self):
         return "FqField(%d, %d)" % (self.ell, self.r)
@@ -166,7 +149,8 @@ def _canonical_modulus(ell, r):
 
 @lru_cache(maxsize=None)
 def fq_field(ell, r):
-    """Canonical field with ell^r elements; same (ell, r) gives one object."""
+    """Canonical field with ell^r elements; same (ell, r) gives one object,
+    so fields compare by identity."""
     if ell < 2 or not is_prime(ell):
         raise ValueError("characteristic must be prime, got %d" % ell)
     if r < 1:
@@ -258,16 +242,6 @@ class FqElem:
         """The image under x -> x^ell, by the field's Frobenius matrix."""
         return _linear_image(self.coeffs, self.field._frob, self.field)
 
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise ValueError("zero has no multiplicative order")
-        order = self.field.order - 1
-        one = self.field.one()
-        for p in self.field.card_factors():
-            while order % p == 0 and self ** (order // p) == one:
-                order //= p
-        return order
-
     def minpoly(self):
         """Monic minimal polynomial over the prime field, as an int list:
         the product of x - c over the Frobenius orbit c = a, a^ell, ...,
@@ -284,7 +258,7 @@ class FqElem:
     def __eq__(self, other):
         return (
             isinstance(other, FqElem)
-            and self.field == other.field
+            and self.field is other.field
             and self.coeffs == other.coeffs
         )
 

@@ -282,10 +282,9 @@ class _Ambient:
 
     # -- operators on the lattice basis ------------------------------------
 
-    def _apply(self, mats, tables, ell=None, counts=None):
+    def _apply(self, mats, tables, ell, counts):
         """The operators sum_g g on the lattice basis, one for each group of
-        counts[i] consecutive matrices of mats (one group of them all for
-        None), as a list of arrays.
+        counts[i] consecutive matrices of mats, as a list of arrays.
 
         tables is (index, t): each g = (a, b, c, d) of mats sends the coset
         (c0:d0) to (c0 a + d0 c : c0 b + d0 d), or to nothing off the coset
@@ -302,7 +301,6 @@ class _Ambient:
         index, tables = tables
         ncos, nsupp = len(self.table), len(kern.sup_exp)
         g = np.array(mats, dtype=np.int64).reshape(-1, 4)
-        counts = [len(g)] if counts is None else counts
         # the target coset x of each support symbol s under each g of group
         # i, as the key (i * nsupp + s) * ncos + x, -1 off the table; these
         # g x support arrays set the peak memory, so each goes as soon as it

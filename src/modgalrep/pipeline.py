@@ -50,8 +50,6 @@ class PipelineError(ValueError):
 
 def sl2_index_gamma1(n):
     """Index of Gamma_1(n) in SL2(Z)."""
-    if n == 1:
-        return 1
     psi = n
     phi = n
     for p in factorint(n):
@@ -70,11 +68,10 @@ class InputForm:
     """A resolved weight-k eigensystem datum at level N mod ell, with the
     bound its values were computed up to."""
 
-    def __init__(self, level, weight, eps, selector, system, bound):
+    def __init__(self, level, weight, eps, system, bound):
         self.level = level
         self.weight = weight
         self.eps = eps
-        self.selector = selector
         self.system = system
         self.bound = bound
 
@@ -159,7 +156,7 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     if len(candidates) > 1:
         raise PipelineError(
             "ambiguous selector: %d systems match" % len(candidates))
-    return InputForm(level, weight, eps, selector, candidates[0], bound)
+    return InputForm(level, weight, eps, candidates[0], bound)
 
 
 def _diamond_matches(sys, red):
@@ -301,7 +298,7 @@ class RealizationReport:
         self.system = f2 = report.sys_g
         self.system_level = system_level
         self.report = report
-        self.minpolys = {p: f2.a[p].minpoly() for p in sorted(f2.a)[:4]}
+        self.minpoly_a2 = f2.a[2].minpoly() if 2 in f2.a else None
         self.det_check = report.det_check
         self.twist = twist
         self.warnings = warnings
@@ -331,7 +328,7 @@ class RealizationReport:
             "weight2_values": {
                 "a%d" % p: poly_str(self.system.a[p].coeffs)
                 for p in sorted(self.system.a)[:6]},
-            "minpoly_a2": self.minpolys.get(2),
+            "minpoly_a2": self.minpoly_a2,
             "determinant_check": self.det_check,
             "match": self.report.to_dict(),
             "caveats": self.caveats,

@@ -12,20 +12,19 @@ import numpy as np
 from modgalrep.congruence import CosetTable, curve_invariants
 from modgalrep.dirichlet import DirichletCharacter, place_above
 from modgalrep.eigen import _exact_dtype, Eigensystem
-from modgalrep.exactalg import (
-    dual_basis,
-    poly_factor_fq,
-    poly_from_ints,
-    quotient_by_relations,
-    unit_group,
-    xgcd,
-)
+from modgalrep.exactalg.arith import unit_group
 from modgalrep.exactalg.gf import (
     poly_degree,
+    poly_factor_fq,
+    poly_from_ints,
     poly_mod,
     poly_trim,
 )
-from modgalrep.exactalg.intmat import exact_dtype
+from modgalrep.exactalg.intmat import (
+    dual_basis,
+    exact_dtype,
+    quotient_by_relations,
+)
 
 
 def mat_mul(a, b):
@@ -54,10 +53,38 @@ def poly_mul(f, g):
     return poly_trim(out)
 
 
+def xgcd(a, b):
+    """(g, x, y) with a x + b y == g == gcd(a, b) >= 0, by the textbook
+    recursion on (b, a mod b)."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, x, y = xgcd(b, a % b)
+    return g, y, x - a // b * y
+
+
+def element_order(x):
+    """Multiplicative order of a nonzero field element, by multiplying by
+    it until one comes back."""
+    one, power, order = x.field.one(), x, 1
+    while power != one:
+        power, order = power * x, order + 1
+    return order
+
+
+def group_exponent(n):
+    """Exponent of (Z/nZ)*: the least m with x^m = 1 for every unit x,
+    found by trying m = 1, 2, ..."""
+    units = [x for x in range(n) if gcd(x, n) == 1]
+    m = 1
+    while any(pow(x, m, n) != 1 % n for x in units):
+        m += 1
+    return m
+
+
 def make_character(n, generator_images, zeta_order=None):
     """Character mod n from exponents of zeta on the unit-group generators."""
     if zeta_order is None:
-        zeta_order = unit_group(n).exponent
+        zeta_order = group_exponent(n)
     return DirichletCharacter(n, zeta_order, generator_images)
 
 
@@ -153,6 +180,31 @@ def naive_powmod(f, e, mod):
 
 def naive_euler_phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def naive_unit_generators(n):
+    """The generators unit_group(n) is built from, each found by search.
+    For each prime power q exactly dividing n, p ascending, they are the x
+    in [0, n) with x = 1 mod n/q and x mod q one of: the least primitive
+    root mod q (found by listing its powers) for p odd; 3 for q = 4; -1 and
+    then 5 for 8 | q; none for q = 2."""
+    out = []
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if p > 2:
+            units = naive_euler_phi(q)
+            residues = [next(g for g in range(2, q) if len(
+                {pow(g, j, q) for j in range(units)}) == units)]
+        else:
+            residues = {2: [], 4: [3]}.get(q, [q - 1, 5])
+        m = n // q
+        out += [next(x for x in range(n) if x % q == r and x % m == 1 % m)
+                for r in residues]
+    return tuple(out)
 
 
 def psl2_index_gamma1(n):
@@ -355,7 +407,7 @@ def project_vector(qm, vec):
 def all_characters(n):
     """Every character mod n, against zeta of the group exponent."""
     group = unit_group(n)
-    m = group.exponent
+    m = group_exponent(n)
     out = []
 
     def rec(prefix):
@@ -379,7 +431,7 @@ def teichmuller_lift(rchar, place=None):
     kernel.  If no place is given, the canonical one for the value orders
     of rchar is used.  Exponents are found by exhaustive search.
     """
-    orders = [v.multiplicative_order() for v in rchar.values]
+    orders = [element_order(v) for v in rchar.values]
     m = lcm(*orders) if orders else 1
     if place is None:
         place = place_above(rchar.field.ell, m)

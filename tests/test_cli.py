@@ -290,7 +290,7 @@ def test_a_form_mod_another_ell_exits_2(monkeypatch):
 
 def test_internal_fault_exits_70(monkeypatch):
     from modgalrep import cli
-    from modgalrep.exactalg import SaturationError
+    from modgalrep.exactalg.intmat import SaturationError
 
     def broken(*args, **kwargs):
         raise SaturationError("pivot block is not unimodular")

@@ -17,7 +17,7 @@ from modgalrep.dirichlet import (
     parse_character,
     trivial_character,
 )
-from modgalrep.exactalg import euler_phi, unit_group
+from modgalrep.exactalg.arith import euler_phi, unit_group
 
 from helpers import (
     genus_of_subgroup,

@@ -7,12 +7,13 @@ from modgalrep import eigen
 from modgalrep.eigen import (
     charpoly_mod,
     decompose,
+    Eigensystem,
     match_twist,
     ReducedSpace,
     reduce_space_mod,
 )
-from modgalrep.exactalg import fq_field, poly_from_ints, unit_group
-from modgalrep.exactalg.gf import poly_divmod
+from modgalrep.exactalg.arith import unit_group
+from modgalrep.exactalg.gf import fq_field, poly_divmod, poly_from_ints
 from modgalrep.modsym import build_space
 
 from helpers import read_line_value, twist_eigensystem
@@ -152,7 +153,8 @@ def test_match_delta_level11():
     delta = systems_of(1, 12, 11)[0]
     f2 = systems_of(11, 2, 11)[0]
     r1 = match_twist(delta, f2, 1, 50)
-    assert not r1.verdict and r1.first_failing_prime == 2
+    assert not r1.verdict and r1.embedding_index is None
+    assert r1.primes_checked and 11 in r1.primes_skipped
     r0 = match_twist(delta, f2, 0, 50)
     assert r0.verdict and r0.det_check
     assert 11 in r0.primes_skipped
@@ -166,8 +168,31 @@ def test_match_without_a_checked_prime_is_no_verdict():
     t = systems_of(6, 12, 5, [2, 3, 5, 7])[0]
     rep = match_twist(t, t, 0, 5)
     assert rep.primes_skipped == [2, 3, 5] and rep.primes_checked == []
-    assert not rep.verdict and rep.first_failing_prime is None
+    assert not rep.verdict and rep.embedding_index is None
     assert match_twist(t, t, 0, 7).verdict
+
+
+def test_failed_match_stops_at_its_verdict(monkeypatch):
+    """A failed match reads no diamond character, and its report carries
+    no embedding, determinant check or weight congruence."""
+    delta = systems_of(1, 12, 11)[0]
+    f2 = systems_of(11, 2, 11)[0]
+    calls = []
+    character = Eigensystem.character
+
+    def spy(self):
+        calls.append(self)
+        return character(self)
+
+    monkeypatch.setattr(Eigensystem, "character", spy)
+    rep = match_twist(delta, f2, 1, 50)
+    assert not rep.verdict and calls == []
+    assert (rep.embedding_index, rep.det_check, rep.weight_congruence) == (
+        None, None, None)
+    doc = rep.to_dict()
+    assert doc["verdict"] is False and doc["determinant_check"] is None
+    assert "embedding_index" not in doc and "weight_congruence" not in doc
+    assert match_twist(delta, f2, 0, 50).verdict and calls
 
 
 def test_match_weight_congruence_reported_same_level():

@@ -7,35 +7,40 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from modgalrep.exactalg import (
+from modgalrep.exactalg import intmat
+from modgalrep.exactalg.arith import (
     divisors,
-    dual_basis,
     euler_phi,
-    exact_dtype,
-    fq_field,
-    kernel_int,
-    poly_factor_fq,
-    poly_from_ints,
-    quotient_by_relations,
+    factorint,
+    is_prime,
     unit_group,
 )
-from modgalrep.exactalg import intmat
-from modgalrep.exactalg.arith import factorint, is_prime
 from modgalrep.exactalg.gf import (
     _poly_pth_root,
     element_of_order,
     embeddings,
+    fq_field,
     FqElem,
     irreducible_roots,
+    poly_factor_fq,
+    poly_from_ints,
     poly_powmod,
     poly_trim,
 )
+from modgalrep.exactalg.intmat import (
+    dual_basis,
+    exact_dtype,
+    kernel_int,
+    quotient_by_relations,
+)
 
 from helpers import (
+    element_order,
     embed_field,
     least_irreducible,
     mat_mul,
     naive_euler_phi,
+    naive_unit_generators,
     naive_powmod,
     poly_mul,
     poly_roots,
@@ -89,6 +94,11 @@ def test_unit_group_deterministic():
     assert a.generators == unit_group(56).generators
 
 
+def test_unit_group_generators_equal_the_crt_oracle():
+    for n in range(1, 501):
+        assert unit_group(n).generators == naive_unit_generators(n), n
+
+
 # ---------------------------------------------------------------------------
 # finite fields
 
@@ -117,6 +127,16 @@ def test_canonical_moduli_are_pinned():
     assert sha256(text.encode()).hexdigest() == MODULUS_DIGEST
     assert fq_field(7, 10).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
     assert fq_field(13, 6).modulus == (1, 0, 0, 0, 0, 1, 1)
+
+
+def test_fields_are_one_object_and_equal_elements_hash_alike():
+    for ell, r in [(2, 1), (5, 3), (13, 2), (2 ** 61 - 1, 2)]:
+        F = fq_field(ell, r)
+        assert F is fq_field(ell, r)
+        x = F.gen() + F.one()
+        a, b = x * x, F.gen() ** 2 + F.gen() * F.from_int(2) + F.one()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert F.one() != fq_field(ell, r + 1).one()
 
 
 def test_fq_field_requires_prime():
@@ -494,10 +514,10 @@ def test_irreducible_roots_rejects_degree_not_dividing():
 def test_element_of_order_compatible_powers():
     F = fq_field(13, 2)
     z12 = element_of_order(F, 12)
-    assert z12.multiplicative_order() == 12
+    assert element_order(z12) == 12
     assert z12 ** (12 // 4) == element_of_order(F, 4) ** \
         ((F.order - 1) // (F.order - 1))  # both have order 4
-    assert (z12 ** 3).multiplicative_order() == 4
+    assert element_order(z12 ** 3) == 4
 
 
 # ---------------------------------------------------------------------------

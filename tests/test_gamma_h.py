@@ -13,7 +13,7 @@ from modgalrep.congruence import (
 )
 from modgalrep.dirichlet import parse_character, trivial_character
 from modgalrep.eigen import decompose, reduce_space_mod
-from modgalrep.exactalg import primes_up_to
+from modgalrep.exactalg.arith import primes_up_to
 from modgalrep.modsym import build_space, MatrixCache
 from modgalrep.pipeline import (
     decompose_level,

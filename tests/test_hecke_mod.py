@@ -18,7 +18,7 @@ from modgalrep import modsym
 from modgalrep.congruence import h_from_eigenform, SubgroupH
 from modgalrep.dirichlet import parse_character, trivial_character
 from modgalrep.eigen import reduce_space_mod
-from modgalrep.exactalg import primes_up_to, unit_group
+from modgalrep.exactalg.arith import primes_up_to, unit_group
 from modgalrep.modsym import build_space, MatrixCache
 from modgalrep.pipeline import (
     decompose_level,

@@ -1,8 +1,8 @@
-"""Every name a module under src/ imports is used in that module, and the
-package runs on numpy and the standard library alone.
+"""Every name a module under src/ imports is used in that module, the
+package __init__ modules import nothing, and the package runs on numpy and
+the standard library alone.
 
-Package __init__ modules re-export names; those listed in __all__ count as
-used.  Standard library only (ast), so it runs wherever the tests run.
+Standard library only (ast), so it runs wherever the tests run.
 """
 
 import ast
@@ -25,10 +25,6 @@ def _unused_imports(path):
                 imported[name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -43,6 +39,21 @@ def test_no_unused_imports_in_src():
                 found += ["%s:%d %s" % (rel, line, name)
                           for line, name in _unused_imports(path)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_package_inits_import_nothing():
+    # callers import from the module that defines a name, never through a
+    # package facade
+    found = []
+    for rel in (("modgalrep", "__init__.py"),
+                ("modgalrep", "exactalg", "__init__.py")):
+        path = os.path.join(SRC, *rel)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += ["%s:%d" % (os.path.join(*rel), node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, "imports in package __init__ modules: " + ", ".join(found)
 
 
 def test_runtime_does_not_import_sympy():

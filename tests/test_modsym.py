@@ -18,13 +18,8 @@ from modgalrep.congruence import (
 from modgalrep.dirichlet import trivial_character
 from modgalrep import modsym
 from modgalrep.exactalg import intmat
-from modgalrep.exactalg import (
-    exact_dtype,
-    kernel_int,
-    primes_up_to,
-    SaturationError,
-    unit_group,
-)
+from modgalrep.exactalg.arith import primes_up_to, unit_group
+from modgalrep.exactalg.intmat import exact_dtype, kernel_int, SaturationError
 from modgalrep.modsym import (
     build_space,
     heilbronn_cremona,
@@ -113,7 +108,8 @@ def test_hecke_matches_merel_family(monkeypatch):
             classes, tables = modsym._monomial_tables(
                 [mats], k, ambient._kernel.exponents)
             assert ambient.hecke_on_basis(p) == ambient._apply(
-                mats, (classes(mats), tables))[0].tolist(), (n, k, p)
+                mats, (classes(mats), tables), None,
+                [len(mats)])[0].tolist(), (n, k, p)
     for name in ("_monomial_tables", "_apply"):
         assert {d for f, d in picked if f == name} == {np.int64, object}
 

@@ -237,7 +237,8 @@ def _constant_system(level, weight, values):
     """A mod-7 system at the level with trivial diamond character and the
     given T_p values, p up to 5,760."""
     from modgalrep.eigen import Eigensystem
-    from modgalrep.exactalg import fq_field, primes_up_to, unit_group
+    from modgalrep.exactalg.arith import primes_up_to, unit_group
+    from modgalrep.exactalg.gf import fq_field
     field = fq_field(7, 1)
     return Eigensystem(
         level, weight, 7, field,
@@ -257,7 +258,7 @@ def test_realize_certifies_at_the_lcm_of_both_levels(
     # 5,760: the match is heuristic.  At M' = 42 the two bounds agree.
     from modgalrep import pipeline
     from modgalrep.dirichlet import trivial_character
-    form = InputForm(6, 12, trivial_character(6), {},
+    form = InputForm(6, 12, trivial_character(6),
                      _constant_system(6, 12, lambda p: p * p), 5760)
     calls = []
 
