@@ -135,10 +135,15 @@ def _selector_from_args(args):
         except OSError as exc:
             raise ValueError("cannot read form file %s: %s"
                              % (args.form_file, exc.strerror)) from None
-        for line in lines:
-            parts = line.split()
-            if len(parts) == 2:
-                ap[int(parts[0])] = int(parts[1])
+        for number, parts in enumerate(map(str.split, lines), 1):
+            if not parts:
+                continue
+            try:
+                p, value = map(int, parts)
+            except ValueError:
+                raise ValueError("form file %s, line %d: not 'p a_p': %s" % (
+                    args.form_file, number, " ".join(parts))) from None
+            ap[p] = value
     if ap:
         selector["ap"] = ap
     if args.index is not None:
@@ -161,7 +166,7 @@ def emit_report(doc, fmt="json", stream=None):
         json.dump(doc, stream, sort_keys=True, indent=2)
         stream.write("\n")
     else:
-        rows = doc.get("rows", [doc.get("result", doc)])
+        rows = doc.get("rows", [doc])
         for row in rows:
             if isinstance(row, dict) and "tsv" in row:
                 stream.write("\t".join(str(x) for x in row["tsv"]) + "\n")
@@ -267,24 +272,17 @@ def _resolve_form(args, cache):
 
 
 def _run_twist(args, cache):
-    form = _resolve_form(args, cache)
-    result = find_twist(form, args.ell, truncate=args.truncate_bound,
-                        cache=cache)
-    return result.to_dict()
+    return find_twist(_resolve_form(args, cache), args.ell,
+                      truncate=args.truncate_bound, cache=cache).to_dict()
 
 
 def _run_realize(args, cache):
-    form = _resolve_form(args, cache)
-    report = realize(form, args.ell, truncate=args.truncate_bound,
-                     cache=cache)
-    return report.to_dict()
+    return realize(_resolve_form(args, cache), args.ell,
+                   truncate=args.truncate_bound, cache=cache).to_dict()
 
 
 def _run_audit(args, cache):
-    form = _resolve_form(args, cache)
-    twist = find_twist(form, args.ell, truncate=args.truncate_bound,
-                       cache=cache)
-    return largest_subgroup_audit(form, args.ell, twist.i,
+    return largest_subgroup_audit(_resolve_form(args, cache),
                                   truncate=args.truncate_bound, cache=cache)
 
 
@@ -362,7 +360,7 @@ def _run(args):
     doc = {"command": args.command, "inputs": {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("command",) and v is not None and v != []}}
-    doc.update(result if isinstance(result, dict) else {"result": result})
+    doc.update(result)
     return 0, doc
 
 

@@ -15,7 +15,7 @@ character of an eigensystem is a `ResidualCharacter` too.
 from math import gcd, lcm
 from functools import lru_cache
 
-from .exactalg.arith import is_prime, multiplicative_order, unit_group
+from .exactalg.arith import divisors, is_prime, multiplicative_order, unit_group
 from .exactalg.gf import element_of_order, fq_field
 
 
@@ -108,13 +108,10 @@ def induce(chi, n):
 
 def conductor(chi):
     """Smallest divisor d of the modulus with chi trivial on 1 + dZ units."""
-    n = chi.modulus
-    units = unit_group(n).elements()
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    for d in divs:
-        if all(chi.exponent_at(x) == 0 for x in units if (x - 1) % d == 0):
-            return d
-    return n
+    units = unit_group(chi.modulus).elements()
+    return next(d for d in divisors(chi.modulus)
+                if all(chi.exponent_at(x) == 0
+                       for x in units if (x - 1) % d == 0))
 
 
 def kernel(chi):

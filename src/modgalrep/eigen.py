@@ -49,7 +49,7 @@ verdicts.
 maps of `exactalg.gf.embeddings`, trying each map for g against map 0 for f.
 Only when one map matches at every checked prime does it go on: under the
 chosen maps it compares the diamond characters, the
-`dirichlet.ResidualCharacter`s of `Eigensystem.character`, by their values.
+`dirichlet.ResidualCharacter`s of `Eigensystem.character`, by characters_agree.
 A failed report holds the primes checked and skipped and nothing more, as
 the twist and realization walks read only the verdict of a failure.
 """
@@ -182,7 +182,7 @@ def _square_up(a, e, ell):
 class ReducedSpace:
     """Hecke and diamond operators of a modular symbol space over F_ell."""
 
-    def __init__(self, level, weight, ell, dim, ops, diamond_gens):
+    def __init__(self, level, weight, ell, dim, ops):
         self.level = level
         self.weight = weight
         self.ell = ell
@@ -191,7 +191,6 @@ class ReducedSpace:
         # them) -> the operator over F_ell, an array of residues
         # (reduce_space_mod) or a list of rows of them
         self.ops = ops
-        self.diamond_gens = diamond_gens
 
     def __repr__(self):
         return "ReducedSpace(level %d, weight %d, mod %d, dim %d)" % (
@@ -214,10 +213,9 @@ def reduce_space_mod(space, ell, primes):
     if min(primes, default=2) < 2:
         raise ValueError("T_p needs a prime p, got %d" % min(primes))
     # (Z/nZ)* has no generators for n <= 2
-    gens = unit_group(space.level).generators
-    keys = list(primes) + [-d for d in gens]
+    keys = list(primes) + [-d for d in unit_group(space.level).generators]
     return ReducedSpace(space.level, space.weight, ell, space.dim,
-                        dict(zip(keys, space.operators(keys, ell))), gens)
+                        dict(zip(keys, space.operators(keys, ell))))
 
 
 class Eigensystem:
@@ -294,7 +292,7 @@ def decompose(rspace, primes):
     if n == 0:
         return []
     good = [p for p in primes if (rspace.level * ell) % p]
-    good += [-d for d in rspace.diamond_gens]
+    good += [-d for d in unit_group(rspace.level).generators]
     bad = [p for p in primes if (rspace.level * ell) % p == 0]
     ops = {k: np.array(rspace.ops[k], dtype=_exact_dtype(n, ell)) % ell
            for k in good + bad}
@@ -553,18 +551,20 @@ def match_twist(sys_f, sys_g, i, bound):
     phi_g = maps_g[embedding]
     e = (sys_f.weight - sys_g.weight - 2 * i) % (ell - 1)
     eps_f, eps_g = sys_f.character(), sys_g.character()
-    weight_congruence = None
-    if sys_f.level == sys_g.level and ([phi_f(v) for v in eps_f.values]
-                                       == [phi_g(v) for v in eps_g.values]):
-        weight_congruence = e == 0
-    det = _determinant_check(eps_f, eps_g, e, phi_f, phi_g)
+    weight_congruence = (e == 0 if sys_f.level == sys_g.level and
+                         characters_agree(eps_f, eps_g, 0, phi_f, phi_g)
+                         else None)
+    det = characters_agree(eps_f, eps_g, e, phi_f, phi_g)
     return MatchReport(sys_f, sys_g, i, bound, checked, skipped, embedding,
                        weight_congruence, det)
 
 
-def _determinant_check(eps_f, eps_g, e, phi_f, phi_g):
-    """eps_g = eps_f * chi^e under the chosen embeddings, chi the cyclotomic
-    character mod ell, on the units of the lcm of the moduli and ell."""
+def characters_agree(eps_f, eps_g, e, phi_f, phi_g):
+    """eps_g = eps_f * chi^e under the embeddings phi_f and phi_g, chi the
+    cyclotomic character mod ell, at the generators of the units of the lcm
+    of the moduli and ell: the one comparison of residual characters, for
+    the determinant check, and with e = 0 the weight congruence and the
+    diamond character of a selection."""
     ell = eps_f.field.ell
     return all(
         phi_g(eps_g.value(x))

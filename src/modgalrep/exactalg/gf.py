@@ -131,7 +131,6 @@ class FqField:
         return "FqField(%d, %d)" % (self.ell, self.r)
 
 
-@lru_cache(maxsize=None)
 def _canonical_modulus(ell, r):
     if r == 1:
         return (0, 1)

@@ -24,12 +24,13 @@ D, and there is no solve.
 The free quotient of Z^n by integer relations is coordinatized by such a
 kernel: a saturated basis of the linear forms that vanish on every relation
 maps Z^n onto Z^dim, and its dual basis gives a preimage of each coordinate
-vector.  Its torsion is computed on first read, from a diagonal form of
-the relations the sparse elimination leaves: echelon them, then the
-transpose of the result, and so on until every row has one nonzero entry.
-Each pass is a unimodular change of rows or of columns, so the diagonal
-presents the same torsion, which is split into prime powers; the Smith
-divisibility chain is never needed.
+vector, a column of the n x dim array of lifts.  Its torsion is computed
+on first read, from a diagonal form of the relations the sparse
+elimination leaves: echelon them, then the transpose of the result, and so
+on until every row has one nonzero entry.  Each pass is a unimodular
+change of rows or of columns, so the diagonal presents the same torsion,
+which is split into prime powers; the Smith divisibility chain is never
+needed.
 """
 
 from functools import cached_property
@@ -218,17 +219,17 @@ class QuotientMap:
     """Free quotient of Z^n by a set of integer relation rows.
 
     proj_rows, an n x dim array, holds in row i the class of the i-th
-    generator in Z^dim, after discarding torsion; lifts give one preimage
-    per basis vector.  The torsion is computed on first read, from the
-    leftover relations, an array over the generators left after the sparse
-    elimination.
+    generator in Z^dim, after discarding torsion; lifts, n x dim too, holds
+    a preimage of basis vector j in column j.  The torsion is computed on
+    first read, from the leftover relations, an array over the generators
+    left after the sparse elimination.
     """
 
     def __init__(self, dim, leftovers, proj_rows, lifts):
         self.dim = dim
         self.leftovers = leftovers
         self.proj_rows = proj_rows
-        self.lifts = lifts          # dim sparse vectors [(index, coeff), ...]
+        self.lifts = lifts
 
     @cached_property
     def torsion(self):
@@ -247,8 +248,9 @@ def quotient_by_relations(n, relation_rows):
     Unit-coefficient pivots are eliminated sparsely first.  On the t
     generators left, the projection is a saturated basis of the linear
     forms vanishing on the leftover relations (kernel_int), and the lifts
-    are its dual basis.  Torsion is discarded from the projection; the
-    QuotientMap computes it when first read.
+    are its dual basis, on the rows of those generators.  Torsion is
+    discarded from the projection; the QuotientMap computes it when first
+    read.
     """
     solved = {}       # col -> dict of remaining cols (the substitution)
 
@@ -337,8 +339,6 @@ def quotient_by_relations(n, relation_rows):
     else:
         duals = np.eye(t, dtype=np.int8)
         proj_rows = dense([solved.get(c, {c: 1}) for c in range(n)])
-    dim = len(duals)
-    lifts = [[] for _ in range(dim)]
-    for i, r in zip(*np.nonzero(duals)):
-        lifts[i].append((remaining[r], int(duals[i, r])))
-    return QuotientMap(dim, leftovers, proj_rows, lifts)
+    lifts = np.zeros((n, len(duals)), dtype=narrow_dtype(int(abs_max(duals))))
+    lifts[remaining] = duals.T
+    return QuotientMap(len(duals), leftovers, proj_rows, lifts)

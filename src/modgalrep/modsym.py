@@ -263,22 +263,15 @@ class _Ambient:
         lookup = np.full(level * level, -1, dtype=np.int64)
         for (c, d), i in self.table.index_of.items():
             lookup[c * level + d] = i
-        support = sorted({sym for vec in self.lifts for sym, _ in vec})
-        row_of = {sym: r for r, sym in enumerate(support)}
-        sup_exp, sup_cos = np.divmod(np.array(support, dtype=np.int64), ncos)
+        support = np.flatnonzero(self.lifts.any(axis=1))
+        sup_exp, sup_cos = np.divmod(support, ncos)
         reps = np.array(self.table.reps, dtype=np.int64).reshape(-1, 2)
-        lift_max = max((abs(c) for vec in self.lifts for _, c in vec),
-                       default=0)
-        lift = np.zeros((len(support), self.dim),
-                        dtype=narrow_dtype(lift_max))
-        lift[[row_of[sym] for vec in self.lifts for sym, _ in vec],
-             [col for col, vec in enumerate(self.lifts) for _ in vec]] = [
-                 c for vec in self.lifts for _, c in vec]
+        lift = self.lifts[support]
         return SimpleNamespace(
             proj=proj, proj_max=int(abs_max(proj)), lookup=lookup,
             sup_exp=sup_exp, sup_c=reps[sup_cos, 0], sup_d=reps[sup_cos, 1],
             lift=lift, exponents=int(sup_exp.max(initial=-1)) + 1,
-            lift_max=lift_max)
+            lift_max=int(abs_max(lift)))
 
     # -- operators on the lattice basis ------------------------------------
 
@@ -429,21 +422,22 @@ class _Ambient:
 
         The symbol X^(k-2) (c:d) at the coset Gamma g goes to its cusp
         g(inf), and X^0 (c:d) to minus g(0) = gS(inf); at weight 2 a symbol
-        goes to both.  Rows are the cusps in order of first appearance.
+        goes to both.  Rows are the cusps in order of first appearance, the
+        lifts read column by column.
         """
         if self._boundary is None:
             ncos, top = len(self.table), self.weight - 2
             cusp_of, s_perm = self.table.cusp_of, self.table.s_perm
             rows = {}
-            for col, lift in enumerate(self.lifts):
-                for sym, coeff in lift:
-                    a, x = divmod(sym, ncos)
-                    for end, cusp, sign in ((top, cusp_of[x], 1),
-                                            (0, cusp_of[s_perm[x]], -1)):
-                        if a == end:
-                            if cusp not in rows:
-                                rows[cusp] = [0] * self.dim
-                            rows[cusp][col] += sign * coeff
+            cols, syms = np.nonzero(self.lifts.T)
+            for col, sym, coeff in zip(cols.tolist(), syms.tolist(),
+                                       self.lifts[syms, cols].tolist()):
+                a, x = divmod(sym, ncos)
+                for end, cusp, sign in ((top, cusp_of[x], 1),
+                                        (0, cusp_of[s_perm[x]], -1)):
+                    if a == end:
+                        rows.setdefault(cusp, [0] * self.dim)[col] += (
+                            sign * coeff)
             self._boundary = list(rows.values())
         return self._boundary
 

@@ -31,8 +31,8 @@ from .congruence import (
     trivial_subgroup,
 )
 from .dirichlet import conductor, reduce_at_ell, trivial_character
-from .eigen import decompose, match_twist, reduce_space_mod
-from .exactalg.arith import divisors, factorint, primes_up_to
+from .eigen import characters_agree, decompose, match_twist, reduce_space_mod
+from .exactalg.arith import divisors, factorint, is_prime, primes_up_to
 from .exactalg.gf import (
     embeddings,
     fq_field,
@@ -116,7 +116,8 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
     relation {"ap_poly": {p: (coeffs_in_a2, denominator)}}, or pick an
     index {"index": j}.  Systems whose diamond character disagrees with
     eps are never candidates.  Values go up to the rigorous bound at the
-    level N' = N*ell (N at weight 2) that realize matches at, or below.
+    level N' = N*ell (N at weight 2) that realize matches at, or below; a
+    selector prime that is no prime or lies above that bound is refused.
     """
     if weight % 2:
         raise ValueError("odd weights are not supported")
@@ -129,6 +130,11 @@ def select_input_form(level, weight, ell, selector, eps=None, bound=None,
                          % (eps.modulus, level))
     rigorous = sturm_bound(realization_level(level, weight, ell), ell, weight)
     bound = rigorous if bound is None else min(bound, rigorous)
+    for key in ("ap", "ap_minpoly", "ap_poly"):
+        for p in selector.get(key, ()):
+            if not (is_prime(p) and p <= bound):
+                raise ValueError("selector prime %d: the selection has values "
+                                 "at the primes up to %d only" % (p, bound))
     systems = decompose_level(level, weight, ell, bound, cache)
     red = reduce_at_ell(eps, ell)
     candidates = [s for s in systems if _diamond_matches(s, red)]
@@ -164,9 +170,7 @@ def _diamond_matches(sys, red):
     under one of the embeddings of its value field."""
     big = fq_field(sys.ell, lcm(red.field.r, sys.field.r))
     phi_e = embeddings(red.field, big)[0]
-    target = [phi_e(v) for v in red.values]
-    chi = sys.character()
-    return any([phi(v) for v in chi.values] == target
+    return any(characters_agree(red, sys.character(), 0, phi_e, phi)
                for phi in embeddings(sys.field, big))
 
 
@@ -221,15 +225,14 @@ def _walk(form, candidates, truncate, cache, warnings):
 
 
 class TwistResult:
-    """Outcome of the twist search: exponent, companion weight and level."""
+    """Outcome of the twist search, read from its match report."""
 
-    def __init__(self, i, kprime, level_m, report, warnings):
-        self.i = i
-        self.kprime = kprime
-        self.level_m = level_m
+    def __init__(self, report, warnings):
+        self.i = report.i
         self.system = report.sys_g
+        self.kprime = report.sys_g.weight
+        self.level_m = report.sys_g.level
         self.report = report
-        self.bound = report.bound
         self.heuristic = report.heuristic
         self.warnings = warnings
 
@@ -239,7 +242,7 @@ class TwistResult:
             "companion_weight": self.kprime,
             "companion_level": self.level_m,
             "companion_digest": self.system.digest(),
-            "bound": self.bound,
+            "bound": self.report.bound,
             "heuristic": self.heuristic,
             "match": self.report.to_dict(),
         }
@@ -272,10 +275,9 @@ def find_twist(form, ell, truncate=None, cache=None):
     bound = sturm_bound(n, ell, k)
     candidates = [(i, m, kp, None, bound) for i, kp in pairs for m in levels]
     warnings = []
-    for (i, m, kp, _, _), report in _walk(
-            form, candidates, truncate, cache, warnings):
+    for _, report in _walk(form, candidates, truncate, cache, warnings):
         if report is not None:
-            return TwistResult(i, kp, m, report, warnings)
+            return TwistResult(report, warnings)
     raise PipelineError(
         "twist search exhausted: representation may be reducible or the "
         "bound too small")
@@ -284,11 +286,11 @@ def find_twist(form, ell, truncate=None, cache=None):
 class RealizationReport:
     """The full output record of the realization pipeline."""
 
-    def __init__(self, form, ell, i, subgroup, predicted_index, d1, dh,
-                 system_level, report, twist, warnings):
+    def __init__(self, form, subgroup, predicted_index, d1, dh, report, twist,
+                 warnings):
         self.form = form
-        self.ell = ell
-        self.i = i
+        self.ell = form.system.ell
+        self.i = report.i
         self.subgroup = subgroup
         self.index = len(subgroup)
         self.predicted_index = predicted_index
@@ -296,7 +298,7 @@ class RealizationReport:
         self.dh = dh
         self.is_gamma0 = subgroup.is_full()
         self.system = f2 = report.sys_g
-        self.system_level = system_level
+        self.system_level = f2.level
         self.report = report
         self.minpoly_a2 = f2.a[2].minpoly() if 2 in f2.a else None
         self.det_check = report.det_check
@@ -379,29 +381,32 @@ def realize(form, ell, truncate=None, cache=None):
                                 if bound < sturm_bound(m, ell, k) else
                                 "weight-2 match searched below the bound "
                                 "at level %d" % lcm(n, m))
-            return RealizationReport(form, ell, i, subgroup, predicted, d1,
-                                     dh, m, report, twist, warnings)
+            return RealizationReport(form, subgroup, predicted, d1, dh,
+                                     report, twist, warnings)
     raise PipelineError(
         "no weight-2 match at any divisor level of %d" % mprime)
 
 
-def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
+def largest_subgroup_audit(form, truncate=None, cache=None):
     """Check that a weight-2 match exists exactly on subgroups inside H.
 
     For every subgroup H' of the units at level N', the weight-2 space on
-    Gamma_H' admits a matching system if and only if H' is contained
-    in the kernel subgroup H.  Returns the audit table.
+    Gamma_H' admits a matching system if and only if H' is contained in the
+    kernel subgroup H, for ell that of the form and i that of find_twist.
+    Returns the audit table, heuristic if the walk cut sturm_bound(N').
     """
-    _check_ell(form, ell)
     cache = MatrixCache() if cache is None else cache
+    ell = form.system.ell
+    i = find_twist(form, ell, truncate=truncate, cache=cache).i
     nprime = realization_level(form.level, form.weight, ell)
     subgroup = h_from_eigenform(form.eps, form.weight, i, ell)
     rigorous = sturm_bound(nprime, ell, form.weight)  # lcm(N, N') = N'
     candidates = [(i, nprime, 2, hp, rigorous)
                   for hp in intermediate_subgroups(nprime)]
-    rows, warnings = [], []
+    rows, warnings, cut = [], [], rigorous
     for (_, _, _, hp, bound), report in _walk(
             form, candidates, truncate, cache, warnings):
+        cut = min(cut, bound)
         rows.append({
             "subgroup": list(hp.elements),
             "order": len(hp),
@@ -411,7 +416,7 @@ def largest_subgroup_audit(form, ell, i, truncate=None, cache=None):
     ok = all(r["match"] == r["contained_in_h"] for r in rows)
     doc = {"level": nprime, "twist_exponent": i, "consistent": ok,
            "kernel_subgroup": list(subgroup.elements),
-           "heuristic": bound < rigorous, "rows": rows}
+           "heuristic": cut < rigorous, "rows": rows}
     if warnings:
         doc["warnings"] = warnings
     return doc

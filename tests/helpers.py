@@ -516,8 +516,10 @@ def boundary_by_cusp_equivalence(ambient):
     ncos = len(ambient.table)
     cusps = CuspClasses(n)
     entries = {}  # (cusp, basiscol) -> coeff
-    for col, lift in enumerate(ambient.lifts):
-        for sym, coeff in lift:
+    for col, lift in enumerate(ambient.lifts.T.tolist()):
+        for sym, coeff in enumerate(lift):
+            if not coeff:
+                continue
             a_exp, x = divmod(sym, ncos)
             if a_exp != 0 and a_exp != k - 2:
                 continue

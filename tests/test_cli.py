@@ -105,6 +105,23 @@ def test_cache_deletes_truncated_entry(tmp_path):
     _damage_and_load(tmp_path, lambda data: data[:-40])
 
 
+def _sealed(body):
+    """An entry's bytes before its trailer, followed by their SHA-256."""
+    return bytes(body) + sha256(body).digest()
+
+
+@pytest.mark.parametrize("damage", [
+    # binary entries under the header of the decimal text format
+    lambda data: _sealed(data[:-32].replace(b"MSYMMAT 3", b"MSYMMAT 2", 1)),
+    # one byte short of rows * cols * width: MAT's entries take 10 bytes,
+    # so the bytes left would still decode into six entries
+    lambda data: _sealed(data[:-33]),
+], ids=["version", "shape"])
+def test_cache_deletes_entry_whose_checksummed_header_is_wrong(tmp_path,
+                                                               damage):
+    _damage_and_load(tmp_path, damage)
+
+
 def test_cache_ignores_entry_of_another_presentation(tmp_path):
     cache = MatrixCache(str(tmp_path))
     cache.store(6, 12, "T5", np.array(MAT, dtype=object), "old")
@@ -280,7 +297,7 @@ def test_a_form_mod_another_ell_exits_2(monkeypatch):
         return pipeline.select_input_form(level, weight, 11, *args, **kwargs)
 
     monkeypatch.setattr(cli, "select_input_form", select_mod_11)
-    for command in ("twist", "realize", "audit"):
+    for command in ("twist", "realize"):
         code, doc = run_command(
             ["--no-cache", command, "--level", "1", "--weight", "12",
              "--ell", "13", "--a", "2=-24", "--truncate-bound", "50"])
@@ -332,10 +349,19 @@ def test_domain_error_exits_2():
       "4:3^1@2"], "the character has modulus 4, not the level 3"),
     (["realize", "--level", "3", "--weight", "12", "--ell", "5", "--index",
       "-1", "--truncate-bound", "20"], "selector index -1 out of range"),
+    # no system has a value at a selector prime above the selection bound,
+    # nor at a selector "prime" that is not one
+    (["twist", "--level", "3", "--weight", "12", "--ell", "5", "--a", "53=1",
+      "--truncate-bound", "50"],
+     "selector prime 53: the selection has values at the primes up to 50"),
+    (["twist", "--level", "3", "--weight", "12", "--ell", "5", "--a", "4=1",
+      "--truncate-bound", "50"],
+     "selector prime 4: the selection has values at the primes up to 50"),
 ], ids=["msdim-level-0", "eigensys-level-0", "eigensys-ell-2",
         "eigensys-ell-1", "eigensys-ell-0", "subgroup-ell-0",
         "subgroup-ell-minus-5", "char-order-0", "realize-char-modulus",
-        "subgroup-char-modulus", "realize-index-minus-1"])
+        "subgroup-char-modulus", "realize-index-minus-1",
+        "twist-selector-prime-above-bound", "twist-selector-not-a-prime"])
 def test_limits_of_the_domain_exit_2(argv, message):
     code, doc = run_command(["--no-cache"] + argv)
     assert code == 2, doc
@@ -392,6 +418,26 @@ def test_unreadable_form_file_is_a_domain_error():
          "5", "--form-file", "/nonexistent"])
     assert code == 2
     assert "/nonexistent" in doc["error"]
+
+
+def test_form_file_lines_are_two_integers_or_blank(tmp_path):
+    # a malformed line is refused with its number, not skipped; a well-formed
+    # file selects as the same --a flags do
+    path = tmp_path / "form.txt"
+    argv = ["--no-cache", "twist", "--level", "3", "--weight", "12", "--ell",
+            "5", "--truncate-bound", "50"]
+    for bad in ("3=-243", "3", "3 -243 7"):
+        path.write_text("2 78\n\n%s\n" % bad)
+        code, doc = run_command(argv + ["--form-file", str(path)])
+        assert code == 2, doc
+        assert "form file %s, line 3" % path in doc["error"]
+    path.write_text("2 78\n\n3 -243\n")
+    code, doc = run_command(argv + ["--form-file", str(path)])
+    assert code == 0, doc
+    code, same = run_command(argv + ["--a", "2=78", "--a", "3=-243"])
+    assert code == 0
+    del doc["inputs"], same["inputs"]
+    assert doc == same
 
 
 def test_eigensys_without_an_operator_is_one_system():

@@ -257,7 +257,7 @@ def test_decompose_beyond_int64():
     ell = 2 ** 61 - 1
     t2 = [[1, 1], [0, 2]]
     t3 = [[1, 3], [0, 4]]  # T3 = T2^2
-    rspace = ReducedSpace(1, 2, ell, 2, {2: t2, 3: t3}, ())
+    rspace = ReducedSpace(1, 2, ell, 2, {2: t2, 3: t3})
     systems = decompose(rspace, [2, 3])
     assert [(s.multiplicity, s.value_tuple()) for s in systems] \
         == [(1, (1, 1)), (1, (2, 4))]
@@ -267,14 +267,14 @@ def test_decompose_beyond_int64():
     m = ell - 1
     t2 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, m], [0, 0, 1, 0]]
     t3 = [[0, m, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, m, 0]]
-    rspace = ReducedSpace(1, 2, ell, 4, {2: t2, 3: t3}, ())
+    rspace = ReducedSpace(1, 2, ell, 4, {2: t2, 3: t3})
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (ell, ell)), (2, 1, (ell, m * ell))]
     # a simple block: T3 = 3 + 2 T2 is never split on, and its value is read
     # off the one-dimensional piece
     rspace = ReducedSpace(1, 2, ell, 2, {2: [[0, m], [1, 0]],
-                                         3: [[3, 2 * m % ell], [2, 3]]}, ())
+                                         3: [[3, 2 * m % ell], [2, 3]]})
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (ell, 3 + 2 * ell))]
@@ -287,7 +287,7 @@ def test_decompose_refuses_an_operator_that_leaves_a_block():
     swap = [[0, 1], [1, 0]]
     for ops in ({2: [[1, 0], [0, 2]], 3: swap},
                 {2: [[1, 0], [0, 2]], 3: swap, 5: [[3, 0], [0, 4]]}):
-        rspace = ReducedSpace(1, 2, 5, 2, ops, ())
+        rspace = ReducedSpace(1, 2, 5, 2, ops)
         with pytest.raises(AssertionError,
                            match="outside the span of a basis"):
             decompose(rspace, [2, 3, 5][:len(ops)])
@@ -320,6 +320,27 @@ def test_a_line_with_every_value_known_reads_nothing(monkeypatch):
     # no line has a value left to read
     monkeypatch.setattr(eigen, "_line_values", None)
     rspace = ReducedSpace(1, 2, 5, 2, {2: [[2, 0], [0, 2]],
-                                       3: [[1, 0], [0, 3]]}, ())
+                                       3: [[1, 0], [0, 3]]})
     assert [s.value_tuple() for s in decompose(rspace, [2, 3])] \
         == [(2, 1), (2, 3)]
+
+
+def test_one_orbit_followed_twice_in_a_block_is_kept_once():
+    # T2 and T3 multiply F_{5^6} by beta in F_25 and gamma in F_125, in the
+    # basis 1, a, ..., a^5: one block over F_{5^6}.  Following one root of
+    # gamma's minimal polynomial meets (beta, gamma) and (beta^5, gamma),
+    # two members of one Frobenius orbit, and the space has dimension 6
+    field = fq_field(5, 6)
+    g, a = field.primitive_element(), field.gen()
+
+    def multiplication(x):
+        return [list(row) for row in zip(*((x * a ** j).coeffs
+                                           for j in range(6)))]
+
+    beta = g ** ((5 ** 6 - 1) // (5 ** 2 - 1))
+    gamma = g ** ((5 ** 6 - 1) // (5 ** 3 - 1))
+    rspace = ReducedSpace(1, 2, 5, 6, {2: multiplication(beta),
+                                       3: multiplication(gamma)})
+    [system] = decompose(rspace, [2, 3])
+    assert (system.field.r, system.multiplicity) == (6, 1)
+    assert [len(system.a[p].minpoly()) - 1 for p in (2, 3)] == [2, 3]

@@ -591,8 +591,8 @@ def test_quotient_by_relations_projects_relations_to_zero():
         assert qm.torsion == smith_torsion(dense)
         for r in rows:
             assert all(x == 0 for x in project_vector(qm, list(r.items())))
-        for j, lift in enumerate(qm.lifts):
-            v = project_vector(qm, lift)
+        for j, lift in enumerate(qm.lifts.T.tolist()):
+            v = project_vector(qm, list(enumerate(lift)))
             assert v == [1 if t == j else 0 for t in range(qm.dim)]
 
 

@@ -583,9 +583,9 @@ def test_orbit_relations_give_the_full_presentation():
         ambient = modsym._Ambient(n, k, h)
         full = full_relation_quotient(ambient)
         assert ((ambient.dim, ambient.quotient.torsion,
-                 ambient.proj_rows.tolist(), ambient.lifts)
+                 ambient.proj_rows.tolist(), ambient.lifts.tolist())
                 == (full.dim, full.torsion, full.proj_rows.tolist(),
-                    full.lifts)), (
+                    full.lifts.tolist())), (
                     n, k, h)
 
 

@@ -69,7 +69,7 @@ def test_one_block_two_orbits():
     have the same irreducible factors over F_5 but lie in two orbits."""
     c, c5 = _companion_power(1), _companion_power(5)
     rspace = ReducedSpace(1, 2, 5, 4, {2: _block_diag(c, c),
-                                       3: _block_diag(c, c5)}, ())
+                                       3: _block_diag(c, c5)})
     systems = decompose(rspace, [2, 3])
     assert [(s.field.r, s.multiplicity, s.value_tuple()) for s in systems] \
         == [(2, 1, (8, 8)), (2, 1, (8, 22))]

@@ -205,7 +205,7 @@ def test_untruncated_row_1_11():
 
 def test_audit_delta_mod11():
     form = select_input_form(1, 12, 11, {"ap": {2: -24}}, bound=50)
-    audit = largest_subgroup_audit(form, 11, 0, truncate=50)
+    audit = largest_subgroup_audit(form, truncate=50)
     assert audit["consistent"]
     assert len(audit["rows"]) == 4
     assert all(r["match"] for r in audit["rows"])  # H is everything
@@ -213,7 +213,7 @@ def test_audit_delta_mod11():
 
 def test_audit_trivial_subgroup_always_matches():
     form = select_input_form(1, 12, 13, {"ap": {2: -24}}, bound=50)
-    audit = largest_subgroup_audit(form, 13, 0, truncate=50)
+    audit = largest_subgroup_audit(form, truncate=50)
     assert audit["consistent"]
     triv = [r for r in audit["rows"] if r["order"] == 1][0]
     assert triv["match"]
@@ -294,7 +294,6 @@ def test_a_form_mod_another_ell_is_refused_before_any_space(monkeypatch):
 
     monkeypatch.setattr(pipeline, "decompose_level", spy)
     for run in (lambda: find_twist(form, 13, truncate=50),
-                lambda: realize(form, 13, truncate=50),
-                lambda: largest_subgroup_audit(form, 13, 0, truncate=50)):
+                lambda: realize(form, 13, truncate=50)):
         with pytest.raises(ValueError, match="system mod 11, not mod 13"):
             run()
